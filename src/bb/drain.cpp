@@ -117,6 +117,12 @@ void DrainScheduler::write_segment(int node) {
   const int client = world.nranks() + node;
   const auto stream = static_cast<std::uint64_t>(engine.current());
 
+  // The drain fiber's hidden time goes straight into the file's stats.
+  mpiio::FileStats& stats = store_.stats_;
+  const auto charge = [&stats](mpi::TimeCat cat, double seconds) {
+    stats.time.seconds[static_cast<std::size_t>(cat)] += seconds;
+  };
+
   mpi::Tracer* tracer = world.tracer();
   obs::SpanId span = obs::kNoSpan;
   const double begin = engine.now();
@@ -136,10 +142,9 @@ void DrainScheduler::write_segment(int node) {
                                      seg.data.data());
     } else if (seg.corrupted) {
       // Phantom arenas keep no bytes; account the detection by draw.
-      fault::FaultCounters& mine = world.fault_state().of(seg.client);
-      ++mine.corrupt_detected;
+      integ->note_detected(seg.client, store_.fs_id_);
       if (integ->config().level == fs::IntegrityLevel::Repair) {
-        ++mine.corrupt_repaired;
+        integ->note_repaired(seg.client, store_.fs_id_, /*by_scrubber=*/false);
       } else {
         integ->record_error(store_.fs_id_, seg.extents.front().offset,
                             seg.extents.front().length);
@@ -147,9 +152,7 @@ void DrainScheduler::write_segment(int node) {
     }
     if (seconds > 0) {
       engine.sleep(seconds);
-      store_.drain_time_
-          .seconds[static_cast<std::size_t>(mpi::TimeCat::Integrity)] +=
-          seconds;
+      charge(mpi::TimeCat::Integrity, seconds);
     }
   }
   const fault::FaultCounters before = world.fault_state().of(client);
@@ -159,25 +162,16 @@ void DrainScheduler::write_segment(int node) {
   const fault::FaultCounters after = world.fault_state().of(client);
   const double end = engine.now();
 
-  store_.drain_time_.seconds[static_cast<std::size_t>(mpi::TimeCat::Drain)] +=
-      end - begin - result.faulted_seconds;
-  store_.drain_time_
-      .seconds[static_cast<std::size_t>(mpi::TimeCat::Faulted)] +=
-      result.faulted_seconds;
-  store_.counters_.drain_retries += after.retries - before.retries;
-  store_.counters_.drain_failovers += after.failovers - before.failovers;
-  ++store_.counters_.drained_segments;
-  store_.counters_.drained_bytes += seg.bytes;
+  charge(mpi::TimeCat::Drain, end - begin - result.faulted_seconds);
+  charge(mpi::TimeCat::Faulted, result.faulted_seconds);
+  stats.bb_drain_retries += after.retries - before.retries;
+  stats.bb_drain_failovers += after.failovers - before.failovers;
+  stats.bb_drained_bytes += seg.bytes;
   if (tracer != nullptr) {
     tracer->record(stream, seg.client, mpi::TimeCat::Drain, begin, end);
     tracer->spans().close(stream, span, end);
   }
   if (auto* metrics = world.metrics()) {
-    ++metrics->counter("bb.drains");
-    metrics->counter("bb.drained_bytes") += seg.bytes;
-    metrics->counter("bb.drain.retries") += after.retries - before.retries;
-    metrics->counter("bb.drain.failovers") +=
-        after.failovers - before.failovers;
     metrics->quantile("bb.drain_seconds").observe(end - begin);
   }
 

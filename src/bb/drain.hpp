@@ -40,8 +40,8 @@ class DrainScheduler {
   /// queue is marked overdue and drained regardless of policy gates.
   void arm_deadline(int node, double at);
   /// Write one segment to the backend on the current (drain) fiber,
-  /// charging time/counters to the store. The fs client id is synthetic
-  /// (nranks + node) so per-rank fault attribution stays clean.
+  /// charging time/counters to the file's stats. The fs client id is
+  /// synthetic (nranks + node) so per-rank fault attribution stays clean.
   void write_segment(int node);
 
   StagingStore& store_;

@@ -7,8 +7,9 @@
 
 namespace parcoll::bb {
 
-StagingStore::StagingStore(mpi::World& world, int fs_id, BbConfig config)
-    : world_(world), fs_id_(fs_id), config_(config) {
+StagingStore::StagingStore(mpi::World& world, int fs_id, BbConfig config,
+                           mpiio::FileStats& stats)
+    : world_(world), fs_id_(fs_id), config_(config), stats_(stats) {
   arenas_.resize(
       static_cast<std::size_t>(world.model().topology.num_nodes()));
   sched_ = std::make_unique<DrainScheduler>(*this);
@@ -136,11 +137,9 @@ bool StagingStore::stage(mpi::Rank& self, std::span<const fs::Extent> extents,
   }
   arena.used += bytes;
   arena.queue.push_back(std::move(seg));
-  ++counters_.staged_segments;
-  counters_.staged_bytes += bytes;
+  ++stats_.bb_staged_segments;
+  stats_.bb_staged_bytes += bytes;
   if (auto* metrics = world_.metrics()) {
-    ++metrics->counter("bb.staged_segments");
-    metrics->counter("bb.staged_bytes") += bytes;
     metrics->gauge_max("bb.node.peak_bytes",
                        static_cast<std::size_t>(self.node()),
                        static_cast<double>(arena.used));
@@ -194,52 +193,6 @@ void StagingStore::foreground_end() {
   }
 }
 
-void StagingStore::note_spill(std::uint64_t bytes) {
-  ++counters_.spills;
-  counters_.spill_bytes += bytes;
-  if (auto* metrics = world_.metrics()) {
-    ++metrics->counter("bb.spills");
-    metrics->counter("bb.spill_bytes") += bytes;
-  }
-}
-
-void StagingStore::note_conflict_flush() {
-  ++counters_.conflict_flushes;
-  if (auto* metrics = world_.metrics()) {
-    ++metrics->counter("bb.conflict_flushes");
-  }
-}
-
-BbCounters StagingStore::harvest_counters() {
-  BbCounters delta;
-  delta.staged_segments =
-      counters_.staged_segments - harvested_counters_.staged_segments;
-  delta.staged_bytes = counters_.staged_bytes - harvested_counters_.staged_bytes;
-  delta.drained_segments =
-      counters_.drained_segments - harvested_counters_.drained_segments;
-  delta.drained_bytes =
-      counters_.drained_bytes - harvested_counters_.drained_bytes;
-  delta.spills = counters_.spills - harvested_counters_.spills;
-  delta.spill_bytes = counters_.spill_bytes - harvested_counters_.spill_bytes;
-  delta.conflict_flushes =
-      counters_.conflict_flushes - harvested_counters_.conflict_flushes;
-  delta.drain_retries =
-      counters_.drain_retries - harvested_counters_.drain_retries;
-  delta.drain_failovers =
-      counters_.drain_failovers - harvested_counters_.drain_failovers;
-  harvested_counters_ = counters_;
-  return delta;
-}
-
-mpi::TimeBreakdown StagingStore::harvest_drain_time() {
-  mpi::TimeBreakdown delta;
-  for (std::size_t i = 0; i < mpi::kNumTimeCats; ++i) {
-    delta.seconds[i] = drain_time_.seconds[i] - harvested_time_.seconds[i];
-  }
-  harvested_time_ = drain_time_;
-  return delta;
-}
-
 bool StagingStore::idle() const {
   for (const NodeArena& arena : arenas_) {
     if (!arena.queue.empty() || arena.in_flight_bytes != 0) {
@@ -255,16 +208,6 @@ std::uint64_t StagingStore::pending_bytes() const {
     total += arena.used;
   }
   return total;
-}
-
-std::shared_ptr<StagingStore> shared_store(mpi::World& world,
-                                           std::uint64_t context_id, int fs_id,
-                                           const BbConfig& config) {
-  const std::string key = "bb:" + std::to_string(context_id) + ":" +
-                          std::to_string(fs_id);
-  return world.shared_object<StagingStore>(key, [&] {
-    return std::make_shared<StagingStore>(world, fs_id, config);
-  });
 }
 
 }  // namespace parcoll::bb

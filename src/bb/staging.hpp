@@ -21,6 +21,11 @@
 // outage therefore replays the same staged bytes until they are durable —
 // no loss, and no double-apply beyond idempotent overwrite of the same
 // extents. All staged data is durable by FileHandle::close().
+//
+// The open file owns its store (mpiio::FileCommon::bb), and the store
+// counts straight into that file's FileStats: staged/spilled/drained
+// segments and bytes, conflict flushes, drain retries and failovers, and
+// the drain fibers' hidden time (Drain, Faulted, Integrity).
 #pragma once
 
 #include <cstddef>
@@ -33,31 +38,18 @@
 #include "bb/options.hpp"
 #include "fs/stripe.hpp"
 #include "mpi/runtime.hpp"
+#include "mpiio/stats.hpp"
 #include "sim/engine.hpp"
 
 namespace parcoll::bb {
-
-/// Lifetime event counters, reported in FileStats / metrics.
-struct BbCounters {
-  std::uint64_t staged_segments = 0;
-  std::uint64_t staged_bytes = 0;
-  std::uint64_t drained_segments = 0;
-  std::uint64_t drained_bytes = 0;
-  /// Writes that did not fit the arena and fell back to the sync path.
-  std::uint64_t spills = 0;
-  std::uint64_t spill_bytes = 0;
-  /// Synchronous flushes forced by cross-node overlap or read-through.
-  std::uint64_t conflict_flushes = 0;
-  /// Degraded-mode events during drain writes (fault plan installed).
-  std::uint64_t drain_retries = 0;
-  std::uint64_t drain_failovers = 0;
-};
 
 class DrainScheduler;
 
 class StagingStore {
  public:
-  StagingStore(mpi::World& world, int fs_id, BbConfig config);
+  /// `stats` is the owning file's statistics; it must outlive the store.
+  StagingStore(mpi::World& world, int fs_id, BbConfig config,
+               mpiio::FileStats& stats);
   ~StagingStore();
 
   StagingStore(const StagingStore&) = delete;
@@ -86,22 +78,14 @@ class StagingStore {
   void foreground_begin() { ++foreground_; }
   void foreground_end();
 
-  void note_spill(std::uint64_t bytes);
-  void note_conflict_flush();
+  void note_spill(std::uint64_t bytes) {
+    ++stats_.bb_spills;
+    stats_.bb_spill_bytes += bytes;
+  }
+  void note_conflict_flush() { ++stats_.bb_conflict_flushes; }
 
   [[nodiscard]] bool idle() const;
   [[nodiscard]] std::uint64_t pending_bytes() const;
-  [[nodiscard]] const BbCounters& counters() const { return counters_; }
-  /// Drain-fiber time, summed: Drain (hidden fs writes) and Faulted
-  /// (degraded-mode retries during drains). Merged into FileStats at close.
-  [[nodiscard]] const mpi::TimeBreakdown& drain_time() const {
-    return drain_time_;
-  }
-  /// Counters / drain time accumulated since the previous harvest. The
-  /// store outlives file handles (shared_object), so close-time stats
-  /// merging takes deltas to stay correct across repeated open/close.
-  [[nodiscard]] BbCounters harvest_counters();
-  [[nodiscard]] mpi::TimeBreakdown harvest_drain_time();
   [[nodiscard]] const BbConfig& config() const { return config_; }
   [[nodiscard]] mpi::World& world() { return world_; }
   [[nodiscard]] int fs_id() const { return fs_id_; }
@@ -149,10 +133,7 @@ class StagingStore {
   BbConfig config_;
   std::vector<NodeArena> arenas_;  // one per topology node
   std::unique_ptr<DrainScheduler> sched_;
-  BbCounters counters_;
-  mpi::TimeBreakdown drain_time_;
-  BbCounters harvested_counters_;
-  mpi::TimeBreakdown harvested_time_;
+  mpiio::FileStats& stats_;
   int foreground_ = 0;
   int flush_waiters_ = 0;
   /// Per-rank monotone draw counters for the bb decay process (keyed by
@@ -180,12 +161,5 @@ class ForegroundGuard {
  private:
   StagingStore* store_;
 };
-
-/// The comm-wide shared store of an open file, created by the first opener
-/// (shared_object key "bb:<context>:<fs_id>"). Helper fibers re-entering
-/// the collective engine without a handle find the same store by key.
-std::shared_ptr<StagingStore> shared_store(mpi::World& world,
-                                           std::uint64_t context_id, int fs_id,
-                                           const BbConfig& config);
 
 }  // namespace parcoll::bb

@@ -142,6 +142,7 @@ void run_two_phase(mpi::Rank& self, const mpi::Comm& comm,
 /// collectives' helper fibers call it.
 CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
                                         const mpiio::Hints& hints, int fs_id,
+                                        bb::StagingStore* bb_store,
                                         mpiio::PreparedRequest& prep,
                                         bool is_write,
                                         std::shared_ptr<void>* cache_slot) {
@@ -151,12 +152,7 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
   // a BbTarget, so aggregator writes land in the per-node staging store
   // and drain to Lustre in the background. The foreground guard tells the
   // arbitrate drain policy that ranks are inside a collective call.
-  std::shared_ptr<bb::StagingStore> bb_store;
-  if (hints.bb.enabled) {
-    bb_store =
-        bb::shared_store(self.world(), comm.context_id(), fs_id, hints.bb);
-  }
-  bb::ForegroundGuard foreground(bb_store.get());
+  bb::ForegroundGuard foreground(bb_store);
 
   mpiio::Ext2phOptions options;
   options.cb_buffer_size = hints.cb_buffer_size;
@@ -172,7 +168,7 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
   if (!cb_enabled) {
     // romio_cb_write/read=disable: the collective call is serviced locally
     // with data sieving, exactly as ROMIO degrades it. No coordination.
-    bb::BbTarget target(fs, fs_id, bb_store.get());
+    bb::BbTarget target(fs, fs_id, bb_store);
     if (prep.extents.size() <= 1) {
       if (is_write) {
         target.write(self, prep.extents, prep.data());
@@ -196,7 +192,7 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
     // Plain extended two-phase over the whole group (the baseline).
     options.aggregators = mpiio::default_aggregators(
         self.world().model().topology, comm, hints);
-    bb::BbTarget target(fs, fs_id, bb_store.get());
+    bb::BbTarget target(fs, fs_id, bb_store);
     const mpiio::CollRequest request{prep.extents, prep.data()};
     run_two_phase(self, comm, hints, target, request, options, is_write,
                   outcome);
@@ -303,7 +299,7 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
   }
 
   if (plan.fa().mode == PartitionMode::SingleGroup) {
-    bb::BbTarget target(fs, fs_id, bb_store.get());
+    bb::BbTarget target(fs, fs_id, bb_store);
     const mpiio::CollRequest request{prep.extents, prep.data()};
     run_two_phase(self, comm, hints, target, request, options, is_write,
                   outcome);
@@ -312,7 +308,7 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
   }
 
   if (plan.fa().mode == PartitionMode::Direct) {
-    bb::BbTarget target(fs, fs_id, bb_store.get());
+    bb::BbTarget target(fs, fs_id, bb_store);
     const mpiio::CollRequest request{prep.extents, prep.data()};
     run_two_phase(self, plan.subcomm, hints, target, request, options,
                   is_write, outcome);
@@ -344,7 +340,7 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
     }
     members.push_back(std::move(member));
   }
-  bb::BbTarget physical(fs, fs_id, bb_store.get());
+  bb::BbTarget physical(fs, fs_id, bb_store);
   IntermediateTarget target(physical, IntermediateMap(std::move(members)));
 
   mpiio::CollRequest request;
@@ -358,12 +354,32 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
   return outcome;
 }
 
+void record_collective(mpiio::FileHandle& file,
+                       const CollectiveOutcome& outcome, bool is_write,
+                       mpiio::FileStats delta) {
+  (is_write ? delta.bytes_written : delta.bytes_read) = outcome.bytes;
+  delta.exchange_cycles = outcome.cycles;
+  delta.rmw_reads = outcome.rmw_reads;
+  delta.intranode_bytes = outcome.intra_bytes;
+  // Call-level counters are recorded once per collective call, by the
+  // call's first rank; per-rank quantities (time, bytes, cycles) sum.
+  if (file.comm().local_rank(file.self().rank()) == 0) {
+    (is_write ? delta.collective_writes : delta.collective_reads) = 1;
+    delta.intranode_calls = outcome.two_level ? 1 : 0;
+    delta.parcoll_calls =
+        ParcollSettings::from(file.hints()).enabled() ? 1 : 0;
+    delta.view_switches = outcome.mode == PartitionMode::Intermediate ? 1 : 0;
+    delta.last_num_groups = outcome.num_groups;
+  }
+  file.add_stats(delta);
+}
+
 namespace {
 CollectiveOutcome run_partitioned(mpiio::FileHandle& file,
                                   mpiio::PreparedRequest& prep,
                                   bool is_write) {
   return run_collective_engine(file.self(), file.comm(), file.hints(),
-                               file.fs_id(), prep, is_write,
+                               file.fs_id(), file.bb_store(), prep, is_write,
                                &file.engine_cache());
 }
 
@@ -426,21 +442,7 @@ CollectiveOutcome write_at_all(mpiio::FileHandle& file, std::uint64_t offset,
   delta.time = mpiio::FileHandle::time_delta(before, file.time_snapshot());
   record_fault_delta(delta, faults_before,
                      file.self().world().fault_counters(file.self().rank()));
-  delta.bytes_written = outcome.bytes;
-  delta.exchange_cycles = outcome.cycles;
-  delta.rmw_reads = outcome.rmw_reads;
-  delta.intranode_bytes = outcome.intra_bytes;
-  // Call-level counters are recorded once per collective call, by the
-  // call's first rank; per-rank quantities (time, bytes, cycles) sum.
-  if (file.comm().local_rank(file.self().rank()) == 0) {
-    delta.collective_writes = 1;
-    delta.intranode_calls = outcome.two_level ? 1 : 0;
-    delta.parcoll_calls =
-        ParcollSettings::from(file.hints()).enabled() ? 1 : 0;
-    delta.view_switches = outcome.mode == PartitionMode::Intermediate ? 1 : 0;
-    delta.last_num_groups = outcome.num_groups;
-  }
-  file.add_stats(delta);
+  record_collective(file, outcome, /*is_write=*/true, delta);
   return outcome;
 }
 
@@ -475,19 +477,7 @@ CollectiveOutcome read_at_all(mpiio::FileHandle& file, std::uint64_t offset,
   delta.time = mpiio::FileHandle::time_delta(before, file.time_snapshot());
   record_fault_delta(delta, faults_before,
                      file.self().world().fault_counters(file.self().rank()));
-  delta.bytes_read = outcome.bytes;
-  delta.exchange_cycles = outcome.cycles;
-  delta.rmw_reads = outcome.rmw_reads;
-  delta.intranode_bytes = outcome.intra_bytes;
-  if (file.comm().local_rank(file.self().rank()) == 0) {
-    delta.collective_reads = 1;
-    delta.intranode_calls = outcome.two_level ? 1 : 0;
-    delta.parcoll_calls =
-        ParcollSettings::from(file.hints()).enabled() ? 1 : 0;
-    delta.view_switches = outcome.mode == PartitionMode::Intermediate ? 1 : 0;
-    delta.last_num_groups = outcome.num_groups;
-  }
-  file.add_stats(delta);
+  record_collective(file, outcome, /*is_write=*/false, delta);
   return outcome;
 }
 

@@ -56,12 +56,22 @@ CollectiveOutcome read_all(mpiio::FileHandle& file, void* buffer,
 
 /// The collective engine entry used by write_at_all/read_at_all and by the
 /// split-collective helper fibers: plan (or reuse via `cache_slot`) the
-/// partition and run the protocol. Collective over `comm`.
+/// partition and run the protocol. Collective over `comm`. `bb_store` is
+/// the file's staging store (FileHandle::bb_store(); null with bb off).
 CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
                                         const mpiio::Hints& hints, int fs_id,
+                                        bb::StagingStore* bb_store,
                                         mpiio::PreparedRequest& prep,
                                         bool is_write,
                                         std::shared_ptr<void>* cache_slot);
+
+/// Fold one completed collective call into the file's stats. Every rank
+/// adds its own quantities (bytes, cycles, intra-node bytes); the file
+/// communicator's first rank adds the call-level counters. `delta` comes
+/// in carrying the call's time and fault attribution.
+void record_collective(mpiio::FileHandle& file,
+                       const CollectiveOutcome& outcome, bool is_write,
+                       mpiio::FileStats delta);
 
 /// The partitioning decision the hints + this request would produce, from
 /// the calling rank's perspective — runs the same collective planning

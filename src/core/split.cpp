@@ -51,10 +51,13 @@ SplitRequest split_begin(mpiio::FileHandle& file, std::uint64_t offset,
   const int rank_id = self.rank();
   const mpiio::Hints hints = file.hints();
   const int fs_id = file.fs_id();
-  world.engine().spawn([state, &world, rank_id, hints, fs_id] {
+  // The helper stages into the file's own burst-buffer store, so close()
+  // drains its writes and the file's stats count them.
+  bb::StagingStore* bb_store = file.bb_store();
+  world.engine().spawn([state, &world, rank_id, hints, fs_id, bb_store] {
     mpi::Rank helper(world, rank_id);
     state->outcome = run_collective_engine(
-        helper, state->helper_comm, hints, fs_id, state->prep,
+        helper, state->helper_comm, hints, fs_id, bb_store, state->prep,
         state->is_write, /*cache_slot=*/nullptr);
     state->helper_time = helper.times().breakdown();
     state->done = true;
@@ -102,21 +105,7 @@ CollectiveOutcome split_end(mpiio::FileHandle& file, SplitRequest& request) {
 
   mpiio::FileStats delta;
   delta.time = state.helper_time;  // the progress thread's work
-  if (state.is_write) {
-    delta.bytes_written = state.prep.bytes;
-  } else {
-    delta.bytes_read = state.prep.bytes;
-  }
-  delta.exchange_cycles = state.outcome.cycles;
-  delta.rmw_reads = state.outcome.rmw_reads;
-  if (file.comm().local_rank(self.rank()) == 0) {
-    if (state.is_write) {
-      delta.collective_writes = 1;
-    } else {
-      delta.collective_reads = 1;
-    }
-  }
-  file.add_stats(delta);
+  record_collective(file, state.outcome, state.is_write, delta);
   const CollectiveOutcome outcome = state.outcome;
   request.state_.reset();
   return outcome;

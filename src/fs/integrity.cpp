@@ -121,7 +121,8 @@ void IntegrityManager::erase_range(FileMap& map, std::uint64_t lo,
 double IntegrityManager::register_write(int client, int fs_id,
                                         std::span<const Extent> extents,
                                         const std::byte* data) {
-  FileMap& map = files_[fs_id];
+  File& file = files_[fs_id];
+  FileMap& map = file.records;
   std::uint64_t total = 0;
   std::uint64_t pos = 0;  // cursor into the concatenated payload
   for (const Extent& extent : extents) {
@@ -141,14 +142,14 @@ double IntegrityManager::register_write(int client, int fs_id,
         record.phantom = true;
       }
       map.emplace(off, std::move(record));
-      ++counters_.blocks;
+      ++file.counts.blocks;
       off += len;
       pos += len;
       left -= len;
     }
     total += extent.length;
   }
-  counters_.bytes_checksummed += total;
+  file.counts.bytes_checksummed += total;
   (void)client;
   return static_cast<double>(total) / config_.checksum_bw;
 }
@@ -161,17 +162,10 @@ bool IntegrityManager::check_record(int client, int fs_id,
                                     Heal&& heal) {
   if (record.phantom || actual == nullptr) return true;
   if (crc32c(actual, record.length) == record.crc) return true;
-  fault::FaultCounters& mine = faults_->of(client);
-  ++mine.corrupt_detected;
-  ++counters_.detected;
+  note_detected(client, fs_id);
   if (config_.level == IntegrityLevel::Repair && !record.replica.empty()) {
     heal(record.replica);
-    ++mine.corrupt_repaired;
-    ++counters_.repaired;
-    if (by_scrubber) {
-      ++mine.scrub_repairs;
-      ++counters_.scrub_repairs;
-    }
+    note_repaired(client, fs_id, by_scrubber);
     return true;
   }
   record_error(fs_id, offset, record.length);
@@ -183,7 +177,7 @@ double IntegrityManager::verify_buffer(int client, int fs_id,
                                        std::byte* data) {
   const auto found = files_.find(fs_id);
   if (found == files_.end()) return 0.0;
-  FileMap& map = found->second;
+  FileMap& map = found->second.records;
   std::uint64_t scanned = 0;
   std::uint64_t pos = 0;
   for (const Extent& extent : extents) {
@@ -211,7 +205,7 @@ double IntegrityManager::verify_ranges(int client, int fs_id,
                                        ObjectStore& store) {
   const auto found = files_.find(fs_id);
   if (found == files_.end()) return 0.0;
-  FileMap& map = found->second;
+  FileMap& map = found->second.records;
   std::uint64_t scanned = 0;
   std::vector<std::byte> actual;
   for (const Extent& extent : extents) {
@@ -240,8 +234,8 @@ double IntegrityManager::scrub_all(int client, ObjectStore& store,
                                    bool by_scrubber) {
   std::uint64_t scanned = 0;
   std::vector<std::byte> actual;
-  for (auto& [fs_id, map] : files_) {
-    for (auto& [offset, record] : map) {
+  for (auto& [fs_id, file] : files_) {
+    for (auto& [offset, record] : file.records) {
       // Skip phantom coverage and blocks still staged/in flight: the store
       // does not hold their bytes yet, so an audit would misread pending
       // data as corruption.
@@ -262,7 +256,7 @@ void IntegrityManager::mark_landed(int fs_id, std::uint64_t offset,
                                    std::uint64_t length) {
   const auto found = files_.find(fs_id);
   if (found == files_.end() || length == 0) return;
-  FileMap& map = found->second;
+  FileMap& map = found->second.records;
   const std::uint64_t hi = offset + length;
   auto it = map.lower_bound(offset);
   if (it != map.begin()) {
@@ -279,10 +273,32 @@ void IntegrityManager::mark_landed(int fs_id, std::uint64_t offset,
   }
 }
 
+void IntegrityManager::note_detected(int client, int fs_id) {
+  ++faults_->of(client).corrupt_detected;
+  ++files_[fs_id].counts.detected;
+}
+
+void IntegrityManager::note_repaired(int client, int fs_id, bool by_scrubber) {
+  fault::FaultCounters& mine = faults_->of(client);
+  IntegrityCounters& counts = files_[fs_id].counts;
+  ++mine.corrupt_repaired;
+  ++counts.repaired;
+  if (by_scrubber) {
+    ++mine.scrub_repairs;
+    ++counts.scrub_repairs;
+  }
+}
+
 void IntegrityManager::record_error(int fs_id, std::uint64_t offset,
                                     std::uint64_t length) {
   errors_.emplace_back(fs_id, offset, length);
-  ++counters_.errors;
+  ++files_[fs_id].counts.errors;
+}
+
+const IntegrityCounters& IntegrityManager::counters(int fs_id) const {
+  static const IntegrityCounters kNone;
+  const auto found = files_.find(fs_id);
+  return found == files_.end() ? kNone : found->second.counts;
 }
 
 std::uint64_t IntegrityManager::pending_word() const {
@@ -307,19 +323,6 @@ CollectiveIoError IntegrityManager::error_of(std::uint64_t word) const {
   // Another rank recorded it (should not happen with a world-global log,
   // but keep the agreement total anyway).
   return CollectiveIoError(fs_id, offset, 0);
-}
-
-IntegrityCounters IntegrityManager::harvest() {
-  IntegrityCounters delta;
-  delta.blocks = counters_.blocks - harvested_.blocks;
-  delta.bytes_checksummed =
-      counters_.bytes_checksummed - harvested_.bytes_checksummed;
-  delta.detected = counters_.detected - harvested_.detected;
-  delta.repaired = counters_.repaired - harvested_.repaired;
-  delta.scrub_repairs = counters_.scrub_repairs - harvested_.scrub_repairs;
-  delta.errors = counters_.errors - harvested_.errors;
-  harvested_ = counters_;
-  return delta;
 }
 
 }  // namespace parcoll::fs

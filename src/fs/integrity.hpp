@@ -64,7 +64,7 @@ struct IntegrityConfig {
   bool operator==(const IntegrityConfig&) const = default;
 };
 
-/// Checksum-pipeline totals (world-global; FaultCounters carries the
+/// Checksum-pipeline totals of one file (FaultCounters carries the
 /// per-client injected/detected/repaired view).
 struct IntegrityCounters {
   std::uint64_t blocks = 0;
@@ -122,15 +122,15 @@ class IntegrityManager {
   /// records fully covered by landed bytes become scrubbable.
   void mark_landed(int fs_id, std::uint64_t offset, std::uint64_t length);
 
+  /// Pipeline outcomes, wherever they are found (store audit, pre-drain
+  /// audit, OST ingest): each call counts the outcome once against file
+  /// `fs_id` and once in `client`'s FaultCounters. A repair by the
+  /// scrubber also counts as a scrub repair.
+  void note_detected(int client, int fs_id);
+  void note_repaired(int client, int fs_id, bool by_scrubber);
+
   /// Record an unrecoverable corruption, pending collective agreement.
   void record_error(int fs_id, std::uint64_t offset, std::uint64_t length);
-
-  /// Wire-level pipeline outcomes: the OST ingest checksum (LustreSim)
-  /// rejected a corrupted RPC payload / a retransmit delivered the clean
-  /// bytes. Folded into the same counters as store-audit outcomes so the
-  /// close-time harvest sees every detection the pipeline made.
-  void note_wire_detected() { ++counters_.detected; }
-  void note_wire_repaired() { ++counters_.repaired; }
 
   /// Nonzero word encoding the highest-priority pending error (0 = none);
   /// ranks agree via allreduce_max over this word.
@@ -140,10 +140,9 @@ class IntegrityManager {
   [[nodiscard]] CollectiveIoError error_of(std::uint64_t word) const;
 
   [[nodiscard]] bool has_error() const { return !errors_.empty(); }
-  [[nodiscard]] const IntegrityCounters& counters() const { return counters_; }
-
-  /// Delta since the previous harvest (close-time stats attribution).
-  IntegrityCounters harvest();
+  /// File `fs_id`'s totals since its first registered write (all zero for
+  /// a file the pipeline never saw).
+  [[nodiscard]] const IntegrityCounters& counters(int fs_id) const;
 
  private:
   struct Record {
@@ -154,6 +153,11 @@ class IntegrityManager {
     std::vector<std::byte> replica;  // retained source (memory mode)
   };
   using FileMap = std::map<std::uint64_t, Record>;
+  /// One file's block registry and the pipeline's counts against it.
+  struct File {
+    FileMap records;
+    IntegrityCounters counts;
+  };
 
   void erase_range(FileMap& map, std::uint64_t lo, std::uint64_t hi);
   /// Verify one record against `actual` (record-length bytes); returns
@@ -166,10 +170,8 @@ class IntegrityManager {
 
   IntegrityConfig config_;
   fault::FaultState* faults_;
-  std::unordered_map<int, FileMap> files_;
+  std::unordered_map<int, File> files_;
   std::vector<CollectiveIoError> errors_;
-  IntegrityCounters counters_;
-  IntegrityCounters harvested_;
 };
 
 }  // namespace parcoll::fs

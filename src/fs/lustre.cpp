@@ -287,16 +287,14 @@ void LustreSim::ingest_piece(int client, int file_id, int ost_index,
     if (!corrupted) {
       if (was_corrupt) {
         // A retransmit delivered the clean payload.
-        ++fault_state_->of(client).corrupt_repaired;
-        integrity_->note_wire_repaired();
+        integrity_->note_repaired(client, file_id, /*by_scrubber=*/false);
       }
       return;
     }
     // The OST's ingest checksum rejects the payload; the client resends
     // under the same timeout/backoff policy as a swallowed RPC.
     was_corrupt = true;
-    ++fault_state_->of(client).corrupt_detected;
-    integrity_->note_wire_detected();
+    integrity_->note_detected(client, file_id);
     if (attempt >= fault_plan_->retry.max_retries) {
       // Retransmit budget exhausted. At Repair level the pipeline retains
       // the clean source bytes, so the extent is healed in place rather
@@ -304,8 +302,7 @@ void LustreSim::ingest_piece(int client, int file_id, int ost_index,
       // extent goes to collective agreement.
       if (integrity_->config().level == IntegrityLevel::Repair) {
         store_->write(file_id, pos, src, piece_len);
-        ++fault_state_->of(client).corrupt_repaired;
-        integrity_->note_wire_repaired();
+        integrity_->note_repaired(client, file_id, /*by_scrubber=*/false);
         return;
       }
       integrity_->record_error(file_id, pos, piece_len);

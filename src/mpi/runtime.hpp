@@ -81,7 +81,7 @@ class World {
   Tracer& enable_tracing();
   [[nodiscard]] Tracer* tracer() { return tracer_.get(); }
 
-  /// Collect counters/gauges/histograms for this run (call before run()).
+  /// Collect counters/gauges/quantiles for this run (call before run()).
   /// Null when disabled: every instrumentation site guards with
   /// `if (auto* m = world.metrics())`, so the off path costs one pointer
   /// test and cannot perturb simulated time.

@@ -6,11 +6,12 @@
 #include "bb/staging.hpp"
 #include "dtype/pack.hpp"
 #include "fs/integrity.hpp"
-#include "obs/metrics.hpp"
 #include "mpi/collectives.hpp"
 #include "mpiio/ext2ph.hpp"
 
 namespace parcoll::mpiio {
+
+FileCommon::~FileCommon() = default;
 
 FileHandle::FileHandle(mpi::Rank& self, const mpi::Comm& comm,
                        const std::string& name, const Hints& hints,
@@ -60,12 +61,12 @@ FileHandle::FileHandle(mpi::Rank& self, const mpi::Comm& comm,
         common->name = name;
         common->hints = hints;
         common->comm = comm;
+        if (hints.bb.enabled) {
+          common->bb = std::make_unique<bb::StagingStore>(
+              self.world(), fs_id, hints.bb, common->stats);
+        }
         return common;
       });
-  if (common_->hints.bb.enabled) {
-    common_->bb = bb::shared_store(self.world(), comm.context_id(), fs_id,
-                                   common_->hints.bb);
-  }
   if (common_->hints.integrity.enabled()) {
     // World-wide singleton; the first opener's config wins (enable_integrity
     // is idempotent). With the hint off nothing is ever installed, so the
@@ -302,50 +303,25 @@ void FileHandle::close() {
     // every staged byte reaches Lustre before close returns.
     mpi::barrier(self_, common_->comm);
     common_->bb->flush_all(self_);
-    if (common_->comm.local_rank(self_.rank()) == 0) {
-      // One rank folds the store's hidden drain time and event counters
-      // into the file stats (deltas: the store outlives handles).
-      FileStats delta;
-      delta.time = common_->bb->harvest_drain_time();
-      const bb::BbCounters counters = common_->bb->harvest_counters();
-      delta.bb_staged_segments = counters.staged_segments;
-      delta.bb_staged_bytes = counters.staged_bytes;
-      delta.bb_drained_bytes = counters.drained_bytes;
-      delta.bb_spills = counters.spills;
-      delta.bb_spill_bytes = counters.spill_bytes;
-      delta.bb_conflict_flushes = counters.conflict_flushes;
-      delta.bb_drain_retries = counters.drain_retries;
-      delta.bb_drain_failovers = counters.drain_failovers;
-      add_stats(delta);
-    }
   }
   if (auto* integ = self_.world().integrity()) {
     // Close-time integrity sweep: everyone arrives first so no rank can
     // still be writing, then one rank re-verifies every registered block
     // (the hard guarantee behind the scrubber's best-effort passes) and
-    // folds the pipeline counters into the file stats.
+    // copies this file's pipeline totals into its stats.
     mpi::barrier(self_, common_->comm);
     if (common_->comm.local_rank(self_.rank()) == 0) {
       const double seconds = integ->scrub_all(
           self_.rank(), self_.world().fs().store(), /*by_scrubber=*/false);
       if (seconds > 0) self_.busy(mpi::TimeCat::Integrity, seconds);
-      const fs::IntegrityCounters harvest = integ->harvest();
-      FileStats delta;
-      delta.integrity_blocks = harvest.blocks;
-      delta.integrity_bytes = harvest.bytes_checksummed;
-      delta.corrupt_detected = harvest.detected;
-      delta.corrupt_repaired = harvest.repaired;
-      delta.scrub_repairs = harvest.scrub_repairs;
-      delta.integrity_errors = harvest.errors;
-      add_stats(delta);
-      if (auto* metrics = self_.world().metrics()) {
-        metrics->counter("integrity.blocks") += harvest.blocks;
-        metrics->counter("integrity.bytes") += harvest.bytes_checksummed;
-        metrics->counter("integrity.detected") += harvest.detected;
-        metrics->counter("integrity.repaired") += harvest.repaired;
-        metrics->counter("integrity.scrub_repairs") += harvest.scrub_repairs;
-        metrics->counter("integrity.errors") += harvest.errors;
-      }
+      const fs::IntegrityCounters& mine = integ->counters(fs_id());
+      FileStats& stats = common_->stats;
+      stats.integrity_blocks = mine.blocks;
+      stats.integrity_bytes = mine.bytes_checksummed;
+      stats.corrupt_detected = mine.detected;
+      stats.corrupt_repaired = mine.repaired;
+      stats.scrub_repairs = mine.scrub_repairs;
+      stats.integrity_errors = mine.errors;
     }
     // Collective error agreement: recovery-exhausted extents surface as
     // the identical CollectiveIoError on every rank, or on none.

@@ -29,6 +29,8 @@ namespace parcoll::mpiio {
 
 /// Comm-wide shared state of an open file.
 struct FileCommon {
+  ~FileCommon();  // out of line: bb::StagingStore is incomplete here
+
   int fs_id = -1;
   std::string name;
   Hints hints;
@@ -37,10 +39,11 @@ struct FileCommon {
   /// The shared file pointer (etypes). Guarded by fetch-and-add semantics:
   /// each shared-pointer operation pays a metadata round trip.
   std::uint64_t shared_position = 0;
-  /// Burst-buffer staging store (null unless the bb hint enables it).
-  /// Collective writes land here and drain behind; independent I/O and
+  /// Burst-buffer staging store (null unless the bb hint enables it),
+  /// counting into `stats`. Collective writes — split-phase helpers
+  /// included — land here and drain behind; independent I/O and
   /// close/sync flush through it for consistency.
-  std::shared_ptr<bb::StagingStore> bb;
+  std::unique_ptr<bb::StagingStore> bb;
 };
 
 /// A request prepared for the I/O engines: absolute file extents plus the
@@ -131,8 +134,9 @@ class FileHandle {
     return common_->shared_position;
   }
 
-  /// Collective close: merges statistics and synchronizes. The close-time
-  /// summary (the paper's per-file profile report) is available via
+  /// Collective close: drains staged data, copies the file's integrity
+  /// totals into its statistics, and synchronizes. The close-time summary
+  /// (the paper's per-file profile report) is available via
   /// stats().summary(name()).
   void close();
 

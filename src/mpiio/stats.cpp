@@ -1,6 +1,5 @@
 #include "mpiio/stats.hpp"
 
-#include <ostream>
 #include <sstream>
 
 namespace parcoll::mpiio {
@@ -96,10 +95,6 @@ std::string FileStats::summary(const std::string& name) const {
        << " errors=" << integrity_errors;
   }
   return os.str();
-}
-
-std::ostream& operator<<(std::ostream& os, const FileStats& stats) {
-  return os << stats.summary("");
 }
 
 }  // namespace parcoll::mpiio

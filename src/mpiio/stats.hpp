@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 
 #include "mpi/timecat.hpp"
@@ -42,8 +41,9 @@ struct FileStats {
   std::uint64_t fault_drops = 0;
   std::uint64_t fault_reelections = 0;
   std::uint64_t fault_stalls = 0;
-  /// Burst-buffer staging activity (all zero unless bb=enable): merged from
-  /// the node-local StagingStore at close by the file's first rank.
+  /// Burst-buffer staging activity (all zero unless bb=enable): counted
+  /// here by the file's own StagingStore as segments stage, spill and
+  /// drain (its drain fibers also add their Drain/Faulted/Integrity time).
   std::uint64_t bb_staged_segments = 0;
   std::uint64_t bb_staged_bytes = 0;
   std::uint64_t bb_drained_bytes = 0;
@@ -53,7 +53,8 @@ struct FileStats {
   std::uint64_t bb_drain_retries = 0;
   std::uint64_t bb_drain_failovers = 0;
   /// Checksum-pipeline activity (all zero unless the integrity hint is on):
-  /// merged from the IntegrityManager at close by the file's first rank.
+  /// this file's totals, copied from the IntegrityManager at close by the
+  /// file's first rank.
   std::uint64_t integrity_blocks = 0;
   std::uint64_t integrity_bytes = 0;
   std::uint64_t corrupt_detected = 0;
@@ -66,7 +67,5 @@ struct FileStats {
   /// The close-time summary (single line per category plus counters).
   [[nodiscard]] std::string summary(const std::string& name) const;
 };
-
-std::ostream& operator<<(std::ostream& os, const FileStats& stats);
 
 }  // namespace parcoll::mpiio

@@ -2,32 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <stdexcept>
 
 namespace parcoll::obs {
-
-void HistogramData::observe(double value) {
-  if (counts.empty()) {
-    counts.resize(bounds.size() + 1, 0);
-  }
-  std::size_t bucket = bounds.size();
-  for (std::size_t i = 0; i < bounds.size(); ++i) {
-    if (value <= bounds[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  ++counts[bucket];
-  if (count == 0) {
-    min = value;
-    max = value;
-  } else {
-    min = std::min(min, value);
-    max = std::max(max, value);
-  }
-  ++count;
-  sum += value;
-}
 
 std::uint64_t& MetricsRegistry::counter(const std::string& name) {
   return counters_[name];
@@ -58,19 +34,6 @@ void MetricsRegistry::gauge_max(const std::string& name, std::size_t index,
   gauge_max(indexed(name, index), value);
 }
 
-HistogramData& MetricsRegistry::histogram(const std::string& name,
-                                          const std::vector<double>& bounds) {
-  auto [it, inserted] = histograms_.try_emplace(name);
-  if (inserted) {
-    it->second.bounds = bounds;
-    it->second.counts.resize(bounds.size() + 1, 0);
-  } else if (it->second.bounds != bounds) {
-    throw std::invalid_argument("MetricsRegistry::histogram(\"" + name +
-                                "\"): bucket bounds differ from first use");
-  }
-  return it->second;
-}
-
 QuantileHistogram& MetricsRegistry::quantile(const std::string& name) {
   return quantiles_[name];
 }
@@ -89,14 +52,6 @@ std::string MetricsRegistry::job_key(const std::string& name,
   key += job;
   key += '}';
   return key;
-}
-
-const std::vector<double>& latency_bounds_s() {
-  // Decade-ish buckets from 1 µs to 100 s: wide enough for sync waits on
-  // the fig-2 workloads and fault-injected runs alike.
-  static const std::vector<double> kBounds = {
-      1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0};
-  return kBounds;
 }
 
 }  // namespace parcoll::obs

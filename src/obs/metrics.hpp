@@ -1,8 +1,12 @@
-// Metrics registry: named counters, gauges, and fixed-bucket histograms.
+// Metrics registry: named counters, gauges, and quantile histograms.
 //
 // The registry is owned by the World and is null when observability is
 // off; every instrumentation site guards with `if (auto* m = ...)` so the
 // disabled path costs one pointer test and never perturbs simulated time.
+// It holds only instruments nothing else records — latency quantiles,
+// per-OST and per-subgroup series, per-job slices, scrub passes. Per-file
+// counts live in mpiio::FileStats and per-client fault counts in
+// fault::FaultCounters; the run document exports both.
 // Instrument names use dotted paths ("parcoll.sync_wait_s"); per-index
 // series (one counter per OST, per subgroup, ...) get a zero-padded
 // "[0003]" suffix so exports sort naturally. Storage is an ordered map,
@@ -13,28 +17,10 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "obs/quantile.hpp"
 
 namespace parcoll::obs {
-
-/// Fixed-bucket histogram: counts[i] holds observations <= bounds[i], the
-/// final slot is the overflow bucket. Also tracks count/sum/min/max so
-/// means and extremes survive coarse bucketing.
-struct HistogramData {
-  std::vector<double> bounds;
-  std::vector<std::uint64_t> counts;  // bounds.size() + 1 slots
-  std::uint64_t count = 0;
-  double sum = 0;
-  double min = 0;
-  double max = 0;
-
-  void observe(double value);
-  [[nodiscard]] double mean() const {
-    return count > 0 ? sum / static_cast<double>(count) : 0.0;
-  }
-};
 
 class MetricsRegistry {
  public:
@@ -51,14 +37,6 @@ class MetricsRegistry {
   void gauge_max(const std::string& name, double value);
   void gauge_max(const std::string& name, std::size_t index, double value);
 
-  /// Histogram with the given bucket bounds; bounds are fixed on first
-  /// use. A later call with the same name must pass the same bounds —
-  /// mismatched bounds throw std::invalid_argument instead of being
-  /// silently ignored (two call sites disagreeing on the layout is a bug,
-  /// and the loser's data would land in buckets it never asked for).
-  HistogramData& histogram(const std::string& name,
-                           const std::vector<double>& bounds);
-
   /// Log-bucketed quantile histogram (~1% relative error); created empty
   /// on first use. The standard latency instruments (RPC, OST service,
   /// collective cycles, drain waits) record here.
@@ -69,9 +47,6 @@ class MetricsRegistry {
   }
   [[nodiscard]] const std::map<std::string, double>& gauges() const {
     return gauges_;
-  }
-  [[nodiscard]] const std::map<std::string, HistogramData>& histograms() const {
-    return histograms_;
   }
   [[nodiscard]] const std::map<std::string, QuantileHistogram>& quantiles()
       const {
@@ -91,11 +66,7 @@ class MetricsRegistry {
  private:
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, double> gauges_;
-  std::map<std::string, HistogramData> histograms_;
   std::map<std::string, QuantileHistogram> quantiles_;
 };
-
-/// Shared bucket layouts (seconds) for the standard latency histograms.
-[[nodiscard]] const std::vector<double>& latency_bounds_s();
 
 }  // namespace parcoll::obs

@@ -1,9 +1,8 @@
 // Log-bucketed quantile histogram (HDR-histogram style).
 //
-// The fixed-bucket HistogramData of the original metrics layer answers
-// "how many observations fell under 1 ms" but cannot answer "what is the
-// p99.9" with useful precision: the decade buckets are a factor of 10
-// wide. QuantileHistogram keeps geometrically spaced buckets a factor of
+// A fixed-bucket histogram answers "how many observations fell under
+// 1 ms" but cannot answer "what is the p99.9" with useful precision:
+// decade buckets are a factor of 10 wide. QuantileHistogram keeps geometrically spaced buckets a factor of
 // kGamma = 1.02 apart, so any reported quantile is within ~1% relative
 // error of the true order statistic, at a fixed memory cost (~1.6k
 // buckets spanning 1 ns .. ~22 h). The latency instrumentation on the

@@ -89,79 +89,12 @@ JsonValue metrics_json(const MetricsRegistry& metrics) {
   }
   doc.set("gauges", std::move(gauges));
 
-  JsonValue histograms = JsonValue::object();
-  for (const auto& [name, hist] : metrics.histograms()) {
-    JsonValue entry = JsonValue::object();
-    JsonValue bounds = JsonValue::array();
-    for (double b : hist.bounds) bounds.push(b);
-    JsonValue counts = JsonValue::array();
-    for (std::uint64_t c : hist.counts) counts.push(c);
-    entry.set("bounds", std::move(bounds))
-        .set("counts", std::move(counts))
-        .set("count", hist.count)
-        .set("sum", hist.sum)
-        .set("min", hist.min)
-        .set("max", hist.max)
-        .set("mean", hist.mean());
-    histograms.set(name, std::move(entry));
-  }
-  doc.set("histograms", std::move(histograms));
-
   JsonValue quantiles = JsonValue::object();
   for (const auto& [name, q] : metrics.quantiles()) {
     quantiles.set(name, q.summary_json());
   }
   doc.set("quantiles", std::move(quantiles));
   return doc;
-}
-
-void export_file_stats(MetricsRegistry& metrics,
-                       const mpiio::FileStats& stats) {
-  for (std::size_t c = 0; c < mpi::kNumTimeCats; ++c) {
-    metrics.gauge(std::string("stats.time.") +
-                  mpi::to_string(static_cast<mpi::TimeCat>(c)) + "_s") =
-        stats.time.seconds[c];
-  }
-  metrics.counter("stats.bytes_written") = stats.bytes_written;
-  metrics.counter("stats.bytes_read") = stats.bytes_read;
-  metrics.counter("stats.collective_writes") = stats.collective_writes;
-  metrics.counter("stats.collective_reads") = stats.collective_reads;
-  metrics.counter("stats.independent_writes") = stats.independent_writes;
-  metrics.counter("stats.independent_reads") = stats.independent_reads;
-  metrics.counter("stats.exchange_cycles") = stats.exchange_cycles;
-  metrics.counter("stats.rmw_reads") = stats.rmw_reads;
-  metrics.counter("stats.parcoll_calls") = stats.parcoll_calls;
-  metrics.counter("stats.intranode_calls") = stats.intranode_calls;
-  metrics.counter("stats.intranode_bytes") = stats.intranode_bytes;
-  metrics.counter("stats.view_switches") = stats.view_switches;
-  metrics.counter("stats.bb_staged_segments") = stats.bb_staged_segments;
-  metrics.counter("stats.bb_staged_bytes") = stats.bb_staged_bytes;
-  metrics.counter("stats.bb_drained_bytes") = stats.bb_drained_bytes;
-  metrics.counter("stats.bb_spills") = stats.bb_spills;
-  metrics.counter("stats.bb_spill_bytes") = stats.bb_spill_bytes;
-  metrics.counter("stats.integrity_blocks") = stats.integrity_blocks;
-  metrics.counter("stats.integrity_bytes") = stats.integrity_bytes;
-  metrics.counter("stats.corrupt_detected") = stats.corrupt_detected;
-  metrics.counter("stats.corrupt_repaired") = stats.corrupt_repaired;
-  metrics.counter("stats.scrub_repairs") = stats.scrub_repairs;
-  metrics.counter("stats.integrity_errors") = stats.integrity_errors;
-  metrics.gauge("stats.last_num_groups") =
-      static_cast<double>(stats.last_num_groups);
-}
-
-void export_fault_counters(MetricsRegistry& metrics,
-                           const fault::FaultCounters& faults) {
-  metrics.counter("fault.retries") = faults.retries;
-  metrics.counter("fault.failovers") = faults.failovers;
-  metrics.counter("fault.drops") = faults.drops;
-  metrics.counter("fault.delays") = faults.delays;
-  metrics.counter("fault.reelections") = faults.reelections;
-  metrics.counter("fault.stalls") = faults.stalls;
-  metrics.counter("fault.corrupt_injected") = faults.corrupt_injected;
-  metrics.counter("fault.corrupt_detected") = faults.corrupt_detected;
-  metrics.counter("fault.corrupt_repaired") = faults.corrupt_repaired;
-  metrics.counter("fault.scrub_repairs") = faults.scrub_repairs;
-  metrics.gauge("fault.faulted_seconds") = faults.faulted_seconds;
 }
 
 JsonValue run_document(const std::string& tool, JsonValue config) {

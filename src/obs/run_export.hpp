@@ -7,11 +7,10 @@
 // version let downstream tooling (tools/bench_to_trajectory, CI trend
 // jobs) validate documents before folding them into BENCH_*.json.
 //
-// This header is also where FileStats and FaultCounters "migrate" into
-// the metrics registry: export_file_stats / export_fault_counters mirror
-// every legacy counter as a registry counter at collect time, so the
-// registry is the superset view while FileStats::summary() keeps printing
-// the exact historical text.
+// Each count is exported from its one owner: per-file counts from
+// FileStats (file_stats_json), world fault counts from FaultCounters
+// (fault_counters_json), and only the registry's own instruments
+// (quantiles, per-OST/per-subgroup series, job slices) from metrics_json.
 #pragma once
 
 #include <cstdint>
@@ -40,11 +39,6 @@ inline constexpr int kRunSchemaVersion = 1;
 [[nodiscard]] JsonValue file_stats_json(const mpiio::FileStats& stats);
 [[nodiscard]] JsonValue fault_counters_json(const fault::FaultCounters& faults);
 [[nodiscard]] JsonValue metrics_json(const MetricsRegistry& metrics);
-
-/// Mirror the legacy aggregates into the registry ("stats.*", "fault.*").
-void export_file_stats(MetricsRegistry& metrics, const mpiio::FileStats& stats);
-void export_fault_counters(MetricsRegistry& metrics,
-                           const fault::FaultCounters& faults);
 
 /// Envelope: {"schema": "parcoll-run", "version": 1, "tool": tool,
 /// "config": config, ...} — callers then set "result", "metrics",

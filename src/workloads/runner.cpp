@@ -97,8 +97,6 @@ RunResult collect(const mpi::World& world, const PhaseClock& clock,
   }
   result.faults = mutable_world.fault_state().total();
   if (mutable_world.metrics() != nullptr) {
-    obs::export_file_stats(*mutable_world.metrics(), result.stats);
-    obs::export_fault_counters(*mutable_world.metrics(), result.faults);
     result.metrics =
         std::make_shared<obs::MetricsRegistry>(*mutable_world.metrics());
   }

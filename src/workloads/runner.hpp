@@ -1,5 +1,10 @@
 // Experiment runner: one place that turns (workload, implementation,
 // machine) into the numbers the paper's figures plot.
+//
+// A RunResult reports each count from its one owner: the file's close-time
+// FileStats (`stats`), the world's FaultCounters (`faults`), and — when
+// metrics are on — the registry's own instruments (`metrics`).
+// run_result_json exports them under "stats", "faults" and "metrics".
 #pragma once
 
 #include <cstdint>
@@ -53,7 +58,7 @@ struct RunSpec {
   bool byte_true = false;
   /// Record per-rank time intervals; the result carries the trace.
   bool trace = false;
-  /// Record counters/gauges/histograms; the result carries the registry.
+  /// Record counters/gauges/quantiles; the result carries the registry.
   bool metrics = false;
   /// Virtual-time telemetry sampling interval in seconds; 0 (the default)
   /// disables the sampler entirely, keeping the run bit-identical. When
@@ -108,8 +113,9 @@ struct RunResult {
   std::uint64_t fs_rpcs = 0;          // RPCs served across OSTs
   std::uint64_t fs_lock_switches = 0; // DLM revocations across OSTs
   std::shared_ptr<mpi::Tracer> trace; // set when RunSpec::trace was on
-  /// Set when RunSpec::metrics was on; also mirrors FileStats ("stats.*")
-  /// and fault counters ("fault.*") at collect time.
+  /// Set when RunSpec::metrics was on: the registry's own instruments
+  /// (quantiles, per-OST/per-subgroup series, job slices). The file's
+  /// counts are in `stats`, the fault counts in `faults`.
   std::shared_ptr<obs::MetricsRegistry> metrics;
   /// Set when RunSpec::sample_interval was > 0: the run's time-series
   /// telemetry snapshot (per-OST pressure, bb occupancy, per-rank time).

@@ -2,19 +2,23 @@
 // write-behind against the synchronous path across workloads and drain
 // policies, capacity-pressure spill accounting, drain-failure replay
 // (staged data survives OST outages with no loss and no double-write),
-// and the wall report's hidden/exposed drain attribution.
+// split-phase writes staging into the file's own store, and the wall
+// report's hidden/exposed drain attribution.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "bb/options.hpp"
 #include "core/file_area.hpp"
+#include "core/split.hpp"
 #include "fault/fault.hpp"
+#include "mpiio/file.hpp"
 #include "mpiio/hints.hpp"
 #include "obs/wall_report.hpp"
 #include "workloads/btio.hpp"
 #include "workloads/flashio.hpp"
 #include "workloads/ior.hpp"
+#include "workloads/pattern.hpp"
 #include "workloads/tileio.hpp"
 
 namespace parcoll::workloads {
@@ -244,6 +248,43 @@ TEST(BurstBuffer, DrainFailureReplaysWithoutLoss) {
   EXPECT_GT(faulted.stats.bb_drain_retries + faulted.stats.bb_drain_failovers,
             0u);
   EXPECT_EQ(faulted.stats.bb_drained_bytes, faulted.stats.bb_staged_bytes);
+}
+
+// --- split-phase collectives -----------------------------------------------
+
+TEST(BurstBuffer, SplitPhaseWriteStagesIntoTheFilesStore) {
+  // The split-phase helper fiber stages into the file's own store, so
+  // close() drains its writes and the file's stats count them — under a
+  // policy that drains at once and under one that waits for a watermark
+  // the tiny working set never reaches.
+  for (const bb::DrainPolicy policy :
+       {bb::DrainPolicy::Immediate, bb::DrainPolicy::Watermark}) {
+    mpi::World world(machine::MachineModel::jaguar(8));
+    mpiio::Hints hints;
+    hints.bb.enabled = true;
+    hints.bb.policy = policy;
+    bool verified = true;
+    mpiio::FileStats stats;
+    world.run([&](mpi::Rank& self) {
+      mpiio::FileHandle file(self, self.comm_world(), "split_bb.dat", hints);
+      constexpr std::uint64_t kBlock = 4096;
+      const fs::Extent mine{static_cast<std::uint64_t>(self.rank()) * kBlock,
+                            kBlock};
+      std::vector<std::byte> data(kBlock);
+      fill_stream(data.data(), std::span(&mine, 1), 43);
+      auto request = core::write_at_all_begin(file, mine.offset, data.data(),
+                                              1, dtype::Datatype::bytes(kBlock));
+      core::split_end(file, request);
+      file.close();
+      auto* store = dynamic_cast<fs::MemoryStore*>(&self.world().fs().store());
+      verified = verified && store != nullptr &&
+                 verify_store(*store, file.fs_id(), std::span(&mine, 1), 43);
+      if (self.rank() == 0) stats = file.stats();
+    });
+    EXPECT_TRUE(verified) << bb::to_string(policy);
+    EXPECT_GT(stats.bb_staged_segments, 0u) << bb::to_string(policy);
+    EXPECT_GT(stats.time[mpi::TimeCat::Drain], 0.0) << bb::to_string(policy);
+  }
 }
 
 // --- the point of the tier -------------------------------------------------

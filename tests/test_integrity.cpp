@@ -5,7 +5,10 @@
 //  - crc32c itself (known vectors, incremental chaining).
 //  - IntegrityManager in isolation: block registration, store verification
 //    at Detect vs Repair, partial-overwrite record splitting, buffer
-//    healing, and the pending-error word the collective agreement reduces.
+//    healing, per-file counts, and the pending-error word the collective
+//    agreement reduces.
+//  - Per-file counts end to end: phantom bb decay and one-file-per-rank
+//    BT-IO report each outcome and block in the file that owns it.
 //  - The planted-bug contrast that gates this feature: an injected silent
 //    corruption must change the stored bytes when checksums are off, and
 //    must never survive when integrity=repair is on.
@@ -21,13 +24,16 @@
 #include <string>
 #include <vector>
 
+#include "core/file_area.hpp"
 #include "core/parcoll.hpp"
 #include "fault/fault.hpp"
 #include "fs/integrity.hpp"
 #include "fs/object_store.hpp"
 #include "mpi/collectives.hpp"
 #include "mpiio/file.hpp"
+#include "workloads/btio.hpp"
 #include "workloads/pattern.hpp"
+#include "workloads/tileio.hpp"
 
 namespace parcoll {
 namespace {
@@ -115,10 +121,10 @@ TEST(IntegrityManager, CleanRoundTripDetectsNothing) {
   manager.verify_ranges(0, 1, extents, store);
   manager.scrub_all(0, store, /*by_scrubber=*/false);
   EXPECT_FALSE(manager.has_error());
-  EXPECT_EQ(manager.counters().detected, 0u);
+  EXPECT_EQ(manager.counters(1).detected, 0u);
   // 300 bytes at block=64 -> 5 blocks.
-  EXPECT_EQ(manager.counters().blocks, 5u);
-  EXPECT_EQ(manager.counters().bytes_checksummed, 300u);
+  EXPECT_EQ(manager.counters(1).blocks, 5u);
+  EXPECT_EQ(manager.counters(1).bytes_checksummed, 300u);
 }
 
 TEST(IntegrityManager, DetectRecordsUnrecoverableError) {
@@ -135,9 +141,9 @@ TEST(IntegrityManager, DetectRecordsUnrecoverableError) {
 
   manager.verify_ranges(0, 1, extents, store);
   EXPECT_TRUE(manager.has_error());
-  EXPECT_EQ(manager.counters().detected, 1u);
-  EXPECT_EQ(manager.counters().repaired, 0u);
-  EXPECT_EQ(manager.counters().errors, 1u);
+  EXPECT_EQ(manager.counters(1).detected, 1u);
+  EXPECT_EQ(manager.counters(1).repaired, 0u);
+  EXPECT_EQ(manager.counters(1).errors, 1u);
   EXPECT_EQ(faults.of(0).corrupt_detected, 1u);
 
   // The pending word decodes back to the failing extent.
@@ -167,8 +173,8 @@ TEST(IntegrityManager, RepairHealsStoreFromReplica) {
 
   manager.verify_ranges(3, 1, extents, store);
   EXPECT_FALSE(manager.has_error());
-  EXPECT_EQ(manager.counters().detected, 2u);
-  EXPECT_EQ(manager.counters().repaired, 2u);
+  EXPECT_EQ(manager.counters(1).detected, 2u);
+  EXPECT_EQ(manager.counters(1).repaired, 2u);
   EXPECT_EQ(faults.of(3).corrupt_repaired, 2u);
   std::vector<std::byte> back(data.size());
   store.read(1, 0, back.data(), back.size());
@@ -177,11 +183,11 @@ TEST(IntegrityManager, RepairHealsStoreFromReplica) {
   // A scrubber pass over the healed store finds nothing further, and
   // scrubber-attributed heals are counted separately.
   manager.scrub_all(3, store, /*by_scrubber=*/true);
-  EXPECT_EQ(manager.counters().scrub_repairs, 0u);
+  EXPECT_EQ(manager.counters(1).scrub_repairs, 0u);
   const std::byte recorrupted = data[30] ^ std::byte{0x40};
   store.write(1, 30, &recorrupted, 1);  // re-corrupt one byte
   manager.scrub_all(3, store, /*by_scrubber=*/true);
-  EXPECT_EQ(manager.counters().scrub_repairs, 1u);
+  EXPECT_EQ(manager.counters(1).scrub_repairs, 1u);
   store.read(1, 0, back.data(), back.size());
   EXPECT_EQ(back, data);
 }
@@ -209,7 +215,7 @@ TEST(IntegrityManager, PartialOverwriteSplitsRecords) {
   manager.verify_ranges(0, 1, whole, store);
   manager.scrub_all(0, store, /*by_scrubber=*/false);
   EXPECT_FALSE(manager.has_error());
-  EXPECT_EQ(manager.counters().detected, 0u);
+  EXPECT_EQ(manager.counters(1).detected, 0u);
 
   // Corruption in each region is still caught after the split.
   auto expected = first;
@@ -221,8 +227,8 @@ TEST(IntegrityManager, PartialOverwriteSplitsRecords) {
     store.write(1, site, &flipped, 1);
   }
   manager.scrub_all(0, store, /*by_scrubber=*/false);
-  EXPECT_EQ(manager.counters().detected, 3u);
-  EXPECT_EQ(manager.counters().repaired, 3u);
+  EXPECT_EQ(manager.counters(1).detected, 3u);
+  EXPECT_EQ(manager.counters(1).repaired, 3u);
   std::vector<std::byte> back(expected.size());
   store.read(1, 0, back.data(), back.size());
   EXPECT_EQ(back, expected);
@@ -240,8 +246,8 @@ TEST(IntegrityManager, VerifyBufferHealsInPlace) {
   staged[64] ^= std::byte{0x08};
   manager.verify_buffer(0, 7, extents, staged.data());
   EXPECT_EQ(staged, data);  // healed in place from the replica
-  EXPECT_EQ(manager.counters().detected, 1u);
-  EXPECT_EQ(manager.counters().repaired, 1u);
+  EXPECT_EQ(manager.counters(7).detected, 1u);
+  EXPECT_EQ(manager.counters(7).repaired, 1u);
 }
 
 TEST(IntegrityManager, PendingWordPicksOneErrorForAgreement) {
@@ -264,18 +270,33 @@ TEST(IntegrityManager, PendingWordPicksOneErrorForAgreement) {
             true);
 }
 
-TEST(IntegrityManager, HarvestReturnsDeltasOnly) {
+TEST(IntegrityManager, CountsArePerFile) {
   fault::FaultState faults;
   fs::IntegrityManager manager(tiny_config(fs::IntegrityLevel::Repair),
                                &faults);
-  const auto data = pattern_bytes(64);
-  const fs::Extent extents[] = {{0, 64}};
-  manager.register_write(0, 1, extents, data.data());
-  const fs::IntegrityCounters first = manager.harvest();
-  EXPECT_EQ(first.blocks, 1u);
-  const fs::IntegrityCounters second = manager.harvest();
-  EXPECT_EQ(second.blocks, 0u);  // nothing new since the last harvest
-  EXPECT_EQ(second.bytes_checksummed, 0u);
+  fs::MemoryStore store;
+  const auto data = pattern_bytes(128);
+  const fs::Extent two_blocks[] = {{0, 128}};
+  const fs::Extent one_block[] = {{0, 64}};
+  manager.register_write(0, 1, two_blocks, data.data());
+  manager.register_write(1, 2, one_block, data.data());
+  auto tampered = data;
+  tampered[3] ^= std::byte{0x20};
+  store.write(2, 0, tampered.data(), 64);
+  manager.verify_ranges(1, 2, one_block, store);
+
+  // Each file sees only its own blocks and outcomes.
+  EXPECT_EQ(manager.counters(1).blocks, 2u);
+  EXPECT_EQ(manager.counters(1).detected, 0u);
+  EXPECT_EQ(manager.counters(2).blocks, 1u);
+  EXPECT_EQ(manager.counters(2).bytes_checksummed, 64u);
+  EXPECT_EQ(manager.counters(2).detected, 1u);
+  EXPECT_EQ(manager.counters(2).repaired, 1u);
+  EXPECT_EQ(manager.counters(3).blocks, 0u);  // a file it never saw
+  // The same outcome is counted once more, for the client that found it.
+  EXPECT_EQ(faults.of(1).corrupt_detected, 1u);
+  EXPECT_EQ(faults.of(1).corrupt_repaired, 1u);
+  EXPECT_EQ(faults.of(0).corrupt_detected, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -416,6 +437,44 @@ TEST(IntegrityEndToEnd, BbCorruptionIsHealedBeforeDrain) {
   EXPECT_GT(faults.corrupt_injected, 0u);
   EXPECT_GT(faults.corrupt_repaired, 0u);
   EXPECT_TRUE(verified);
+}
+
+TEST(IntegrityEndToEnd, PhantomBbCorruptionCountsInFileStats) {
+  // Phantom arenas keep no bytes, so the pre-drain audit accounts each
+  // decayed segment by its draw. The file's summary must report the same
+  // detections and repairs as the world's fault counters.
+  workloads::RunSpec spec;
+  spec.impl = workloads::Impl::ParColl;
+  spec.parcoll_groups = core::kAutoGroups;
+  spec.intranode = node::IntranodeMode::Auto;
+  spec.bb.enabled = true;
+  spec.integrity.level = fs::IntegrityLevel::Repair;
+  spec.fault = fault::FaultPlan::parse("seed=37;bb-corrupt=0.05");
+  const workloads::RunResult result = workloads::run_tileio(
+      workloads::TileIOConfig::paper(16), 16, spec, /*write=*/true);
+  EXPECT_GT(result.faults.corrupt_detected, 0u);
+  EXPECT_EQ(result.stats.corrupt_detected, result.faults.corrupt_detected);
+  EXPECT_GT(result.faults.corrupt_repaired, 0u);
+  EXPECT_EQ(result.stats.corrupt_repaired, result.faults.corrupt_repaired);
+}
+
+TEST(IntegrityEndToEnd, EpioFileReportsItsOwnBlocks) {
+  // One file per rank, closed independently: each file's summary carries
+  // its own checksum blocks, not whatever the first close happened to see.
+  workloads::BtIOConfig config;
+  config.grid = 12;
+  config.nsteps = 2;
+  workloads::RunSpec spec;
+  spec.byte_true = true;
+  spec.integrity.level = fs::IntegrityLevel::Detect;
+  spec.integrity.block = 1024;
+  const workloads::RunResult result =
+      workloads::run_btio_epio(config, 9, spec);
+  EXPECT_TRUE(result.verified);
+  // The result carries rank 0's file: 2 steps of rank_bytes(0, 9) = 7680 B,
+  // each chunked into 7 full 1 KiB blocks and one 512 B tail.
+  EXPECT_EQ(result.stats.integrity_blocks, 16u);
+  EXPECT_EQ(result.stats.integrity_bytes, 2 * config.rank_bytes(0, 9));
 }
 
 // ---------------------------------------------------------------------------

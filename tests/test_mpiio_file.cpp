@@ -1,11 +1,13 @@
-// FileHandle: collective open, independent I/O through views, stats, and
-// the POSIX-style per-extent path.
+// FileHandle: collective open, independent I/O through views, stats, the
+// pinned close-time summary text, and the POSIX-style per-extent path.
 #include <gtest/gtest.h>
 
+#include "fault/fault.hpp"
 #include "mpi/collectives.hpp"
 #include "mpiio/file.hpp"
 #include "mpiio/independent.hpp"
 #include "workloads/pattern.hpp"
+#include "workloads/tileio.hpp"
 
 namespace parcoll::mpiio {
 namespace {
@@ -110,6 +112,105 @@ TEST(FileHandle, SummaryMentionsCategories) {
   const std::string summary = stats.summary("x.dat");
   EXPECT_NE(summary.find("sync="), std::string::npos);
   EXPECT_NE(summary.find("written=123"), std::string::npos);
+}
+
+// --- close-time summary pins -----------------------------------------------
+//
+// The close-time summary is the paper's per-file profile report. These pin
+// its exact text on four tiny byte-true Tile-IO runs that between them
+// print every optional part: the intra:, faults:, bb: and integrity: lines
+// and the drain=/dwait=/integrity= time entries.
+
+workloads::RunSpec pinned_spec() {
+  workloads::RunSpec spec;
+  spec.impl = workloads::Impl::ParColl;
+  spec.parcoll_groups = 2;
+  spec.min_group_size = 2;
+  spec.byte_true = true;
+  return spec;
+}
+
+std::string pinned_summary(const workloads::RunSpec& spec) {
+  workloads::TileIOConfig config;
+  config.tiles_x = 4;
+  config.tile_w = 8;
+  config.tile_h = 4;
+  config.elem_size = 8;
+  const workloads::RunResult result =
+      workloads::run_tileio(config, 8, spec, /*write=*/true);
+  EXPECT_TRUE(result.verified);
+  return result.stats.summary("tile.out");
+}
+
+TEST(FileStatsSummary, PinnedTwoLevelAggregation) {
+  workloads::RunSpec spec = pinned_spec();
+  spec.intranode = node::IntranodeMode::On;
+  EXPECT_EQ(
+      pinned_summary(spec),
+      "file \"tile.out\" summary:\n"
+      "  time:   compute=2.4576e-06s p2p=7.65152e-05s sync=0.00944472s "
+      "io=0.0154495s faulted=0s intra=2.49472e-05s (sum over ranks)\n"
+      "  data:   written=2048B read=0B\n"
+      "  calls:  coll_w=1 coll_r=0 indep_w=0 indep_r=0\n"
+      "  cycles: 4 (rmw_reads=0)\n"
+      "  parcoll: calls=1 view_switches=0 last_groups=2\n"
+      "  intra:  calls=1 bytes=1280B");
+}
+
+TEST(FileStatsSummary, PinnedDegradedMode) {
+  workloads::RunSpec spec = pinned_spec();
+  spec.fault = fault::FaultPlan::parse(
+      "seed=5;ost-outage=0:0:0.05;rpc-drop=0.05;timeout=0.005;"
+      "backoff=0.001:0.01;max-retries=2");
+  EXPECT_EQ(
+      pinned_summary(spec),
+      "file \"tile.out\" summary:\n"
+      "  time:   compute=2.4576e-06s p2p=0.00038479s sync=0.0395098s "
+      "io=0.0440115s faulted=0.176s intra=0s (sum over ranks)\n"
+      "  data:   written=2048B read=0B\n"
+      "  calls:  coll_w=1 coll_r=0 indep_w=0 indep_r=0\n"
+      "  cycles: 8 (rmw_reads=0)\n"
+      "  parcoll: calls=1 view_switches=0 last_groups=2\n"
+      "  faults: retries=16 failovers=8 drops=0 reelections=0 stalls=0");
+}
+
+TEST(FileStatsSummary, PinnedBurstBufferWithSpills) {
+  workloads::RunSpec spec = pinned_spec();
+  spec.bb.enabled = true;
+  spec.bb.capacity = 256;  // half the aggregators' writes spill
+  spec.bb.policy = bb::DrainPolicy::Watermark;
+  EXPECT_EQ(
+      pinned_summary(spec),
+      "file \"tile.out\" summary:\n"
+      "  time:   compute=2.8672e-06s p2p=0.00038479s sync=0.0662246s "
+      "io=0.0462289s faulted=0s intra=0s drain=0.015432s dwait=0s "
+      "(sum over ranks)\n"
+      "  data:   written=2048B read=0B\n"
+      "  calls:  coll_w=1 coll_r=0 indep_w=0 indep_r=0\n"
+      "  cycles: 8 (rmw_reads=0)\n"
+      "  parcoll: calls=1 view_switches=0 last_groups=2\n"
+      "  bb:     staged=4 (1024B) drained=1024B spills=4 (1024B) "
+      "conflict_flushes=0 drain_retries=0 drain_failovers=0");
+}
+
+TEST(FileStatsSummary, PinnedIntegrityRepair) {
+  workloads::RunSpec spec = pinned_spec();
+  spec.integrity.level = fs::IntegrityLevel::Repair;
+  spec.integrity.block = 64;
+  spec.fault = fault::FaultPlan::parse("seed=29;rpc-corrupt=0.2");
+  EXPECT_EQ(
+      pinned_summary(spec),
+      "file \"tile.out\" summary:\n"
+      "  time:   compute=2.4576e-06s p2p=0.00038479s sync=0.77804s "
+      "io=0.0317445s faulted=0.25s intra=0s integrity=4.76837e-07s "
+      "(sum over ranks)\n"
+      "  data:   written=2048B read=0B\n"
+      "  calls:  coll_w=1 coll_r=0 indep_w=0 indep_r=0\n"
+      "  cycles: 8 (rmw_reads=0)\n"
+      "  parcoll: calls=1 view_switches=0 last_groups=2\n"
+      "  faults: retries=4 failovers=0 drops=0 reelections=0 stalls=0\n"
+      "  integrity: blocks=32 (2048B) detected=4 repaired=3 "
+      "scrub_repairs=0 errors=0");
 }
 
 TEST(FileHandle, DoubleCloseThrows) {

@@ -112,6 +112,47 @@ TEST(SplitCollective, ParcollHintsApplyToTheHelper) {
   });
 }
 
+TEST(SplitCollective, EndCountsTheCallLikeTheBlockingPath) {
+  // split_end folds the helper's outcome into the file's stats the same
+  // way write_at_all does: call-level ParColl and two-level counters too.
+  const auto run = [](bool split) {
+    mpi::World world(machine::MachineModel::jaguar(16), /*byte_true=*/false);
+    mpiio::Hints hints;
+    hints.parcoll_num_groups = 2;
+    hints.cb_intranode = node::IntranodeMode::On;
+    mpiio::FileStats stats;
+    world.run([&](mpi::Rank& self) {
+      mpiio::FileHandle file(self, self.comm_world(), "split5.dat", hints);
+      constexpr std::uint64_t kBlock = 1 << 20;
+      const std::uint64_t offset =
+          static_cast<std::uint64_t>(self.rank()) * kBlock;
+      if (split) {
+        auto request = core::write_at_all_begin(file, offset, nullptr, 1,
+                                                Datatype::bytes(kBlock));
+        core::split_end(file, request);
+      } else {
+        core::write_at_all(file, offset, nullptr, 1, Datatype::bytes(kBlock));
+      }
+      file.close();
+      if (self.rank() == 0) stats = file.stats();
+    });
+    return stats;
+  };
+  const mpiio::FileStats blocking = run(false);
+  const mpiio::FileStats split = run(true);
+  EXPECT_EQ(blocking.parcoll_calls, 1u);
+  EXPECT_EQ(blocking.last_num_groups, 2);
+  EXPECT_GT(blocking.intranode_calls, 0u);
+  EXPECT_EQ(split.collective_writes, blocking.collective_writes);
+  EXPECT_EQ(split.bytes_written, blocking.bytes_written);
+  EXPECT_EQ(split.exchange_cycles, blocking.exchange_cycles);
+  EXPECT_EQ(split.parcoll_calls, blocking.parcoll_calls);
+  EXPECT_EQ(split.last_num_groups, blocking.last_num_groups);
+  EXPECT_EQ(split.view_switches, blocking.view_switches);
+  EXPECT_EQ(split.intranode_calls, blocking.intranode_calls);
+  EXPECT_EQ(split.intranode_bytes, blocking.intranode_bytes);
+}
+
 TEST(SplitCollective, EndWithoutBeginThrows) {
   mpi::World world(machine::MachineModel::jaguar(1));
   world.run([&](mpi::Rank& self) {
