@@ -123,6 +123,20 @@ class BenchReport {
     points_.push(std::move(point));
   }
 
+  /// Record a host-side measurement with no simulated run behind it (the
+  /// engine micro-benchmarks): only the series, process count and
+  /// `extras`. Host seconds go under wall_s; elapsed_s is virtual time.
+  void add_host(const std::string& series, int nprocs,
+                const std::vector<std::pair<std::string, double>>& extras) {
+    if (path_.empty()) return;
+    obs::JsonValue point = obs::JsonValue::object();
+    point.set("series", series).set("nprocs", nprocs);
+    for (const auto& extra : extras) {
+      point.set(extra.first, extra.second);
+    }
+    points_.push(std::move(point));
+  }
+
   ~BenchReport() {
     if (path_.empty()) return;
     try {

@@ -206,15 +206,6 @@ void print_engine_row(const char* series, int nranks,
       (unsigned long long)stats.stacks_reused);
 }
 
-/// Wrap synthetic engine stats as a RunResult so BenchReport::add can
-/// carry them (elapsed = host wall so the JSON row is self-describing).
-RunResult synthetic_result(const sim::EngineStats& stats) {
-  RunResult result;
-  result.elapsed = stats.run_wall_seconds;
-  result.engine = stats;
-  return result;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -254,7 +245,7 @@ int main(int argc, char** argv) {
       extras.emplace_back("speedup_vs_seed",
                           events_per_s_10k / kSeedEventsPerSec10k);
     }
-    report.add(series, nranks, synthetic_result(stats), extras);
+    report.add_host(series, nranks, extras);
   }
   if (events_per_s_10k > 0.0) {
     std::printf("  speedup at 10k ranks vs pre-PR engine: %.1fx "
@@ -270,7 +261,7 @@ int main(int argc, char** argv) {
     print_engine_row("churn", total, stats);
     bench::footnote("pooled stacks: allocations stay near the live width, "
                     "not the spawn count");
-    report.add("churn", total, synthetic_result(stats), engine_extras(stats));
+    report.add_host("churn", total, engine_extras(stats));
   }
 
   {

@@ -134,12 +134,14 @@ void DrainScheduler::write_segment(int node) {
   // healed from the checksum replica (Repair) or reported for collective
   // agreement (Detect) before its bytes go durable. Only records fully
   // inside the segment are checkable here; straddlers are caught by the
-  // store-side passes (read-verify, scrub, close sweep).
+  // store-side passes (read-verify, scrub, close sweep). Records registered
+  // after the segment was staged are skipped: a read-modify-written window
+  // carries old file bytes for offsets that a later call rewrites.
   if (auto* integ = world.integrity()) {
     double seconds = 0.0;
     if (!seg.data.empty()) {
       seconds = integ->verify_buffer(seg.client, store_.fs_id_, seg.extents,
-                                     seg.data.data());
+                                     seg.data.data(), seg.writes_registered);
     } else if (seg.corrupted) {
       // Phantom arenas keep no bytes; account the detection by draw.
       integ->note_detected(seg.client, store_.fs_id_);

@@ -1,6 +1,7 @@
 #include "bb/staging.hpp"
 
 #include "bb/drain.hpp"
+#include "fs/integrity.hpp"
 #include "mpi/trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
@@ -115,6 +116,9 @@ bool StagingStore::stage(mpi::Rank& self, std::span<const fs::Extent> extents,
   seg.extents.assign(extents.begin(), extents.end());
   if (data != nullptr) {
     seg.data.assign(data, data + bytes);
+  }
+  if (const fs::IntegrityManager* integ = world_.integrity()) {
+    seg.writes_registered = integ->writes_registered();
   }
   if (const fault::FaultPlan* plan = world_.fault_plan();
       plan != nullptr && plan->bb_corrupt_prob > 0.0) {

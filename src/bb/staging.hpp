@@ -102,6 +102,9 @@ class StagingStore {
     /// The fault plan decayed this segment while resident (phantom mode
     /// keeps no bytes, so the pre-drain audit keys off this flag instead).
     bool corrupted = false;
+    /// IntegrityManager::writes_registered() when staged: the pre-drain
+    /// audit checks the segment only against checksums at least this old.
+    std::uint32_t writes_registered = 0;
   };
 
   struct NodeArena {

@@ -1,6 +1,7 @@
 #include "core/parcoll.hpp"
 
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -92,43 +93,55 @@ Ext2phOutcomePair run_ext2ph(mpi::Rank& self, const mpi::Comm& comm,
   return {result.cycles, result.rmw_reads};
 }
 
-/// Run one two-phase exchange over `comm`, either flat or — when the
-/// cb_intranode hint activates and some node hosts >= 2 members — staged
-/// two-level: requests aggregate within each node first and only the node
-/// leaders join the inter-node ext2ph. `options.aggregators` is comm-local
-/// on entry; under two-level staging it is mapped onto the leaders of the
-/// nodes hosting those ranks, so ParColl's aggregator distribution (and
-/// any fault re-election) carries through to the leader stage.
+/// The two-level structure of `comm`, or nullopt for the flat protocol:
+/// the cb_intranode hint must be on (or auto) and some node must host >= 2
+/// members, so one-process-per-node machines never change structure.
+std::optional<node::NodeComm> two_level_nodes(mpi::Rank& self,
+                                              const mpi::Comm& comm,
+                                              const mpiio::Hints& hints) {
+  if (hints.cb_intranode == node::IntranodeMode::Off) {
+    return std::nullopt;
+  }
+  node::NodeComm nodes = node::make_node_comm(
+      self, comm, self.world().model().topology, hints.cb_intranode_leader);
+  if (!nodes.multi()) {
+    return std::nullopt;
+  }
+  return nodes;
+}
+
+/// Run one two-phase exchange over `comm`, either flat or — when
+/// two_level_nodes says so — staged two-level: requests aggregate within
+/// each node first and only the node leaders join the inter-node ext2ph.
+/// `options.aggregators` is comm-local on entry; under two-level staging it
+/// is mapped onto the leaders of the nodes hosting those ranks, so
+/// ParColl's aggregator distribution (and any fault re-election) carries
+/// through to the leader stage.
 void run_two_phase(mpi::Rank& self, const mpi::Comm& comm,
                    const mpiio::Hints& hints, mpiio::IoTarget& target,
                    const mpiio::CollRequest& request,
                    mpiio::Ext2phOptions options, bool is_write,
                    CollectiveOutcome& outcome) {
-  const machine::Topology& topo = self.world().model().topology;
-  if (node::two_level_active(hints.cb_intranode, topo, comm)) {
-    const node::NodeComm nodes =
-        node::make_node_comm(self, comm, topo, hints.cb_intranode_leader);
-    auto leader_aggs = nodes.to_leader_locals(options.aggregators);
+  if (const auto nodes = two_level_nodes(self, comm, hints)) {
+    auto leader_aggs = nodes->layout->to_leader_locals(options.aggregators);
     // Auto's cost gate: staging funnels all file traffic through the node
     // leaders, so a roster with several aggregators on one node (e.g. the
     // Catamount every-process default) would lose I/O parallelism to buy
     // the coordination win. Auto declines then; On trusts the user.
-    if (hints.cb_intranode == node::IntranodeMode::Auto &&
-        leader_aggs.size() != options.aggregators.size()) {
-      std::tie(outcome.cycles, outcome.rmw_reads) =
-          run_ext2ph(self, comm, target, request, options, is_write);
+    const bool declined = hints.cb_intranode == node::IntranodeMode::Auto &&
+                          leader_aggs.size() != options.aggregators.size();
+    if (!declined) {
+      options.aggregators = std::move(leader_aggs);
+      const auto result =
+          is_write
+              ? node::two_level_write(self, *nodes, target, request, options)
+              : node::two_level_read(self, *nodes, target, request, options);
+      outcome.cycles = result.cycles;
+      outcome.rmw_reads = result.rmw_reads;
+      outcome.intra_bytes = result.intra_bytes;
+      outcome.two_level = true;
       return;
     }
-    options.aggregators = std::move(leader_aggs);
-    const auto result =
-        is_write
-            ? node::two_level_write(self, nodes, target, request, options)
-            : node::two_level_read(self, nodes, target, request, options);
-    outcome.cycles = result.cycles;
-    outcome.rmw_reads = result.rmw_reads;
-    outcome.intra_bytes = result.intra_bytes;
-    outcome.two_level = true;
-    return;
   }
   std::tie(outcome.cycles, outcome.rmw_reads) =
       run_ext2ph(self, comm, target, request, options, is_write);
@@ -211,16 +224,11 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
     // under two-level staging it funnels through the node leaders, so the
     // inter-node stage involves num_nodes participants instead of P.
     mpi::SpanGuard partition_span(self, obs::SpanKind::Stage, "partition");
-    const machine::Topology& topo = self.world().model().topology;
+    const auto nodes = two_level_nodes(self, comm, hints);
     const auto accesses =
-        node::two_level_active(hints.cb_intranode, topo, comm)
-            ? std::make_shared<const std::vector<RankAccess>>(
-                  node::hier_allgather(
-                      self,
-                      node::make_node_comm(self, comm, topo,
-                                           hints.cb_intranode_leader),
-                      access_of(prep)))
-            : mpi::allgather_shared(self, comm, access_of(prep));
+        nodes ? std::make_shared<const std::vector<RankAccess>>(
+                    node::hier_allgather(self, *nodes, access_of(prep)))
+              : mpi::allgather_shared(self, comm, access_of(prep));
     auto fresh = std::make_shared<PlanCache>();
     fresh->plan = form_subgroups(self, comm, accesses, hints);
     if (fresh->plan.fa().mode == PartitionMode::Direct) {
@@ -275,15 +283,10 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
   const fault::FaultPlan* fplan = self.world().fault_plan();
   if (fplan != nullptr && fplan->has_rank_stalls()) {
     mpi::SpanGuard reelect_span(self, obs::SpanKind::Stage, "reelect");
-    const machine::Topology& topo = self.world().model().topology;
+    const auto nodes = two_level_nodes(self, plan.subcomm, hints);
     const double agreed =
-        node::two_level_active(hints.cb_intranode, topo, plan.subcomm)
-            ? node::hier_allreduce_max(
-                  self,
-                  node::make_node_comm(self, plan.subcomm, topo,
-                                       hints.cb_intranode_leader),
-                  self.now())
-            : mpi::allreduce_max(self, plan.subcomm, self.now());
+        nodes ? node::hier_allreduce_max(self, *nodes, self.now())
+              : mpi::allreduce_max(self, plan.subcomm, self.now());
     int replaced = 0;
     options.aggregators = reelect_stalled_aggregators(
         plan.subcomm, plan.sub_aggregators, *fplan, agreed, &replaced);

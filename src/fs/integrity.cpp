@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <limits>
 
 namespace parcoll::fs {
 
@@ -89,31 +90,27 @@ void IntegrityManager::erase_range(FileMap& map, std::uint64_t lo,
       Record left;
       left.length = lo - rec_lo;
       left.landed = old.landed >= old.length ? left.length : 0;
-      left.phantom = old.phantom;
-      if (!old.replica.empty()) {
+      left.write = old.write;
+      if (!old.phantom()) {
         left.replica.assign(old.replica.begin(),
                             old.replica.begin() +
                                 static_cast<std::ptrdiff_t>(left.length));
         left.crc = crc32c(left.replica.data(), left.replica.size());
-      } else if (!old.phantom) {
-        left.length = 0;  // no way to recompute the checksum: drop coverage
       }
-      if (left.length > 0) map.emplace(rec_lo, std::move(left));
+      map.emplace(rec_lo, std::move(left));
     }
     if (rec_hi > hi) {
       Record right;
       right.length = rec_hi - hi;
       right.landed = old.landed >= old.length ? right.length : 0;
-      right.phantom = old.phantom;
-      if (!old.replica.empty()) {
+      right.write = old.write;
+      if (!old.phantom()) {
         right.replica.assign(old.replica.end() -
                                  static_cast<std::ptrdiff_t>(right.length),
                              old.replica.end());
         right.crc = crc32c(right.replica.data(), right.replica.size());
-      } else if (!old.phantom) {
-        right.length = 0;
       }
-      if (right.length > 0) map.emplace(hi, std::move(right));
+      map.emplace(hi, std::move(right));
     }
   }
 }
@@ -123,6 +120,11 @@ double IntegrityManager::register_write(int client, int fs_id,
                                         const std::byte* data) {
   File& file = files_[fs_id];
   FileMap& map = file.records;
+  if (writes_registered_ == std::numeric_limits<std::uint32_t>::max()) {
+    throw std::overflow_error("IntegrityManager: register_write count "
+                              "exceeds the 32-bit block stamp");
+  }
+  const std::uint32_t write = ++writes_registered_;
   std::uint64_t total = 0;
   std::uint64_t pos = 0;  // cursor into the concatenated payload
   for (const Extent& extent : extents) {
@@ -134,12 +136,11 @@ double IntegrityManager::register_write(int client, int fs_id,
       const std::uint64_t len = std::min(left, config_.block);
       Record record;
       record.length = len;
+      record.write = write;
       if (data != nullptr) {
         const std::byte* src = data + pos;
         record.crc = crc32c(src, len);
         record.replica.assign(src, src + len);
-      } else {
-        record.phantom = true;
       }
       map.emplace(off, std::move(record));
       ++file.counts.blocks;
@@ -160,7 +161,7 @@ bool IntegrityManager::check_record(int client, int fs_id,
                                     const Record& record,
                                     const std::byte* actual, bool by_scrubber,
                                     Heal&& heal) {
-  if (record.phantom || actual == nullptr) return true;
+  if (record.phantom() || actual == nullptr) return true;
   if (crc32c(actual, record.length) == record.crc) return true;
   note_detected(client, fs_id);
   if (config_.level == IntegrityLevel::Repair && !record.replica.empty()) {
@@ -174,7 +175,7 @@ bool IntegrityManager::check_record(int client, int fs_id,
 
 double IntegrityManager::verify_buffer(int client, int fs_id,
                                        std::span<const Extent> extents,
-                                       std::byte* data) {
+                                       std::byte* data, std::uint32_t as_of) {
   const auto found = files_.find(fs_id);
   if (found == files_.end()) return 0.0;
   FileMap& map = found->second.records;
@@ -187,6 +188,8 @@ double IntegrityManager::verify_buffer(int client, int fs_id,
       // Only records fully inside this extent are verifiable here: a
       // straddling record's remaining bytes live in another segment (or
       // already on the OST), so its audit waits for the store-side passes.
+      // A record newer than the buffer describes bytes a later call wrote.
+      if (it->second.write > as_of) continue;
       const std::uint64_t at = pos + (it->first - extent.offset);
       std::byte* actual = data == nullptr ? nullptr : data + at;
       check_record(client, fs_id, it->first, it->second, actual,
@@ -217,7 +220,7 @@ double IntegrityManager::verify_ranges(int client, int fs_id,
     }
     for (; it != map.end() && it->first < extent.end(); ++it) {
       const Record& record = it->second;
-      if (record.phantom) continue;
+      if (record.phantom()) continue;
       actual.resize(record.length);
       store.read(fs_id, it->first, actual.data(), record.length);
       check_record(client, fs_id, it->first, record, actual.data(),
@@ -239,7 +242,7 @@ double IntegrityManager::scrub_all(int client, ObjectStore& store,
       // Skip phantom coverage and blocks still staged/in flight: the store
       // does not hold their bytes yet, so an audit would misread pending
       // data as corruption.
-      if (record.phantom || record.landed < record.length) continue;
+      if (record.phantom() || record.landed < record.length) continue;
       actual.resize(record.length);
       store.read(fs_id, offset, actual.data(), record.length);
       check_record(client, fs_id, offset, record, actual.data(), by_scrubber,

@@ -101,9 +101,12 @@ class IntegrityManager {
 
   /// Verify an in-memory buffer (a bb staging segment about to drain)
   /// against the records fully contained in `extents`; heals the buffer in
-  /// place at Repair level. `data` is the concatenated payload.
+  /// place at Repair level. `data` is the concatenated payload. Only
+  /// records from the first `as_of` register_write calls are checked (pass
+  /// writes_registered() at staging): a later call may rewrite offsets the
+  /// buffer holds old bytes for, and its checksums describe the new bytes.
   double verify_buffer(int client, int fs_id, std::span<const Extent> extents,
-                       std::byte* data);
+                       std::byte* data, std::uint32_t as_of);
 
   /// Verify the stored bytes of every record overlapping `extents`
   /// (client-on-read / OST ingest audit); heals the store at Repair level.
@@ -140,17 +143,25 @@ class IntegrityManager {
   [[nodiscard]] CollectiveIoError error_of(std::uint64_t word) const;
 
   [[nodiscard]] bool has_error() const { return !errors_.empty(); }
+  /// Number of register_write calls so far.
+  [[nodiscard]] std::uint32_t writes_registered() const {
+    return writes_registered_;
+  }
   /// File `fs_id`'s totals since its first registered write (all zero for
   /// a file the pipeline never saw).
   [[nodiscard]] const IntegrityCounters& counters(int fs_id) const;
 
  private:
+  /// One per checksum block, so millions at scale: keep it at 48 bytes.
   struct Record {
     std::uint64_t length = 0;
     std::uint64_t landed = 0;        // bytes committed to the store so far
     std::uint32_t crc = 0;
-    bool phantom = false;           // registered without bytes
+    std::uint32_t write = 0;         // register_write call that made it
     std::vector<std::byte> replica;  // retained source (memory mode)
+
+    /// Registered without bytes (phantom mode): coverage only.
+    [[nodiscard]] bool phantom() const { return replica.empty(); }
   };
   using FileMap = std::map<std::uint64_t, Record>;
   /// One file's block registry and the pipeline's counts against it.
@@ -172,6 +183,7 @@ class IntegrityManager {
   fault::FaultState* faults_;
   std::unordered_map<int, File> files_;
   std::vector<CollectiveIoError> errors_;
+  std::uint32_t writes_registered_ = 0;
 };
 
 }  // namespace parcoll::fs

@@ -176,7 +176,7 @@ std::vector<MemberReq> gather_member_requests(
     const mpiio::CollRequest& own_request, bool expect_data) {
   mpi::P2PEngine& p2p = self.world().p2p();
   const bool byte_true = self.world().byte_true();
-  const auto n = static_cast<std::size_t>(nodes.node_comm.size());
+  const auto n = static_cast<std::size_t>(nodes.node_comm().size());
   std::vector<MemberReq> members(n);
   for (std::size_t m = 0; m < n; ++m) {
     if (static_cast<int>(m) == nodes.leader_node_local) {
@@ -185,10 +185,10 @@ std::vector<MemberReq> gather_member_requests(
       continue;
     }
     WireHeader hdr;
-    p2p.recv(self, nodes.node_comm, static_cast<int>(m), kTagHeader, &hdr,
+    p2p.recv(self, nodes.node_comm(), static_cast<int>(m), kTagHeader, &hdr,
              sizeof hdr, mpi::TimeCat::Intra);
     members[m].extents.resize(hdr.n_extents);
-    p2p.recv(self, nodes.node_comm, static_cast<int>(m), kTagExtents,
+    p2p.recv(self, nodes.node_comm(), static_cast<int>(m), kTagExtents,
              members[m].extents.data(), hdr.n_extents * sizeof(fs::Extent),
              mpi::TimeCat::Intra);
     members[m].total_bytes = hdr.total_bytes;
@@ -207,7 +207,7 @@ std::vector<MemberReq> gather_member_requests(
         members[m].recv_data.resize(members[m].total_bytes);
       }
       pending.push_back(p2p.irecv(
-          self, nodes.node_comm, static_cast<int>(m), kTagData,
+          self, nodes.node_comm(), static_cast<int>(m), kTagData,
           byte_true ? members[m].recv_data.data() : nullptr,
           members[m].total_bytes, mpi::TimeCat::Intra));
       members[m].data = members[m].recv_data.data();
@@ -225,13 +225,13 @@ std::uint64_t ship_to_leader(mpi::Rank& self, const NodeComm& nodes,
   mpi::P2PEngine& p2p = self.world().p2p();
   const WireHeader hdr{request.extents.size(), request.total_bytes()};
   const std::uint64_t extent_bytes = hdr.n_extents * sizeof(fs::Extent);
-  p2p.send(self, nodes.node_comm, nodes.leader_node_local, kTagHeader, &hdr,
+  p2p.send(self, nodes.node_comm(), nodes.leader_node_local, kTagHeader, &hdr,
            sizeof hdr, mpi::TimeCat::Intra);
-  p2p.send(self, nodes.node_comm, nodes.leader_node_local, kTagExtents,
+  p2p.send(self, nodes.node_comm(), nodes.leader_node_local, kTagExtents,
            request.extents.data(), extent_bytes, mpi::TimeCat::Intra);
   std::uint64_t shipped = extent_bytes;
   if (with_data && hdr.total_bytes > 0) {
-    p2p.send(self, nodes.node_comm, nodes.leader_node_local, kTagData,
+    p2p.send(self, nodes.node_comm(), nodes.leader_node_local, kTagData,
              request.data, hdr.total_bytes, mpi::TimeCat::Intra);
     shipped += hdr.total_bytes;
   }
@@ -250,9 +250,9 @@ TwoLevelOutcome two_level_write(mpi::Rank& self, const NodeComm& nodes,
     outcome.intra_bytes = ship_to_leader(self, nodes, request, true);
     return outcome;
   }
-  if (nodes.node_comm.size() == 1) {
+  if (nodes.node_comm().size() == 1) {
     // Lone member: nothing to merge, join the inter-node exchange as-is.
-    const auto r = mpiio::ext2ph_write(self, nodes.leader_comm, target,
+    const auto r = mpiio::ext2ph_write(self, nodes.leader_comm(), target,
                                        request, leader_options);
     outcome.cycles = r.cycles;
     outcome.rmw_reads = r.rmw_reads;
@@ -275,7 +275,7 @@ TwoLevelOutcome two_level_write(mpi::Rank& self, const NodeComm& nodes,
     self.busy(mpi::TimeCat::Intra, memcpy_seconds(self, own_staged));
   }
 
-  if (nodes.leader_comm.size() == 1) {
+  if (nodes.leader_comm().size() == 1) {
     outcome.cycles = run_sole_leader(self, target, merged,
                                      stream.empty() ? nullptr : stream.data(),
                                      leader_options.cb_buffer_size, true);
@@ -283,7 +283,7 @@ TwoLevelOutcome two_level_write(mpi::Rank& self, const NodeComm& nodes,
   }
   const mpiio::CollRequest node_request{
       merged.extents, stream.empty() ? nullptr : stream.data()};
-  const auto r = mpiio::ext2ph_write(self, nodes.leader_comm, target,
+  const auto r = mpiio::ext2ph_write(self, nodes.leader_comm(), target,
                                      node_request, leader_options);
   outcome.cycles = r.cycles;
   outcome.rmw_reads = r.rmw_reads;
@@ -301,14 +301,14 @@ TwoLevelOutcome two_level_read(mpi::Rank& self, const NodeComm& nodes,
     outcome.intra_bytes = ship_to_leader(self, nodes, request, false);
     const std::uint64_t total = request.total_bytes();
     if (total > 0) {
-      p2p.recv(self, nodes.node_comm, nodes.leader_node_local, kTagReply,
+      p2p.recv(self, nodes.node_comm(), nodes.leader_node_local, kTagReply,
                request.data, total, mpi::TimeCat::Intra);
       outcome.intra_bytes += total;
     }
     return outcome;
   }
-  if (nodes.node_comm.size() == 1) {
-    const auto r = mpiio::ext2ph_read(self, nodes.leader_comm, target,
+  if (nodes.node_comm().size() == 1) {
+    const auto r = mpiio::ext2ph_read(self, nodes.leader_comm(), target,
                                       request, leader_options);
     outcome.cycles = r.cycles;
     outcome.rmw_reads = r.rmw_reads;
@@ -326,14 +326,14 @@ TwoLevelOutcome two_level_read(mpi::Rank& self, const NodeComm& nodes,
       stream.assign(merged.total, std::byte{0});
     }
   }
-  if (nodes.leader_comm.size() == 1) {
+  if (nodes.leader_comm().size() == 1) {
     outcome.cycles = run_sole_leader(self, target, merged,
                                      stream.empty() ? nullptr : stream.data(),
                                      leader_options.cb_buffer_size, false);
   } else {
     const mpiio::CollRequest node_request{
         merged.extents, stream.empty() ? nullptr : stream.data()};
-    const auto r = mpiio::ext2ph_read(self, nodes.leader_comm, target,
+    const auto r = mpiio::ext2ph_read(self, nodes.leader_comm(), target,
                                       node_request, leader_options);
     outcome.cycles = r.cycles;
     outcome.rmw_reads = r.rmw_reads;
@@ -365,7 +365,7 @@ TwoLevelOutcome two_level_read(mpi::Rank& self, const NodeComm& nodes,
       reply.resize(member_bytes);
       slice_from(members[m], merged, stream.data(), reply.data());
     }
-    pending.push_back(p2p.isend(self, nodes.node_comm, static_cast<int>(m),
+    pending.push_back(p2p.isend(self, nodes.node_comm(), static_cast<int>(m),
                                 kTagReply,
                                 reply.empty() ? nullptr : reply.data(),
                                 member_bytes, mpi::TimeCat::Intra));

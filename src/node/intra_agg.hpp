@@ -27,15 +27,15 @@ struct TwoLevelOutcome {
   std::uint64_t intra_bytes = 0;  // payload this rank moved intra-node
 };
 
-/// Two-level collective write over `nodes.parent`. Every member must call
+/// Two-level collective write over `nodes.parent()`. Every member must call
 /// with the same `leader_options`, whose aggregator list is expressed in
-/// leader_comm-local ranks (see NodeComm::to_leader_locals).
+/// leader_comm-local ranks (see NodeLayout::to_leader_locals).
 TwoLevelOutcome two_level_write(mpi::Rank& self, const NodeComm& nodes,
                                 mpiio::IoTarget& target,
                                 const mpiio::CollRequest& request,
                                 const mpiio::Ext2phOptions& leader_options);
 
-/// Two-level collective read over `nodes.parent`.
+/// Two-level collective read over `nodes.parent()`.
 TwoLevelOutcome two_level_read(mpi::Rank& self, const NodeComm& nodes,
                                mpiio::IoTarget& target,
                                const mpiio::CollRequest& request,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "mpi/collectives.hpp"
 
@@ -12,34 +13,64 @@ namespace {
 // fixed: every rank must derive the same ids from the same parent context.
 constexpr std::uint64_t kNodeSeq = 0x6e6f6465;    // "node"
 constexpr std::uint64_t kLeaderSeq = 0x6c646572;  // "lder"
+
+NodeLayout build_layout(const mpi::CollEngine& colls, const mpi::Comm& comm,
+                        const machine::Topology& topology,
+                        LeaderPolicy policy) {
+  NodeLayout layout;
+  layout.parent = comm;
+
+  // Group parent members by physical node, dense-indexed in ascending
+  // physical-node order. Members of comm are visited in local-rank order,
+  // so each node's member list comes out ascending by parent local rank.
+  std::vector<int> node_ids;  // physical id per node index
+  node_ids.reserve(static_cast<std::size_t>(comm.size()));
+  for (int world : comm.members()) {
+    node_ids.push_back(topology.node_of(world));
+  }
+  std::sort(node_ids.begin(), node_ids.end());
+  node_ids.erase(std::unique(node_ids.begin(), node_ids.end()), node_ids.end());
+  layout.node_members.resize(node_ids.size());
+  layout.node_index_of.resize(static_cast<std::size_t>(comm.size()));
+  for (int local = 0; local < comm.size(); ++local) {
+    const int node = topology.node_of(comm.world_rank(local));
+    const auto at = std::lower_bound(node_ids.begin(), node_ids.end(), node) -
+                    node_ids.begin();
+    layout.node_index_of[static_cast<std::size_t>(local)] =
+        static_cast<int>(at);
+    layout.node_members[static_cast<std::size_t>(at)].push_back(local);
+  }
+
+  // Elect one leader per node and materialize the derived communicators.
+  // Context ids are deterministic functions of the parent context, so no
+  // exchange is needed.
+  std::vector<int> leader_world;
+  leader_world.reserve(node_ids.size());
+  for (std::size_t n = 0; n < node_ids.size(); ++n) {
+    const auto& members = layout.node_members[n];
+    const std::size_t pick =
+        policy == LeaderPolicy::Spread ? n % members.size() : 0;
+    layout.leaders.push_back(members[pick]);
+    leader_world.push_back(comm.world_rank(members[pick]));
+    layout.multi = layout.multi || members.size() > 1;
+
+    std::vector<int> node_world;
+    node_world.reserve(members.size());
+    for (int local : members) {
+      node_world.push_back(comm.world_rank(local));
+    }
+    layout.node_comms.emplace_back(
+        colls.derive_context(comm.context_id(), kNodeSeq, static_cast<int>(n)),
+        std::move(node_world));
+  }
+  layout.leader_comm =
+      mpi::Comm(colls.derive_context(comm.context_id(), kLeaderSeq, 0),
+                std::move(leader_world));
+  return layout;
+}
 }  // namespace
 
-bool two_level_applicable(const machine::Topology& topology,
-                          const mpi::Comm& comm) {
-  if (!comm.valid() || comm.size() < 2) {
-    return false;
-  }
-  std::vector<int> seen;
-  seen.reserve(static_cast<std::size_t>(comm.size()));
-  for (int world : comm.members()) {
-    const int node = topology.node_of(world);
-    if (std::find(seen.begin(), seen.end(), node) != seen.end()) {
-      return true;  // second member on the same node
-    }
-    seen.push_back(node);
-  }
-  return false;
-}
-
-bool two_level_active(IntranodeMode mode, const machine::Topology& topology,
-                      const mpi::Comm& comm) {
-  if (mode == IntranodeMode::Off) {
-    return false;
-  }
-  return two_level_applicable(topology, comm);
-}
-
-std::vector<int> NodeComm::to_leader_locals(
+std::vector<int> NodeLayout::to_leader_locals(
     const std::vector<int>& parent_locals) const {
   std::vector<int> locals;
   locals.reserve(parent_locals.size());
@@ -55,85 +86,25 @@ NodeComm make_node_comm(mpi::Rank& self, const mpi::Comm& comm,
                         const machine::Topology& topology,
                         LeaderPolicy policy) {
   NodeComm nc;
-  nc.parent = comm;
-  nc.my_parent_local_ = comm.local_rank(self.rank());
-  if (nc.my_parent_local_ < 0) {
+  nc.my_parent_local = comm.local_rank(self.rank());
+  if (nc.my_parent_local < 0) {
     throw std::logic_error("make_node_comm: caller not a member of comm");
   }
-
-  // Group parent members by physical node, dense-indexed in ascending
-  // physical-node order. Members of comm are visited in local-rank order,
-  // so each node's member list comes out ascending by parent local rank.
-  std::vector<int> node_ids;  // physical id per node index
-  for (int local = 0; local < comm.size(); ++local) {
-    const int node = topology.node_of(comm.world_rank(local));
-    auto it = std::lower_bound(node_ids.begin(), node_ids.end(), node);
-    if (it == node_ids.end() || *it != node) {
-      const auto at = static_cast<std::size_t>(it - node_ids.begin());
-      node_ids.insert(it, node);
-      nc.node_members.insert(
-          nc.node_members.begin() + static_cast<std::ptrdiff_t>(at),
-          std::vector<int>{});
-    }
-  }
-  nc.node_index_of.resize(static_cast<std::size_t>(comm.size()), -1);
-  for (int local = 0; local < comm.size(); ++local) {
-    const int node = topology.node_of(comm.world_rank(local));
-    const auto at = static_cast<std::size_t>(
-        std::lower_bound(node_ids.begin(), node_ids.end(), node) -
-        node_ids.begin());
-    nc.node_index_of[static_cast<std::size_t>(local)] = static_cast<int>(at);
-    nc.node_members[at].push_back(local);
-  }
-
-  // Elect one leader per node.
-  nc.leaders.reserve(node_ids.size());
-  for (std::size_t n = 0; n < node_ids.size(); ++n) {
-    const auto& members = nc.node_members[n];
-    std::size_t pick = 0;
-    if (policy == LeaderPolicy::Spread) {
-      pick = n % members.size();
-    }
-    nc.leaders.push_back(members[pick]);
-    if (members.size() > 1) {
-      nc.multi = true;
-    }
-  }
-
+  // A context id names one communicator (comm_split interns by it too),
+  // so the id and the policy identify the layout.
+  const std::string key = "node:" + std::to_string(comm.context_id()) + ":" +
+                          to_string(policy);
+  nc.layout = self.world().shared_object<NodeLayout>(key, [&] {
+    return std::make_shared<NodeLayout>(
+        build_layout(self.world().colls(), comm, topology, policy));
+  });
   nc.my_node_index =
-      nc.node_index_of[static_cast<std::size_t>(nc.my_parent_local_)];
-  const auto& my_members =
-      nc.node_members[static_cast<std::size_t>(nc.my_node_index)];
-  nc.i_lead_ =
-      nc.leaders[static_cast<std::size_t>(nc.my_node_index)] ==
-      nc.my_parent_local_;
+      nc.layout->node_index_of[static_cast<std::size_t>(nc.my_parent_local)];
+  const auto node = static_cast<std::size_t>(nc.my_node_index);
+  const auto& members = nc.layout->node_members[node];
   nc.leader_node_local = static_cast<int>(
-      std::find(my_members.begin(), my_members.end(),
-                nc.leaders[static_cast<std::size_t>(nc.my_node_index)]) -
-      my_members.begin());
-
-  // Materialize the derived communicators. Context ids are deterministic
-  // functions of the parent context, so no exchange is needed; repeated
-  // construction over the same parent reuses the same contexts, which is
-  // equivalent to caching the communicators.
-  const auto& colls = self.world().colls();
-  std::vector<int> node_world;
-  node_world.reserve(my_members.size());
-  for (int local : my_members) {
-    node_world.push_back(comm.world_rank(local));
-  }
-  nc.node_comm = mpi::Comm(
-      colls.derive_context(comm.context_id(), kNodeSeq, nc.my_node_index),
-      std::move(node_world));
-
-  std::vector<int> leader_world;
-  leader_world.reserve(nc.leaders.size());
-  for (int local : nc.leaders) {
-    leader_world.push_back(comm.world_rank(local));
-  }
-  nc.leader_comm =
-      mpi::Comm(colls.derive_context(comm.context_id(), kLeaderSeq, 0),
-                std::move(leader_world));
+      std::find(members.begin(), members.end(), nc.layout->leaders[node]) -
+      members.begin());
   return nc;
 }
 

@@ -32,6 +32,7 @@
 #include "mpi/collectives.hpp"
 #include "mpiio/file.hpp"
 #include "workloads/btio.hpp"
+#include "workloads/ior.hpp"
 #include "workloads/pattern.hpp"
 #include "workloads/tileio.hpp"
 
@@ -244,10 +245,38 @@ TEST(IntegrityManager, VerifyBufferHealsInPlace) {
 
   auto staged = data;
   staged[64] ^= std::byte{0x08};
-  manager.verify_buffer(0, 7, extents, staged.data());
+  manager.verify_buffer(0, 7, extents, staged.data(),
+                        manager.writes_registered());
   EXPECT_EQ(staged, data);  // healed in place from the replica
   EXPECT_EQ(manager.counters(7).detected, 1u);
   EXPECT_EQ(manager.counters(7).repaired, 1u);
+}
+
+TEST(IntegrityManager, VerifyBufferSkipsRecordsRegisteredAfterStaging) {
+  fault::FaultState faults;
+  fs::IntegrityManager manager(tiny_config(fs::IntegrityLevel::Detect),
+                               &faults);
+  const auto old_bytes = pattern_bytes(128, 1);
+  const fs::Extent extents[] = {{4096, 128}};
+  manager.register_write(0, 7, extents, old_bytes.data());
+  const std::uint64_t staged_at = manager.writes_registered();
+  // A later call rewrites the second block only; the split-off first block
+  // keeps the stamp of the write that made it.
+  const auto new_bytes = pattern_bytes(64, 9);
+  const fs::Extent second[] = {{4160, 64}};
+  manager.register_write(1, 7, second, new_bytes.data());
+  EXPECT_EQ(manager.writes_registered(), staged_at + 1);
+
+  // The buffer staged before the rewrite still holds the old bytes: only
+  // the first block is checked, and it is clean.
+  auto staged = old_bytes;
+  manager.verify_buffer(0, 7, extents, staged.data(), staged_at);
+  EXPECT_EQ(manager.counters(7).detected, 0u);
+  // A decayed byte in the first block is still caught.
+  staged[3] ^= std::byte{0x10};
+  manager.verify_buffer(0, 7, extents, staged.data(), staged_at);
+  EXPECT_EQ(manager.counters(7).detected, 1u);
+  EXPECT_TRUE(manager.has_error());
 }
 
 TEST(IntegrityManager, PendingWordPicksOneErrorForAgreement) {
@@ -456,6 +485,99 @@ TEST(IntegrityEndToEnd, PhantomBbCorruptionCountsInFileStats) {
   EXPECT_EQ(result.stats.corrupt_detected, result.faults.corrupt_detected);
   EXPECT_GT(result.faults.corrupt_repaired, 0u);
   EXPECT_EQ(result.stats.corrupt_repaired, result.faults.corrupt_repaired);
+}
+
+/// One shuffled-IOR write through the burst buffer with integrity on.
+struct ShuffledRun {
+  bool threw = false;     // the ranks caught the agreed CollectiveIoError
+  bool verified = true;   // every block reads back as written
+  mpiio::FileStats stats;  // rank 0's close-time summary
+  fault::FaultCounters faults;
+};
+
+/// Byte-true 32-rank ParColl IOR write, 1 MiB blocks in 128 KiB transfers
+/// visited in shuffled order (IOR -z), through a watermark-drained burst
+/// buffer. Ranks catch the agreed CollectiveIoError themselves, so a run
+/// that detects corruption still ends every fiber.
+ShuffledRun run_shuffled_ior(std::uint64_t seed, fs::IntegrityLevel level,
+                             const std::string& fault = "") {
+  workloads::IorConfig config;
+  config.block_size = 1 << 20;
+  config.xfer_size = 128 << 10;
+  config.random_offsets = true;
+  config.order_seed = seed;
+  workloads::RunSpec spec;
+  spec.impl = workloads::Impl::ParColl;
+  spec.parcoll_groups = core::kAutoGroups;
+  spec.intranode = node::IntranodeMode::Auto;
+  spec.bb.enabled = true;
+  spec.bb.policy = bb::DrainPolicy::Watermark;
+  spec.integrity.level = level;
+  machine::MachineModel model = spec.model(32);
+  model.storage.seed = seed;
+  mpi::World world(std::move(model));
+  if (!fault.empty()) world.set_fault(fault::FaultPlan::parse(fault));
+  const mpiio::Hints hints = spec.hints();
+  ShuffledRun run;
+  world.run([&](mpi::Rank& self) {
+    mpiio::FileHandle file(self, self.comm_world(), "ior.dat", hints);
+    const dtype::Datatype memtype = dtype::Datatype::bytes(config.xfer_size);
+    std::vector<std::byte> buffer(config.xfer_size);
+    const fs::Extent block{
+        static_cast<std::uint64_t>(self.rank()) * config.block_size,
+        config.block_size};
+    try {
+      for (std::uint64_t t : config.transfer_order(self.rank())) {
+        const fs::Extent extent{block.offset + t * config.xfer_size,
+                                config.xfer_size};
+        workloads::fill_stream(buffer.data(), std::span(&extent, 1), kSalt);
+        core::write_at_all(file, extent.offset, buffer.data(), 1, memtype);
+      }
+      file.close();  // drains everything durably
+    } catch (const fs::CollectiveIoError&) {
+      run.threw = true;
+      return;
+    }
+    auto* store = dynamic_cast<fs::MemoryStore*>(&self.world().fs().store());
+    run.verified = run.verified && store != nullptr &&
+                   workloads::verify_store(*store, file.fs_id(),
+                                           std::span(&block, 1), kSalt);
+    if (self.rank() == 0) run.stats = file.stats();
+  });
+  run.faults = world.fault_state().total();
+  return run;
+}
+
+TEST(IntegrityEndToEnd, ShuffledIorThroughBbHasNoFalseDetections) {
+  // A window with holes is read-modify-written whole, so a staged segment
+  // holds old file bytes for offsets a later call rewrites. When that
+  // segment drains, its audit must not check those old bytes against the
+  // later call's checksums: nothing here corrupts anything.
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    for (const auto level :
+         {fs::IntegrityLevel::Detect, fs::IntegrityLevel::Repair}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", integrity " +
+                   fs::to_string(level));
+      const ShuffledRun run = run_shuffled_ior(seed, level);
+      EXPECT_FALSE(run.threw);
+      EXPECT_TRUE(run.verified);
+      EXPECT_GT(run.stats.bb_staged_segments, 0u);
+      EXPECT_GT(run.stats.rmw_reads, 0u);
+      EXPECT_EQ(run.faults.corrupt_detected, 0u);
+      EXPECT_EQ(run.stats.corrupt_detected, 0u);
+    }
+  }
+  // Planted decay in the same runs is still caught: detect reports it
+  // collectively, repair heals it before it drains.
+  const std::string planted = "seed=3;bb-corrupt=0.05";
+  EXPECT_TRUE(
+      run_shuffled_ior(3, fs::IntegrityLevel::Detect, planted).threw);
+  const ShuffledRun repaired =
+      run_shuffled_ior(3, fs::IntegrityLevel::Repair, planted);
+  EXPECT_FALSE(repaired.threw);
+  EXPECT_TRUE(repaired.verified);
+  EXPECT_GT(repaired.faults.corrupt_injected, 0u);
+  EXPECT_GT(repaired.faults.corrupt_repaired, 0u);
 }
 
 TEST(IntegrityEndToEnd, EpioFileReportsItsOwnBlocks) {

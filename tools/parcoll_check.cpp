@@ -324,7 +324,7 @@ int main(int argc, char** argv) {
     row.set("schedules", stats.schedules);
     row.set("distinct_schedules", stats.distinct);
     row.set("invariant_checks", stats.invariant_checks);
-    row.set("elapsed_s", elapsed);
+    row.set("wall_s", elapsed);
     row.set("schedules_per_s",
             elapsed > 0 ? static_cast<double>(stats.schedules) / elapsed : 0.0);
     row.set("violations",
