@@ -5,7 +5,7 @@
 //  1. Bit-identity gate (always on): re-runs two small byte-true workloads
 //     (tile + IOR) in sequential/program-order mode and compares content
 //     digest, schedule token, and simulated clocks against constants pinned
-//     from the pre-calendar-queue engine. Any drift means the engine's
+//     from the original engine. Any drift means the engine's
 //     (time, seq) total order changed — a correctness bug, not a tuning
 //     matter — and the bench exits non-zero so CI fails.
 //
@@ -36,7 +36,7 @@ using workloads::RunSpec;
 
 // Golden values captured from the pre-PR engine (binary-heap queue,
 // ucontext fibers, 256 KiB stacks) for the same configs, byte-true,
-// program-order schedule. The calendar queue, callback arena, pooled
+// program-order schedule. The event queue, callback arena, pooled
 // stacks, and fast context switch must reproduce every one of them
 // bit-for-bit.
 struct Golden {
@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
   bench::BenchReport report("micro_engine", argc, argv);
 
   bench::header("micro_engine",
-                "DES engine scaling: calendar queue, arena events, pooled "
+                "DES engine scaling: binary-heap queue, arena events, pooled "
                 "small-stack fibers");
 
   std::printf("bit-identity gate (sequential mode vs pre-PR pins):\n");

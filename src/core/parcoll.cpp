@@ -431,13 +431,7 @@ CollectiveOutcome write_at_all(mpiio::FileHandle& file, std::uint64_t offset,
       file.self().world().fault_counters(file.self().rank());
   mpiio::PreparedRequest prep =
       file.prepare_write(offset, buffer, count, memtype);
-  // Checksum the payload where it enters the pipeline: from here the block
-  // records ride alongside the data through staging, exchange, and drains.
-  if (auto* integ = file.self().world().integrity()) {
-    const double seconds = integ->register_write(
-        file.self().rank(), file.fs_id(), prep.extents, prep.data());
-    if (seconds > 0) file.self().busy(mpi::TimeCat::Integrity, seconds);
-  }
+  file.register_write(prep);
   const CollectiveOutcome outcome = run_partitioned(file, prep, true);
   agree_on_errors(file);
 
@@ -459,19 +453,9 @@ CollectiveOutcome read_at_all(mpiio::FileHandle& file, std::uint64_t offset,
       file.self().world().fault_counters(file.self().rank());
   mpiio::PreparedRequest prep =
       file.prepare_read(offset, buffer, count, memtype);
-  // Client-side read verification: staged-undrained bb data would mismatch
-  // the registered checksums, so overlapping segments land first; then
-  // latent store corruption under this rank's extents is healed (Repair)
-  // or recorded (Detect) before any aggregator serves the bytes.
-  if (auto* integ = file.self().world().integrity()) {
-    if (auto* bb = file.bb_store(); bb != nullptr && !bb->idle()) {
-      bb->flush_overlapping(file.self(), prep.extents);
-    }
-    const double seconds =
-        integ->verify_ranges(file.self().rank(), file.fs_id(), prep.extents,
-                             file.self().world().fs().store());
-    if (seconds > 0) file.self().busy(mpi::TimeCat::Integrity, seconds);
-  }
+  // Before any aggregator serves the bytes. No flush_staged: the collective
+  // engine reads through the staging store.
+  file.verify_read(prep);
   const CollectiveOutcome outcome = run_partitioned(file, prep, false);
   agree_on_errors(file);
   file.finish_read(prep, buffer, count, memtype);

@@ -42,6 +42,13 @@ SplitRequest split_begin(mpiio::FileHandle& file, std::uint64_t offset,
   state->prep = is_write
                     ? file.prepare_write(offset, wbuffer, count, memtype)
                     : file.prepare_read(offset, rbuffer, count, memtype);
+  // The same hooks as write_at_all / read_at_all, run before the helper
+  // starts the collective.
+  if (is_write) {
+    file.register_write(state->prep);
+  } else {
+    file.verify_read(state->prep);
+  }
 
   // The helper "progress threads" get their own communicator so their
   // collective sequence numbers never interleave with the main threads'.

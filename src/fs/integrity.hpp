@@ -1,6 +1,6 @@
 // End-to-end data integrity for the simulated I/O stack.
 //
-// When a collective write is prepared, the user's bytes are chunked into
+// When any write is prepared, the user's bytes are chunked into
 // fixed-size blocks and checksummed (CRC-32C) where they enter the
 // pipeline. The block records ride alongside the data through intra-node
 // staging, the exchange phase, bb drains, and write RPCs; the stored bytes
@@ -92,8 +92,8 @@ class IntegrityManager {
 
   [[nodiscard]] const IntegrityConfig& config() const { return config_; }
 
-  /// Checksum (and, at Repair, retain) the payload entering a collective
-  /// write. `data` is the extents' concatenated payload; nullptr (phantom
+  /// Checksum (and, at Repair, retain) the payload entering any write.
+  /// `data` is the extents' concatenated payload; nullptr (phantom
   /// mode) registers coverage and models cost without bytes. Returns the
   /// modeled checksum seconds for the caller to charge.
   double register_write(int client, int fs_id, std::span<const Extent> extents,

@@ -39,6 +39,10 @@ IoRequest start(FileHandle& file, std::uint64_t offset, const void* wbuffer,
   state->prep = is_write
                     ? file.prepare_write(offset, wbuffer, count, memtype)
                     : file.prepare_read(offset, rbuffer, count, memtype);
+  // The hooks run in the caller, before the helper starts any I/O.
+  if (is_write) file.register_write(state->prep);
+  file.flush_staged(state->prep);
+  if (!is_write) file.verify_read(state->prep);
 
   const int rank_id = self.rank();
   const int fs_id = file.fs_id();

@@ -226,22 +226,37 @@ void FileHandle::finish_read(PreparedRequest& request, void* buffer,
   self_.touch_bytes(static_cast<double>(request.bytes));  // unpack cost
 }
 
-void FileHandle::write_at(std::uint64_t offset, const void* buffer,
-                          std::uint64_t count, const dtype::Datatype& memtype) {
-  require_writable();
-  const auto before = time_snapshot();
-  PreparedRequest request = prepare_write(offset, buffer, count, memtype);
+void FileHandle::register_write(const PreparedRequest& request) {
   if (auto* integ = self_.world().integrity()) {
     const double seconds = integ->register_write(self_.rank(), fs_id(),
                                                  request.extents,
                                                  request.data());
     if (seconds > 0) self_.busy(mpi::TimeCat::Integrity, seconds);
   }
-  // Independent writes go straight to the filesystem; overlapping staged
-  // burst-buffer data must land first so the later write still wins.
+}
+
+void FileHandle::flush_staged(const PreparedRequest& request) {
   if (common_->bb && !common_->bb->idle()) {
     common_->bb->flush_overlapping(self_, request.extents);
   }
+}
+
+void FileHandle::verify_read(const PreparedRequest& request) {
+  if (auto* integ = self_.world().integrity()) {
+    flush_staged(request);
+    const double seconds = integ->verify_ranges(
+        self_.rank(), fs_id(), request.extents, self_.world().fs().store());
+    if (seconds > 0) self_.busy(mpi::TimeCat::Integrity, seconds);
+  }
+}
+
+void FileHandle::write_at(std::uint64_t offset, const void* buffer,
+                          std::uint64_t count, const dtype::Datatype& memtype) {
+  require_writable();
+  const auto before = time_snapshot();
+  PreparedRequest request = prepare_write(offset, buffer, count, memtype);
+  register_write(request);
+  flush_staged(request);
   DirectTarget target(self_.world().fs(), fs_id());
   const bool lock = atomic_ && !request.extents.empty();
   fs::Extent span{};
@@ -267,19 +282,8 @@ void FileHandle::read_at(std::uint64_t offset, void* buffer,
   require_readable();
   const auto before = time_snapshot();
   PreparedRequest request = prepare_read(offset, buffer, count, memtype);
-  // Read-your-writes: staged data covering these extents must land first.
-  if (common_->bb && !common_->bb->idle()) {
-    common_->bb->flush_overlapping(self_, request.extents);
-  }
-  // Client-side read verification, after the bb flush (staged-undrained
-  // data would otherwise mismatch the registered checksums): latent store
-  // corruption under these extents is healed (Repair) or recorded (Detect)
-  // before the bytes are returned.
-  if (auto* integ = self_.world().integrity()) {
-    const double seconds = integ->verify_ranges(
-        self_.rank(), fs_id(), request.extents, self_.world().fs().store());
-    if (seconds > 0) self_.busy(mpi::TimeCat::Integrity, seconds);
-  }
+  flush_staged(request);
+  verify_read(request);
   DirectTarget target(self_.world().fs(), fs_id());
   target.read(self_, request.extents, request.packed.empty()
                                           ? nullptr

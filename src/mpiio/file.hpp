@@ -55,6 +55,9 @@ struct PreparedRequest {
   [[nodiscard]] std::byte* data() {
     return packed.empty() ? nullptr : packed.data();
   }
+  [[nodiscard]] const std::byte* data() const {
+    return packed.empty() ? nullptr : packed.data();
+  }
 };
 
 /// MPI_File_open access modes (combinable bit flags).
@@ -174,6 +177,21 @@ class FileHandle {
   /// Unpack a completed read's packed stream into the user buffer.
   void finish_read(PreparedRequest& request, void* buffer, std::uint64_t count,
                    const dtype::Datatype& memtype);
+
+  // --- Burst-buffer and integrity hooks, run by every I/O entry point ---
+
+  /// Writes: checksum the payload where it enters the stack, so the block
+  /// records ride alongside the data from here on (integrity on).
+  void register_write(const PreparedRequest& request);
+  /// Independent I/O: land staged burst-buffer data overlapping the
+  /// request first, so a direct write is ordered after it and a direct
+  /// read sees it (bb on).
+  void flush_staged(const PreparedRequest& request);
+  /// Reads: heal (Repair) or record (Detect) latent store corruption under
+  /// the request's extents before any byte is served (integrity on).
+  /// Overlapping staged data lands first, since its undrained bytes would
+  /// mismatch the registered checksums.
+  void verify_read(const PreparedRequest& request);
 
   /// Merge an operation's statistics into the shared per-file stats.
   void add_stats(const FileStats& delta) { common_->stats += delta; }

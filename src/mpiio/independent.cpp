@@ -8,6 +8,8 @@ void posix_write_at(FileHandle& file, std::uint64_t offset, const void* buffer,
                     std::uint64_t count, const dtype::Datatype& memtype) {
   const auto before = file.time_snapshot();
   PreparedRequest request = file.prepare_write(offset, buffer, count, memtype);
+  file.register_write(request);
+  file.flush_staged(request);
   DirectTarget target(file.self().world().fs(), file.fs_id());
   std::uint64_t stream_pos = 0;
   for (const fs::Extent& extent : request.extents) {
@@ -27,6 +29,8 @@ void posix_read_at(FileHandle& file, std::uint64_t offset, void* buffer,
                    std::uint64_t count, const dtype::Datatype& memtype) {
   const auto before = file.time_snapshot();
   PreparedRequest request = file.prepare_read(offset, buffer, count, memtype);
+  file.flush_staged(request);
+  file.verify_read(request);
   DirectTarget target(file.self().world().fs(), file.fs_id());
   std::uint64_t stream_pos = 0;
   for (const fs::Extent& extent : request.extents) {

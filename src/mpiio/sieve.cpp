@@ -132,6 +132,8 @@ void sieve_write_at(FileHandle& file, std::uint64_t offset, const void* buffer,
                     std::uint64_t sieve_buffer_size) {
   const auto before = file.time_snapshot();
   PreparedRequest request = file.prepare_write(offset, buffer, count, memtype);
+  file.register_write(request);
+  file.flush_staged(request);
   auto& self = file.self();
   auto& fs = self.world().fs();
   DirectTarget target(fs, file.fs_id());
@@ -155,6 +157,8 @@ void sieve_read_at(FileHandle& file, std::uint64_t offset, void* buffer,
                    std::uint64_t sieve_buffer_size) {
   const auto before = file.time_snapshot();
   PreparedRequest request = file.prepare_read(offset, buffer, count, memtype);
+  file.flush_staged(request);
+  file.verify_read(request);
   auto& self = file.self();
   DirectTarget target(self.world().fs(), file.fs_id());
 

@@ -45,6 +45,19 @@ std::string MetricsRegistry::indexed(const std::string& name,
   return name + suffix;
 }
 
+int MetricsRegistry::index_of(std::string_view key, std::string_view name) {
+  if (key.size() < name.size() + 3 || !key.starts_with(name) ||
+      key[name.size()] != '[' || key.back() != ']') {
+    return -1;
+  }
+  int index = 0;
+  for (std::size_t i = name.size() + 1; i + 1 < key.size(); ++i) {
+    if (key[i] < '0' || key[i] > '9') return -1;
+    index = index * 10 + (key[i] - '0');
+  }
+  return index;
+}
+
 std::string MetricsRegistry::job_key(const std::string& name,
                                      std::string_view job) {
   std::string key = name;

@@ -56,6 +56,10 @@ class MetricsRegistry {
   /// "name[0003]": zero-padded so lexicographic order == numeric order.
   [[nodiscard]] static std::string indexed(const std::string& name,
                                            std::size_t index);
+  /// The inverse: 3 for ("name[0003]", "name"); -1 when `key` is not an
+  /// indexed member of `name`'s series.
+  [[nodiscard]] static int index_of(std::string_view key,
+                                    std::string_view name);
 
   /// "name{job=astro}": the per-tenant slice of an instrument. Every
   /// job-attributed series/counter/histogram uses this suffix so exports

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 
 namespace parcoll::obs {
 
@@ -130,22 +131,6 @@ JsonValue TimeSeries::to_json() const {
 
 namespace {
 
-/// "prefix[0007]" -> 7; -1 when the name is not an indexed member of the
-/// series family.
-int indexed_suffix(const std::string& name, std::string_view prefix) {
-  if (name.size() < prefix.size() + 2 ||
-      name.compare(0, prefix.size(), prefix) != 0 ||
-      name[prefix.size()] != '[' || name.back() != ']') {
-    return -1;
-  }
-  int index = 0;
-  for (std::size_t i = prefix.size() + 1; i + 1 < name.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') return -1;
-    index = index * 10 + (name[i] - '0');
-  }
-  return index;
-}
-
 struct Ranked {
   int index;
   double value;
@@ -156,7 +141,7 @@ std::vector<Ranked> top_at(const TimeSeries& series, std::string_view prefix,
                            std::size_t at, int top_n) {
   std::vector<Ranked> ranked;
   for (const TimeSeries::Series& s : series.series) {
-    const int index = indexed_suffix(s.name, prefix);
+    const int index = MetricsRegistry::index_of(s.name, prefix);
     if (index < 0 || at >= s.values.size()) continue;
     ranked.push_back({index, s.values[at]});
   }
@@ -211,7 +196,8 @@ std::string top_report(const TimeSeries& series, int top_n) {
       if (s.name.rfind("mpi.rank.", 0) != 0 || dot == std::string::npos) {
         continue;
       }
-      const int rank = indexed_suffix(s.name, s.name.substr(0, dot + 2));
+      const int rank =
+          MetricsRegistry::index_of(s.name, s.name.substr(0, dot + 2));
       if (rank < 0 || i >= s.values.size()) continue;
       if (rank_delta.size() <= static_cast<std::size_t>(rank)) {
         rank_delta.resize(static_cast<std::size_t>(rank) + 1, 0.0);
@@ -232,7 +218,7 @@ std::string top_report(const TimeSeries& series, int top_n) {
     const auto bb = top_at(series, "bb.node.used_bytes", i, top_n);
     double bb_total = 0.0;
     for (const TimeSeries::Series& s : series.series) {
-      if (indexed_suffix(s.name, "bb.node.used_bytes") >= 0 &&
+      if (MetricsRegistry::index_of(s.name, "bb.node.used_bytes") >= 0 &&
           i < s.values.size()) {
         bb_total += s.values[i];
       }

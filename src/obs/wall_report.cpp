@@ -60,46 +60,22 @@ std::string format_seconds(double s) {
   return buf;
 }
 
-/// Parse "prefix[0003]" -> 3. The zero-padded index suffix is what
-/// MetricsRegistry::indexed produces.
-bool indexed_name(const std::string& key, const std::string& prefix,
-                  int* index) {
-  if (key.size() < prefix.size() + 3 ||
-      key.compare(0, prefix.size(), prefix) != 0 ||
-      key[prefix.size()] != '[' || key.back() != ']') {
-    return false;
-  }
-  int value = 0;
-  for (std::size_t i = prefix.size() + 1; i + 1 < key.size(); ++i) {
-    const char c = key[i];
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    value = value * 10 + (c - '0');
-  }
-  *index = value;
-  return true;
-}
-
 /// Fold the fs-layer metrics into the report: per-OST load rows and the
 /// tail-latency summaries of every (non-job-sliced) quantile instrument.
 void fold_metrics(WallReport& report, const MetricsRegistry& metrics) {
   std::map<int, OstWall> osts;
-  int index = 0;
-  for (const auto& [key, value] : metrics.gauges()) {
-    if (indexed_name(key, "fs.ost.service_s", &index)) {
-      osts[index].service_s = value;
-    } else if (indexed_name(key, "fs.ost.queue_depth_s", &index)) {
-      osts[index].peak_queue_s = value;
+  const auto fold = [&osts](const auto& series, std::string_view name,
+                            auto OstWall::*field) {
+    for (const auto& [key, value] : series) {
+      if (const int ost = MetricsRegistry::index_of(key, name); ost >= 0) {
+        osts[ost].*field = value;
+      }
     }
-  }
-  for (const auto& [key, value] : metrics.counters()) {
-    if (indexed_name(key, "fs.ost.rpcs", &index)) {
-      osts[index].rpcs = value;
-    } else if (indexed_name(key, "fs.ost.bytes", &index)) {
-      osts[index].bytes = value;
-    }
-  }
+  };
+  fold(metrics.gauges(), "fs.ost.service_s", &OstWall::service_s);
+  fold(metrics.gauges(), "fs.ost.queue_depth_s", &OstWall::peak_queue_s);
+  fold(metrics.counters(), "fs.ost.rpcs", &OstWall::rpcs);
+  fold(metrics.counters(), "fs.ost.bytes", &OstWall::bytes);
   for (auto& [ost, wall] : osts) {
     wall.ost = ost;
     report.osts.push_back(wall);

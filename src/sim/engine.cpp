@@ -48,9 +48,7 @@ EngineStats Engine::stats() const {
   s.peak_live_fibers = peak_live_;
   s.stacks_allocated = stacks_.allocated();
   s.stacks_reused = stacks_.reused();
-  s.peak_queue_depth = queue_.counters().peak_depth;
-  s.queue_overflow_pushes = queue_.counters().overflow_pushes;
-  s.queue_retunes = queue_.counters().retunes;
+  s.peak_queue_depth = queue_.peak_depth();
   s.choice_points = choice_log_.size();
   s.default_stack_bytes = default_stack_bytes_;
   s.run_wall_seconds = run_wall_seconds_;
@@ -172,9 +170,9 @@ void Engine::run() {
           __builtin_prefetch(static_cast<const char*>(np.resume_sp) + 64);
         }
       }
-      // One more ahead, when the serving bucket can say cheaply: by the
-      // time that fiber restores, the deeper prefetch has had two event
-      // bodies of latency to land.
+      // One more ahead, from the heap root's children: by the time that
+      // fiber restores, the deeper prefetch has had two event bodies of
+      // latency to land.
       if (const int second = queue_.second_pid_hint(); second >= 0) {
         const Process& sp = procs_[static_cast<std::size_t>(second)];
         __builtin_prefetch(sp.fiber.get());

@@ -8,7 +8,7 @@
 // reservation completes), so the engine itself stays tiny.
 //
 // Hot-path layout (see docs/PERFORMANCE.md): events are 24-byte PODs in a
-// calendar queue (sim/event_queue.hpp), posted callbacks live in a freelist
+// binary min-heap (sim/event_queue.hpp), posted callbacks live in a freelist
 // arena, and rank fibers draw small pooled stacks (sim/stack_pool.hpp)
 // instead of a fresh 256 KiB allocation each.
 //
@@ -57,9 +57,7 @@ struct EngineStats {
   std::uint64_t stacks_allocated = 0;  // pool misses (fresh allocations)
   std::uint64_t stacks_reused = 0;     // pool hits
   std::uint64_t peak_queue_depth = 0;
-  std::uint64_t queue_overflow_pushes = 0;  // far-future tier entries
-  std::uint64_t queue_retunes = 0;          // calendar resize/re-width ops
-  std::uint64_t choice_points = 0;          // equal-time ties policy resolved
+  std::uint64_t choice_points = 0;     // equal-time ties policy resolved
   std::uint64_t default_stack_bytes = 0;
   double run_wall_seconds = 0.0;  // host wall clock spent inside run()
 
@@ -199,7 +197,7 @@ class Engine {
   // Note: stacks_ is declared before procs_ so the pool outlives the
   // fibers, which release their stacks into it from ~Fiber.
   FiberStackPool stacks_;
-  CalendarQueue queue_;
+  EventQueue queue_;
   CallbackArena callbacks_;
   std::vector<Process> procs_;
   double now_ = 0.0;

@@ -1,191 +1,9 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
 namespace parcoll::sim {
-
-namespace {
-
-/// Heap comparator: `true` when `a` runs later than `b`, so std heap
-/// algorithms (max-heap by default) keep the earliest event on top.
-inline bool later(const QueuedEvent& a, const QueuedEvent& b) {
-  if (a.time != b.time) return a.time > b.time;
-  return a.seq > b.seq;
-}
-
-}  // namespace
-
-CalendarQueue::CalendarQueue()
-    : buckets_(kMinBuckets), live_((kMinBuckets + 63) / 64, 0) {}
-
-void CalendarQueue::push(const QueuedEvent& event) {
-  if (count_ == 0) {
-    // Empty queue: re-anchor the window so the event lands in bucket 0 and
-    // the serving position restarts cleanly.
-    w0_ = event.time;
-    cur_ = 0;
-    cur_heaped_ = false;
-  }
-  ++count_;
-  if (count_ > counters_.peak_depth) counters_.peak_depth = count_;
-  if (count_ > buckets_.size() * 2 && buckets_.size() < kMaxBuckets) {
-    retune(buckets_.size() * 2, w0_ + static_cast<double>(cur_) * width_);
-  }
-  place(event);
-}
-
-void CalendarQueue::place(const QueuedEvent& event) {
-  // Compare in double space before casting: a tiny width_ against a
-  // far-future time would overflow the integer conversion. The reciprocal
-  // multiply can round to a neighboring index relative to a true divide,
-  // but the mapping stays monotone in time, which is all bucket assignment
-  // needs for the pop order to stay exact.
-  const double rel = (event.time - w0_) * inv_width_;
-  if (!(rel < static_cast<double>(buckets_.size()))) {
-    overflow_push(event);
-    return;
-  }
-  std::size_t idx = rel <= 0.0 ? 0 : static_cast<std::size_t>(rel);
-  if (idx < cur_) {
-    // An event at (or just after) `now` whose slot the serving position
-    // already passed. The serving bucket's heap orders by (time, seq), not
-    // by bucket bounds, so parking it there keeps the order exact.
-    idx = cur_;
-  }
-  std::vector<QueuedEvent>& bucket = buckets_[idx];
-  bucket.push_back(event);
-  if (bucket.size() == 1) mark_live(idx);
-  if (idx == cur_ && cur_heaped_) {
-    std::push_heap(bucket.begin(), bucket.end(), later);
-  }
-}
-
-std::size_t CalendarQueue::next_live(std::size_t from) const {
-  std::size_t word = from >> 6;
-  if (word >= live_.size()) return buckets_.size();
-  std::uint64_t bits = live_[word] & (~0ull << (from & 63));
-  while (bits == 0) {
-    if (++word == live_.size()) return buckets_.size();
-    bits = live_[word];
-  }
-  return (word << 6) + static_cast<std::size_t>(__builtin_ctzll(bits));
-}
-
-void CalendarQueue::overflow_push(const QueuedEvent& event) {
-  ++counters_.overflow_pushes;
-  overflow_.push_back(event);
-  std::push_heap(overflow_.begin(), overflow_.end(), later);
-}
-
-QueuedEvent CalendarQueue::overflow_pop() {
-  std::pop_heap(overflow_.begin(), overflow_.end(), later);
-  QueuedEvent event = overflow_.back();
-  overflow_.pop_back();
-  return event;
-}
-
-void CalendarQueue::settle() {
-  if (count_ < buckets_.size() / 8 && buckets_.size() > kMinBuckets) {
-    retune(buckets_.size() / 2, w0_ + static_cast<double>(cur_) * width_);
-  }
-  for (;;) {
-    const std::size_t next = next_live(cur_);
-    if (next < buckets_.size()) {
-      if (next != cur_) {
-        cur_ = next;
-        cur_heaped_ = false;
-      }
-      if (!cur_heaped_) {
-        std::vector<QueuedEvent>& bucket = buckets_[cur_];
-        std::make_heap(bucket.begin(), bucket.end(), later);
-        cur_heaped_ = true;
-      }
-      return;
-    }
-    cur_ = buckets_.size();
-    // The window is drained; slide it to the earliest overflow event and
-    // pull everything that now falls inside. The pull predicate is the very
-    // bucket computation place() runs, so a pulled event can never bounce
-    // straight back into overflow (a boundary ulp between `w0_ + n*width_`
-    // and the per-event index could otherwise loop this forever).
-    w0_ = overflow_.front().time;
-    cur_ = 0;
-    cur_heaped_ = false;
-    const double nbuckets = static_cast<double>(buckets_.size());
-    while (!overflow_.empty() &&
-           (overflow_.front().time - w0_) * inv_width_ < nbuckets) {
-      place(overflow_pop());
-    }
-  }
-}
-
-QueuedEvent CalendarQueue::peek() {
-  settle();
-  return buckets_[cur_].front();
-}
-
-int CalendarQueue::second_pid_hint() const {
-  // The second-minimal event of a settled binary heap is the lesser of the
-  // root's two children. Events beyond the serving bucket would need a scan;
-  // for a prefetch hint, "unknown" is fine.
-  if (cur_ >= buckets_.size() || !cur_heaped_) return -1;
-  const std::vector<QueuedEvent>& bucket = buckets_[cur_];
-  if (bucket.size() < 2) return -1;
-  if (bucket.size() == 2) return bucket[1].pid;
-  return later(bucket[1], bucket[2]) ? bucket[2].pid : bucket[1].pid;
-}
-
-double CalendarQueue::min_time() {
-  settle();
-  return buckets_[cur_].front().time;
-}
-
-QueuedEvent CalendarQueue::pop() {
-  settle();
-  std::vector<QueuedEvent>& bucket = buckets_[cur_];
-  std::pop_heap(bucket.begin(), bucket.end(), later);
-  const QueuedEvent event = bucket.back();
-  bucket.pop_back();
-  if (bucket.empty()) mark_dead(cur_);
-  --count_;
-  if (event.time > last_pop_time_) {
-    const double gap = event.time - last_pop_time_;
-    avg_gap_ = avg_gap_ == 0.0 ? gap : 0.875 * avg_gap_ + 0.125 * gap;
-  }
-  last_pop_time_ = event.time;
-  return event;
-}
-
-void CalendarQueue::retune(std::size_t nbuckets, double anchor) {
-  ++counters_.retunes;
-  std::vector<QueuedEvent> all;
-  all.reserve(count_);
-  for (std::vector<QueuedEvent>& bucket : buckets_) {
-    all.insert(all.end(), bucket.begin(), bucket.end());
-    bucket.clear();
-  }
-  all.insert(all.end(), overflow_.begin(), overflow_.end());
-  overflow_.clear();
-  buckets_.resize(nbuckets);
-  live_.assign((nbuckets + 63) / 64, 0);
-  if (avg_gap_ > 0.0) {
-    width_ = std::max(kMinWidth, 4.0 * avg_gap_);
-    inv_width_ = 1.0 / width_;
-  }
-  // Anchor at the serving position, pulled back to the earliest event so
-  // nothing lands behind the window.
-  w0_ = anchor;
-  for (const QueuedEvent& event : all) {
-    if (event.time < w0_) w0_ = event.time;
-  }
-  cur_ = 0;
-  cur_heaped_ = false;
-  for (const QueuedEvent& event : all) {
-    place(event);
-  }
-}
 
 std::uint64_t peak_rss_bytes() {
 #if defined(__linux__)

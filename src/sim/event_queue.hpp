@@ -1,22 +1,19 @@
-// Calendar (bucket) event queue and the event/callback arenas.
+// Binary-heap event queue and the callback arena.
 //
-// The engine's old std::priority_queue paid O(log n) comparisons and a
-// 56-byte element move per operation, with every posted callback dragging a
-// std::function through the heap. This queue keeps events as 24-byte PODs
-// in an array of time buckets: push is O(1) amortized (bucket index is one
-// subtract/divide), pop is O(log b) in the *bucket* occupancy b, and
-// callbacks live in a freelist arena of SmallCallback slots so the dominant
-// wake/sleep events carry nothing but {time, seq, pid}.
+// Events are 24-byte PODs kept in one vector as a binary min-heap on
+// (time, seq), so each sift moves little data. Posted callbacks live in a
+// freelist arena of SmallCallback slots, so the dominant wake/sleep events
+// carry nothing but {time, seq, pid}.
 //
-// Ordering is exact, not approximate: within the serving bucket events form
-// a binary min-heap on (time, seq), buckets partition time, and far-future
-// events wait in an overflow min-heap until the window slides over them.
-// Every pop therefore returns precisely the (time, seq)-minimal event — the
-// same total order as the old heap — so schedules, digests, and
-// SchedulePolicy choice points are bit-identical by construction. The
-// bucket-width tuning below affects only speed, never order.
+// A plain heap fits the simulator's traffic: there is about one pending
+// event per live fiber, and a collective's last arriver wakes every other
+// member at one completion time, so events arrive in same-time bursts that
+// no time-bucketing scheme can spread out. Every pop returns precisely the
+// (time, seq)-minimal event, so schedules, digests, and SchedulePolicy
+// choice points follow the engine's total order exactly.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -66,76 +63,57 @@ class CallbackArena {
   std::vector<std::uint32_t> free_;
 };
 
-/// Perf counters the queue maintains for engine self-instrumentation.
-struct QueueCounters {
-  std::uint64_t peak_depth = 0;
-  std::uint64_t overflow_pushes = 0;
-  std::uint64_t retunes = 0;
-};
-
-class CalendarQueue {
+class EventQueue {
  public:
-  CalendarQueue();
-
   /// Insert `event` (seq already assigned by the engine; re-pushing a
   /// popped event — the choice-point path — keeps its original seq, and
   /// with it its exact place in the total order).
-  void push(const QueuedEvent& event);
+  void push(const QueuedEvent& event) {
+    heap_.push_back(event);
+    std::push_heap(heap_.begin(), heap_.end(), later);
+    if (heap_.size() > peak_depth_) peak_depth_ = heap_.size();
+  }
 
   /// Remove and return the (time, seq)-minimal event.
-  QueuedEvent pop();
+  QueuedEvent pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const QueuedEvent event = heap_.back();
+    heap_.pop_back();
+    return event;
+  }
 
   /// The (time, seq)-minimal event without removing it (queue must be
   /// non-empty). The engine uses this to prefetch the next fiber's state
   /// while the current event executes.
-  [[nodiscard]] QueuedEvent peek();
+  [[nodiscard]] QueuedEvent peek() const { return heap_.front(); }
 
-  /// Best-effort pid of the event after the minimal one, or -1 when it
-  /// is not cheaply known (outside the serving bucket, or a callback).
-  /// Prefetch hint only — never consulted for ordering. Valid right after
-  /// peek()/min_time() (the serving bucket is settled and heaped).
-  [[nodiscard]] int second_pid_hint() const;
+  /// Pid of the event after the minimal one — the lesser of the root's two
+  /// children — or -1 when there is none (or it is a callback). Prefetch
+  /// hint only; never consulted for ordering.
+  [[nodiscard]] int second_pid_hint() const {
+    if (heap_.size() < 2) return -1;
+    if (heap_.size() == 2) return heap_[1].pid;
+    return later(heap_[1], heap_[2]) ? heap_[2].pid : heap_[1].pid;
+  }
 
   /// Timestamp of the minimal event (queue must be non-empty).
-  [[nodiscard]] double min_time();
+  [[nodiscard]] double min_time() const { return heap_.front().time; }
 
-  [[nodiscard]] bool empty() const { return count_ == 0; }
-  [[nodiscard]] std::size_t size() const { return count_; }
-  [[nodiscard]] const QueueCounters& counters() const { return counters_; }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  /// Most events ever pending at once.
+  [[nodiscard]] std::size_t peak_depth() const { return peak_depth_; }
 
  private:
-  static constexpr std::size_t kMinBuckets = 64;
-  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 17;
-  static constexpr double kMinWidth = 1e-12;
+  /// Heap comparator: `true` when `a` runs later than `b`, so the std heap
+  /// algorithms (max-heap by default) keep the earliest event on top.
+  static bool later(const QueuedEvent& a, const QueuedEvent& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
 
-  /// Advance to the non-empty bucket holding the minimal event, sliding
-  /// the window over the overflow tier when the current one is drained.
-  void settle();
-  void place(const QueuedEvent& event);
-  /// Rebuild buckets around `anchor` time with `nbuckets` buckets and a
-  /// width tuned from the observed inter-event gap.
-  void retune(std::size_t nbuckets, double anchor);
-  void overflow_push(const QueuedEvent& event);
-  QueuedEvent overflow_pop();
-
-  // Occupancy bitmap (one bit per bucket) so settle() skips runs of empty
-  // buckets with a ctz scan instead of touching each one.
-  void mark_live(std::size_t idx) { live_[idx >> 6] |= 1ull << (idx & 63); }
-  void mark_dead(std::size_t idx) { live_[idx >> 6] &= ~(1ull << (idx & 63)); }
-  [[nodiscard]] std::size_t next_live(std::size_t from) const;
-
-  std::vector<std::vector<QueuedEvent>> buckets_;
-  std::vector<std::uint64_t> live_;
-  std::vector<QueuedEvent> overflow_;  // min-heap on (time, seq)
-  double width_ = 1e-6;
-  double inv_width_ = 1e6;  // cached 1/width_: place() multiplies, never divides
-  double w0_ = 0.0;         // window start: bucket i covers [w0_+i*w, ...)
-  std::size_t cur_ = 0;     // serving bucket
-  bool cur_heaped_ = false;
-  std::size_t count_ = 0;
-  double last_pop_time_ = 0.0;
-  double avg_gap_ = 0.0;    // EMA of nonzero inter-pop gaps, drives width_
-  QueueCounters counters_;
+  std::vector<QueuedEvent> heap_;
+  std::size_t peak_depth_ = 0;
 };
 
 /// Peak resident set size of the calling process in bytes (VmHWM), 0 when

@@ -131,8 +131,6 @@ obs::JsonValue run_result_json(const RunResult& result) {
   engine.set("stacks_reused", result.engine.stacks_reused);
   engine.set("default_stack_bytes", result.engine.default_stack_bytes);
   engine.set("peak_queue_depth", result.engine.peak_queue_depth);
-  engine.set("queue_overflow_pushes", result.engine.queue_overflow_pushes);
-  engine.set("queue_retunes", result.engine.queue_retunes);
   engine.set("peak_rss_bytes", sim::peak_rss_bytes());
   doc.set("engine", engine);
   doc.set("time", obs::time_breakdown_json(result.sum));
