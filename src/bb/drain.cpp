@@ -33,6 +33,9 @@ void DrainScheduler::on_stage(int node) {
       arm_deadline(node, store_.world_.engine().now() + config.drain_deadline);
       break;
   }
+  if (store_.flush_waiters_ > 0) {
+    kick(node);  // a waiting flush overrides every policy gate
+  }
 }
 
 void DrainScheduler::kick(int node) {
@@ -92,7 +95,6 @@ void DrainScheduler::drain_loop(int node) {
       }
     }
     write_segment(node);
-    store_.drained_.notify_all(engine);
   }
   arena.drainer_active = false;
   if (arena.queue.empty()) {
@@ -108,7 +110,6 @@ void DrainScheduler::write_segment(int node) {
 
   StagingStore::StagedSegment seg = std::move(arena.queue.front());
   arena.queue.pop_front();
-  arena.in_flight = seg.extents;
   arena.in_flight_bytes = seg.bytes;
 
   // Synthetic fs client id: the node's drain agent, distinct from every
@@ -178,8 +179,8 @@ void DrainScheduler::write_segment(int node) {
   }
 
   arena.used -= seg.bytes;
-  arena.in_flight.clear();
   arena.in_flight_bytes = 0;
+  store_.land(node, seg.extents);
 }
 
 }  // namespace parcoll::bb

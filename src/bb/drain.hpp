@@ -9,8 +9,10 @@
 //
 // Policy gates (see bb::DrainPolicy) decide when the fiber starts and
 // whether it pauses; all of them are overridden while a flush is waiting
-// or after a deadline timer marks the arena overdue, so flushes never
-// stall behind a policy and staged data never waits unboundedly.
+// (a flush kicks every node when it starts, on_stage kicks the nodes that
+// stage while it waits) or after a deadline timer marks the arena overdue,
+// so flushes never stall behind a policy and staged data never waits
+// unboundedly.
 #pragma once
 
 #include "sim/engine.hpp"
@@ -23,7 +25,7 @@ class DrainScheduler {
  public:
   explicit DrainScheduler(StagingStore& store) : store_(store) {}
 
-  /// Policy trigger after a segment lands in `node`'s arena.
+  /// Policy trigger after a segment is staged in `node`'s arena.
   void on_stage(int node);
 
   /// Ensure a drain fiber is running for `node` (no-op if one is active

@@ -25,11 +25,8 @@ StagingStore::StagingStore(mpi::World& world, int fs_id, BbConfig config,
       probe_ids_.push_back(sampler->add_probe(
           obs::MetricsRegistry::indexed("bb.node.backlog_bytes", n),
           [this, n] {
-            std::uint64_t queued = 0;
-            for (const StagedSegment& seg : arenas_[n].queue) {
-              queued += seg.bytes;
-            }
-            return static_cast<double>(queued);
+            return static_cast<double>(arenas_[n].used -
+                                       arenas_[n].in_flight_bytes);
           }));
     }
   }
@@ -41,59 +38,6 @@ StagingStore::~StagingStore() {
       sampler->remove_probe(id);
     }
   }
-}
-
-bool StagingStore::overlaps(std::span<const fs::Extent> a,
-                            std::span<const fs::Extent> b) {
-  // Extent lists are monotone (view mapping and staging both keep them
-  // sorted), so a linear merge-walk suffices.
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i].end() <= b[j].offset) {
-      ++i;
-    } else if (b[j].end() <= a[i].offset) {
-      ++j;
-    } else {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool StagingStore::arena_overlaps(const NodeArena& arena,
-                                  std::span<const fs::Extent> extents) const {
-  if (!arena.in_flight.empty() && overlaps(arena.in_flight, extents)) {
-    return true;
-  }
-  for (const StagedSegment& seg : arena.queue) {
-    if (overlaps(seg.extents, extents)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool StagingStore::any_overlap(std::span<const fs::Extent> extents) const {
-  for (const NodeArena& arena : arenas_) {
-    if (arena_overlaps(arena, extents)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool StagingStore::conflicts_elsewhere(
-    int node, std::span<const fs::Extent> extents) const {
-  for (std::size_t n = 0; n < arenas_.size(); ++n) {
-    if (static_cast<int>(n) == node) {
-      continue;
-    }
-    if (arena_overlaps(arenas_[n], extents)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 bool StagingStore::stage(mpi::Rank& self, std::span<const fs::Extent> extents,
@@ -140,6 +84,7 @@ bool StagingStore::stage(mpi::Rank& self, std::span<const fs::Extent> extents,
     }
   }
   arena.used += bytes;
+  index_.add(self.node(), extents);
   arena.queue.push_back(std::move(seg));
   ++stats_.bb_staged_segments;
   stats_.bb_staged_bytes += bytes;
@@ -157,21 +102,25 @@ bool StagingStore::stage(mpi::Rank& self, std::span<const fs::Extent> extents,
 void StagingStore::flush_until_clear(mpi::Rank& self,
                                      std::span<const fs::Extent> extents) {
   auto pending = [&] {
-    return extents.empty() ? !idle() : any_overlap(extents);
+    return extents.empty() ? !idle() : index_.overlaps(extents);
   };
   if (!pending()) {
     return;
   }
   const double start = self.now();
   mpi::SpanGuard flush_span(self, obs::SpanKind::Stage, "bb_flush");
+  const int waits_on_extents = extents.empty() ? 0 : 1;
   ++flush_waiters_;
+  extent_waiters_ += waits_on_extents;
+  // A waiting flush overrides every policy gate: the drain loop checks
+  // flush_waiters_, and on_stage kicks the nodes that stage meanwhile, so
+  // progress only needs the fibers running now.
+  sched_->kick_all();
+  sched_->poke();
   while (pending()) {
-    // A waiting flush overrides every policy gate (the drain loop checks
-    // flush_waiters_), so progress only needs the fibers to be running.
-    sched_->kick_all();
-    sched_->poke();
     drained_.wait(world_.engine(), "bb flush");
   }
+  extent_waiters_ -= waits_on_extents;
   --flush_waiters_;
   self.times().add(mpi::TimeCat::DrainWait, self.now() - start);
   if (auto* metrics = world_.metrics()) {
@@ -197,21 +146,13 @@ void StagingStore::foreground_end() {
   }
 }
 
-bool StagingStore::idle() const {
-  for (const NodeArena& arena : arenas_) {
-    if (!arena.queue.empty() || arena.in_flight_bytes != 0) {
-      return false;
-    }
+void StagingStore::land(int node, std::span<const fs::Extent> extents) {
+  index_.remove(node, extents);
+  // A flush_all waiter can finish only once the store is idle; one waiting
+  // on extents rechecks after every landing.
+  if (extent_waiters_ > 0 || idle()) {
+    drained_.notify_all(world_.engine());
   }
-  return true;
-}
-
-std::uint64_t StagingStore::pending_bytes() const {
-  std::uint64_t total = 0;
-  for (const NodeArena& arena : arenas_) {
-    total += arena.used;
-  }
-  return total;
 }
 
 }  // namespace parcoll::bb

@@ -31,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <span>
 #include <vector>
@@ -44,6 +45,57 @@
 namespace parcoll::bb {
 
 class DrainScheduler;
+
+/// Every extent a StagingStore holds, queued or being drained, ordered by
+/// offset and tagged with its node: overlap checks and flush conditions
+/// visit only entries that can overlap, not every node's queue. Two
+/// extents overlap when each starts before the other ends: touching
+/// extents do not, and a zero-length extent overlaps only an extent that
+/// strictly contains its offset.
+class ExtentIndex {
+ public:
+  void add(int node, std::span<const fs::Extent> extents) {
+    for (const fs::Extent& extent : extents) {
+      by_offset_.emplace(extent.offset, Entry{extent.end(), node});
+      if (extent.length > longest_) longest_ = extent.length;
+    }
+  }
+
+  /// Remove one entry per extent, as added by `add(node, extents)`.
+  void remove(int node, std::span<const fs::Extent> extents) {
+    for (const fs::Extent& extent : extents) {
+      auto it = by_offset_.lower_bound(extent.offset);
+      while (it->second.end != extent.end() || it->second.node != node) ++it;
+      by_offset_.erase(it);
+    }
+    if (by_offset_.empty()) longest_ = 0;
+  }
+
+  /// Does an extent of a node other than `except` overlap `extents`?
+  /// (`except` = -1 excludes no node.)
+  [[nodiscard]] bool overlaps(std::span<const fs::Extent> extents,
+                              int except = -1) const {
+    for (const fs::Extent& extent : extents) {
+      // An entry starting at or before offset - longest_ ends by offset.
+      const std::uint64_t from =
+          extent.offset >= longest_ ? extent.offset - longest_ + 1 : 0;
+      for (auto it = by_offset_.lower_bound(from);
+           it != by_offset_.end() && it->first < extent.end(); ++it) {
+        if (it->second.end > extent.offset && it->second.node != except) {
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+
+  [[nodiscard]] bool empty() const { return by_offset_.empty(); }
+
+ private:
+  struct Entry { std::uint64_t end; int node; };
+  std::multimap<std::uint64_t, Entry> by_offset_;
+  std::uint64_t longest_ = 0;  // longest extent added since last empty
+};
 
 class StagingStore {
  public:
@@ -71,7 +123,9 @@ class StagingStore {
   /// Does any node other than `node` hold staged/in-flight data
   /// overlapping `extents`? (Same-node overlaps are ordered by the FIFO.)
   [[nodiscard]] bool conflicts_elsewhere(
-      int node, std::span<const fs::Extent> extents) const;
+      int node, std::span<const fs::Extent> extents) const {
+    return index_.overlaps(extents, node);
+  }
 
   /// Foreground-activity bracket, used by the Arbitrate policy: drains
   /// defer while any rank is inside a collective I/O call.
@@ -84,8 +138,9 @@ class StagingStore {
   }
   void note_conflict_flush() { ++stats_.bb_conflict_flushes; }
 
-  [[nodiscard]] bool idle() const;
-  [[nodiscard]] std::uint64_t pending_bytes() const;
+  /// Nothing staged or in flight. Every staged segment holds at least one
+  /// byte, so it has at least one indexed extent until it lands.
+  [[nodiscard]] bool idle() const { return index_.empty(); }
   [[nodiscard]] const BbConfig& config() const { return config_; }
   [[nodiscard]] mpi::World& world() { return world_; }
   [[nodiscard]] int fs_id() const { return fs_id_; }
@@ -110,11 +165,7 @@ class StagingStore {
   struct NodeArena {
     std::uint64_t used = 0;  // queued + in-flight bytes
     std::deque<StagedSegment> queue;
-    /// Extents of the segment the drain fiber is currently writing (empty
-    /// when none): flushes must wait for these too, or a later overlapping
-    /// write could complete before an older one.
-    std::vector<fs::Extent> in_flight;
-    std::uint64_t in_flight_bytes = 0;
+    std::uint64_t in_flight_bytes = 0;  // of the segment being drained
     bool drainer_active = false;
     /// A deadline timer fired with data still queued: policy gates are
     /// overridden until the arena empties.
@@ -122,30 +173,34 @@ class StagingStore {
     bool timer_armed = false;
   };
 
-  [[nodiscard]] static bool overlaps(std::span<const fs::Extent> a,
-                                     std::span<const fs::Extent> b);
-  [[nodiscard]] bool arena_overlaps(const NodeArena& arena,
-                                    std::span<const fs::Extent> extents) const;
-  [[nodiscard]] bool any_overlap(std::span<const fs::Extent> extents) const;
   /// Shared flush loop: kick every drainer and wait on segment completions
   /// until `extents` is clear (or, with empty extents, everything is).
   void flush_until_clear(mpi::Rank& self, std::span<const fs::Extent> extents);
+  /// A segment of `node` reached the file: drop its extents and wake the
+  /// flush waiters if one of them can now finish.
+  void land(int node, std::span<const fs::Extent> extents);
 
   mpi::World& world_;
   int fs_id_;
   BbConfig config_;
   std::vector<NodeArena> arenas_;  // one per topology node
+  /// Extents of every queued and in-flight segment, erased when it lands:
+  /// flushes wait for in-flight data too, or a later overlapping write
+  /// could complete before an older one.
+  ExtentIndex index_;
   std::unique_ptr<DrainScheduler> sched_;
   mpiio::FileStats& stats_;
   int foreground_ = 0;
   int flush_waiters_ = 0;
+  int extent_waiters_ = 0;  // flush waiters with extents (not flush_all)
   /// Per-rank monotone draw counters for the bb decay process (keyed by
   /// the staging rank, so draws are schedule-independent).
   std::vector<std::uint64_t> bb_draws_;
   /// Sampler probes registered by the constructor (occupancy and drain
   /// backlog per node); detached in the destructor.
   std::vector<std::size_t> probe_ids_;
-  /// Notified after every completed drain segment; flush waiters recheck.
+  /// Flush waiters. Notified when the store goes idle, and after every
+  /// landing while a flush waits on extents.
   sim::WaitQueue drained_;
 };
 

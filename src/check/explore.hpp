@@ -32,7 +32,7 @@ struct CheckConfig {
   int cb_nodes = 0;             // 0 = all nodes
   int min_group_size = 1;
   bool intranode = false;       // two-level intra-node aggregation
-  std::string fault_spec;       // FaultPlan::parse input; empty = clean
+  std::string fault_spec{};     // FaultPlan::parse input; empty = clean
   // Burst-buffer staging tier (bb=enable). Schedules and fault plans must
   // not change the bytes the drains eventually land.
   bool bb = false;

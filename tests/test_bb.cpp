@@ -2,14 +2,23 @@
 // write-behind against the synchronous path across workloads and drain
 // policies, capacity-pressure spill accounting, drain-failure replay
 // (staged data survives OST outages with no loss and no double-write),
-// split-phase writes staging into the file's own store, and the wall
-// report's hidden/exposed drain attribution.
+// split-phase writes staging into the file's own store, the wall
+// report's hidden/exposed drain attribution, cross-node overwrite
+// ordering, the flush wake rule, and the store's extent index against a
+// brute-force scan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <deque>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "bb/options.hpp"
+#include "bb/staging.hpp"
 #include "core/file_area.hpp"
+#include "core/parcoll.hpp"
 #include "core/split.hpp"
 #include "fault/fault.hpp"
 #include "mpiio/file.hpp"
@@ -345,6 +354,240 @@ TEST(BurstBuffer, WallReportCarriesDrainAttribution) {
   EXPECT_DOUBLE_EQ(plain.drain_seconds, 0.0);
   EXPECT_EQ(obs::format_wall_report(plain).find("bb drain work"),
             std::string::npos);
+}
+
+// --- cross-node overwrites -------------------------------------------------
+
+TEST(BurstBuffer, CrossNodeOverwriteFlushesTheOlderNodeFirst) {
+  // jaguar(8) puts two ranks on each of 4 nodes, and every rank
+  // aggregates an equal file domain. The first call covers 16 KiB, so
+  // each node stages 4 KiB of it; the second covers 32 KiB, so nodes 0
+  // and 1 rewrite the first 16 KiB, three quarters of it staged on other
+  // nodes. A backlog queued on node 1 beforehand makes its older bytes
+  // land after node 0's newer ones, unless the overwriting stage flushes
+  // them first.
+  constexpr std::uint64_t kBlock = 4096;
+  constexpr std::uint64_t kBacklog = 4 << 20;
+  constexpr std::uint64_t kFirstSalt = 31;
+  constexpr std::uint64_t kSecondSalt = 32;
+  mpi::World world(machine::MachineModel::jaguar(8));
+  mpiio::Hints hints;
+  hints.bb.enabled = true;
+  hints.bb.policy = bb::DrainPolicy::Watermark;
+  bool readback = true;
+  mpiio::FileStats stats;
+  world.run([&](mpi::Rank& self) {
+    mpiio::FileHandle file(self, self.comm_world(), "overwrite.dat", hints);
+    const auto rank = static_cast<std::uint64_t>(self.rank());
+    // The backlog call spans 8 domains of kBacklog bytes past the 32 KiB:
+    // ranks 2 and 3 fill node 1's two domains, every other rank writes
+    // one byte of its own (rank 7's ends the span).
+    const bool backlog = self.rank() == 2 || self.rank() == 3;
+    const fs::Extent far{
+        (rank + 1) * kBacklog + (self.rank() == 7 ? kBacklog - 1 : 0),
+        backlog ? kBacklog : 1};
+    std::vector<std::byte> data(kBacklog);
+    fill_stream(data.data(), std::span(&far, 1), kFirstSalt);
+    core::write_at_all(file, far.offset, data.data(), 1,
+                       dtype::Datatype::bytes(far.length));
+
+    const fs::Extent mine{rank * kBlock, kBlock};
+    const auto first_count = self.rank() < 4 ? 1u : 0u;
+    fill_stream(data.data(), std::span(&mine, 1), kFirstSalt);
+    core::write_at_all(file, mine.offset, data.data(), first_count,
+                       dtype::Datatype::bytes(kBlock));
+    fill_stream(data.data(), std::span(&mine, 1), kSecondSalt);
+    core::write_at_all(file, mine.offset, data.data(), 1,
+                       dtype::Datatype::bytes(kBlock));
+    file.close();
+    auto* store = dynamic_cast<fs::MemoryStore*>(&self.world().fs().store());
+    readback = readback && store != nullptr &&
+               verify_store(*store, file.fs_id(), std::span(&mine, 1),
+                            kSecondSalt);
+    if (self.rank() == 0) stats = file.stats();
+  });
+  EXPECT_GT(stats.bb_conflict_flushes, 0u);
+  EXPECT_TRUE(readback) << "an older staged write landed over a newer one";
+}
+
+// --- flush wake rule -------------------------------------------------------
+
+TEST(BurstBuffer, FlushWaitersWakeOnlyWhenOneCanFinish) {
+  // Every rank waits in close() while the watermark drain lands the whole
+  // file, so waking each waiter on every landing would cost nranks events
+  // per segment. Waking them only when the store goes idle keeps bb's
+  // extra events proportional to segments plus ranks.
+  const int nprocs = 32;
+  RunSpec spec;
+  spec.impl = Impl::Ext2ph;
+  spec.byte_true = false;
+  spec.intranode = node::IntranodeMode::Auto;
+  const auto config = TileIOConfig::paper(nprocs);
+  const auto off = run_tileio(config, nprocs, spec, true);
+  spec.bb.enabled = true;
+  spec.bb.policy = bb::DrainPolicy::Watermark;
+  const auto on = run_tileio(config, nprocs, spec, true);
+  ASSERT_GT(on.stats.bb_staged_segments, 0u);
+  EXPECT_LE(on.engine.events_executed,
+            off.engine.events_executed +
+                4 * (on.stats.bb_staged_segments + nprocs));
+}
+
+TEST(BurstBuffer, SyncFinishesWhileAnotherNodeKeepsStaging) {
+  // Rank 0 syncs while ranks on node 1 keep staging below the watermark.
+  // The sync waits for an idle store, so the segments staged during the
+  // wait must start draining at once, not when node 1 reaches the
+  // watermark (never, here): the run would otherwise deadlock at close.
+  // Collective buffering is off, so each call stages every rank's own
+  // block without coordination.
+  constexpr std::uint64_t kBlock = 4096;
+  constexpr int kCalls = 4;
+  constexpr double kGap = 1e-4;
+  constexpr std::uint64_t kSalt = 41;
+  mpi::World world(machine::MachineModel::jaguar(4));
+  mpiio::Hints hints;
+  hints.bb.enabled = true;
+  hints.bb.policy = bb::DrainPolicy::Watermark;
+  hints.cb_write_enabled = false;
+  double sync_begin = 0;
+  double sync_end = 0;
+  std::vector<double> staged_at;
+  bool durable = true;
+  mpiio::FileStats stats;
+  world.run([&](mpi::Rank& self) {
+    mpiio::FileHandle file(self, self.comm_world(), "sync.dat", hints);
+    const auto nranks = static_cast<std::uint64_t>(self.world().nranks());
+    std::vector<fs::Extent> mine;
+    std::vector<std::byte> data(kBlock);
+    for (int call = 0; call < kCalls; ++call) {
+      const fs::Extent block{
+          (static_cast<std::uint64_t>(call) * nranks +
+           static_cast<std::uint64_t>(self.rank())) * kBlock,
+          kBlock};
+      mine.push_back(block);
+      if (self.rank() != 0) self.busy(mpi::TimeCat::Compute, kGap);
+      if (self.node() == 1) staged_at.push_back(self.now());
+      fill_stream(data.data(), std::span(&block, 1), kSalt);
+      core::write_at_all(file, block.offset, data.data(), 1,
+                         dtype::Datatype::bytes(kBlock));
+      if (self.rank() == 0 && call == 0) {
+        sync_begin = self.now();
+        file.sync();
+        sync_end = self.now();
+      }
+    }
+    file.close();
+    auto* store = dynamic_cast<fs::MemoryStore*>(&self.world().fs().store());
+    durable = durable && store != nullptr &&
+              verify_store(*store, file.fs_id(), mine, kSalt);
+    if (self.rank() == 0) stats = file.stats();
+  });
+  EXPECT_TRUE(durable);
+  EXPECT_EQ(stats.bb_staged_segments, 4u * kCalls);
+  // The premise: node 1 staged while the sync was waiting.
+  EXPECT_TRUE(std::any_of(staged_at.begin(), staged_at.end(), [&](double t) {
+    return t > sync_begin && t < sync_end;
+  }));
+}
+
+// --- the store's extent index ----------------------------------------------
+
+bool brute_overlap(const std::vector<std::deque<std::vector<fs::Extent>>>& nodes,
+                   std::span<const fs::Extent> query, int except) {
+  for (std::size_t node = 0; node < nodes.size(); ++node) {
+    if (static_cast<int>(node) == except) continue;
+    for (const std::vector<fs::Extent>& segment : nodes[node]) {
+      for (const fs::Extent& a : segment) {
+        for (const fs::Extent& b : query) {
+          if (a.offset < b.end() && b.offset < a.end()) return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
+TEST(BbExtentIndex, BoundaryCases) {
+  bb::ExtentIndex index;
+  const fs::Extent staged{100, 50};  // [100, 150) on node 1
+  index.add(1, std::span(&staged, 1));
+  const auto hit = [&](std::uint64_t offset, std::uint64_t length,
+                       int except = -1) {
+    const fs::Extent query{offset, length};
+    return index.overlaps(std::span(&query, 1), except);
+  };
+  EXPECT_FALSE(hit(50, 50));    // ends where the staged extent starts
+  EXPECT_FALSE(hit(150, 10));   // starts where it ends
+  EXPECT_TRUE(hit(149, 1));
+  EXPECT_TRUE(hit(0, 1000));
+  EXPECT_FALSE(hit(120, 5, 1));  // the excluded node
+  EXPECT_TRUE(hit(120, 5, 0));
+  EXPECT_TRUE(hit(120, 0));      // zero-length, strictly inside
+  EXPECT_FALSE(hit(100, 0));     // zero-length at the start
+  index.remove(1, std::span(&staged, 1));
+  EXPECT_TRUE(index.empty());
+  EXPECT_FALSE(hit(0, 1000));
+}
+
+TEST(BbExtentIndex, MatchesBruteForceScan) {
+  // Random segments of random extents on random nodes, landing in FIFO
+  // order per node. Landings outpace stages, so the index often drains
+  // and its longest extent starts over. Half of the queries probe the
+  // edges of a live extent: its last byte, the bytes just past either
+  // end, and zero-length points on and inside it.
+  constexpr int kNodes = 4;
+  std::mt19937_64 rng(20081);
+  const auto draw = [&](std::uint64_t n) { return rng() % n; };
+  const auto random_extents = [&] {
+    std::vector<fs::Extent> extents(1 + draw(3));
+    for (fs::Extent& extent : extents) {
+      extent.offset = draw(128);
+      extent.length = draw(3) == 0 ? draw(24) : 8;
+    }
+    return extents;
+  };
+  bb::ExtentIndex index;
+  std::vector<std::deque<std::vector<fs::Extent>>> nodes(kNodes);
+  std::size_t live = 0;
+  const auto live_extent = [&] {
+    int node = static_cast<int>(draw(kNodes));
+    while (nodes[node].empty()) node = (node + 1) % kNodes;
+    const auto& segment = nodes[node][draw(nodes[node].size())];
+    return segment[draw(segment.size())];
+  };
+  for (int step = 0; step < 50000; ++step) {
+    const auto op = draw(10);
+    if (op < 3) {
+      const int node = static_cast<int>(draw(kNodes));
+      nodes[node].push_back(random_extents());
+      index.add(node, nodes[node].back());
+      ++live;
+    } else if (op < 6 && live > 0) {
+      int node = static_cast<int>(draw(kNodes));
+      while (nodes[node].empty()) node = (node + 1) % kNodes;
+      index.remove(node, nodes[node].front());
+      nodes[node].pop_front();
+      --live;
+    } else {
+      std::vector<fs::Extent> query = random_extents();
+      if (live > 0 && draw(2) == 0) {
+        const fs::Extent x = live_extent();
+        const std::uint64_t k = 1 + draw(4);
+        const std::array<fs::Extent, 4> edges{
+            fs::Extent{x.end() > 0 ? x.end() - 1 : 0, 1},
+            fs::Extent{x.end(), k},
+            fs::Extent{x.offset >= k ? x.offset - k : 0,
+                       x.offset >= k ? k : x.offset},
+            fs::Extent{x.offset + draw(x.length + 1), 0}};
+        query.assign(1, edges[draw(edges.size())]);
+      }
+      const int except = static_cast<int>(draw(kNodes + 1)) - 1;
+      ASSERT_EQ(index.overlaps(query, except),
+                brute_overlap(nodes, query, except))
+          << "step " << step;
+    }
+    ASSERT_EQ(index.empty(), live == 0) << "step " << step;
+  }
 }
 
 }  // namespace

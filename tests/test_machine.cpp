@@ -73,7 +73,9 @@ TEST(Topology, RanksOnNodePartitionsAllRanks) {
       const auto ranks = topo.ranks_on_node(n);
       for (std::size_t i = 0; i < ranks.size(); ++i) {
         EXPECT_EQ(topo.node_of(ranks[i]), n);
-        if (i > 0) EXPECT_LT(ranks[i - 1], ranks[i]);  // ascending
+        if (i > 0) {
+          EXPECT_LT(ranks[i - 1], ranks[i]);  // ascending
+        }
         seen.push_back(ranks[i]);
       }
     }
@@ -87,7 +89,7 @@ TEST(Topology, BadArgumentsThrow) {
   const Topology topo(4, 2);
   EXPECT_THROW(static_cast<void>(topo.node_of(-1)), std::out_of_range);
   EXPECT_THROW(static_cast<void>(topo.node_of(4)), std::out_of_range);
-  EXPECT_THROW(topo.ranks_on_node(2), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(topo.ranks_on_node(2)), std::out_of_range);
 }
 
 TEST(MachineModel, JaguarDefaultsMatchPaperTestbed) {

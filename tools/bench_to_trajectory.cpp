@@ -7,10 +7,11 @@
 // the file stays small as history accumulates.
 //
 // Usage:
-//   bench_to_trajectory --out BENCH_smoke.json --label pr5 \
+//   bench_to_trajectory --out BENCH_smoke.json --label baseline
 //       abl_group_size.json abl_seeds.json ...
-//   bench_to_trajectory --check-regression BENCH_smoke.json 2 \
+//   bench_to_trajectory --check-regression BENCH_smoke.json 2
 //       abl_group_size.json abl_seeds.json ...
+// (each command is one line; the inputs are wrapped here for width)
 //
 // When --out already exists and is a valid trajectory document, the new
 // entry is appended to its "runs" array; otherwise a fresh document is
