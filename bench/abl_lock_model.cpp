@@ -65,6 +65,14 @@ int main(int argc, char** argv) {
     return workloads::run_flashio(flash_config, nprocs, spec, true);
   };
   compare("flash posix (w/o coll)", flash, posix_spec(), nprocs);
+  // The other two independent paths (data sieving, batched), so the smoke
+  // gate also pins their clocks.
+  auto sieving = posix_spec();
+  sieving.impl = workloads::Impl::Sieving;
+  compare("flash sieving (w/o coll)", flash, sieving, nprocs);
+  auto batched = posix_spec();
+  batched.impl = workloads::Impl::Independent;
+  compare("flash independent", flash, batched, nprocs);
   compare("flash ParColl-32", flash, parcoll_spec(32), nprocs);
 
   footnote("sync-driven gaps survive lock-free; independent-write collapse");

@@ -181,22 +181,13 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
   if (!cb_enabled) {
     // romio_cb_write/read=disable: the collective call is serviced locally
     // with data sieving, exactly as ROMIO degrades it. No coordination.
-    bb::BbTarget target(fs, fs_id, bb_store);
-    if (prep.extents.size() <= 1) {
-      if (is_write) {
-        target.write(self, prep.extents, prep.data());
-      } else {
-        target.read(self, prep.extents,
-                    prep.packed.empty() ? nullptr : prep.packed.data());
-      }
-    } else {
-      if (bb_store != nullptr) {
-        // Sieving read-modify-writes the filesystem directly; staged data
-        // covering these extents must land first.
-        bb_store->flush_overlapping(self, prep.extents);
-      }
-      mpiio::sieve_rmw(self, fs_id, prep, is_write);
+    // Sieve windows bypass the staging store, so staged data under them
+    // lands first.
+    if (bb_store != nullptr && prep.extents.size() > 1) {
+      bb_store->flush_overlapping(self, prep.extents);
     }
+    bb::BbTarget target(fs, fs_id, bb_store);
+    mpiio::sieve_serve(self, target, fs_id, prep, is_write);
     return outcome;
   }
 
@@ -357,48 +348,27 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
   return outcome;
 }
 
-void record_collective(mpiio::FileHandle& file,
-                       const CollectiveOutcome& outcome, bool is_write,
-                       mpiio::FileStats delta) {
-  (is_write ? delta.bytes_written : delta.bytes_read) = outcome.bytes;
-  delta.exchange_cycles = outcome.cycles;
-  delta.rmw_reads = outcome.rmw_reads;
-  delta.intranode_bytes = outcome.intra_bytes;
+mpiio::FileStats collective_counts(mpiio::FileHandle& file,
+                                   const CollectiveOutcome& outcome,
+                                   bool is_write) {
+  mpiio::FileStats counts;
+  counts.exchange_cycles = outcome.cycles;
+  counts.rmw_reads = outcome.rmw_reads;
+  counts.intranode_bytes = outcome.intra_bytes;
   // Call-level counters are recorded once per collective call, by the
   // call's first rank; per-rank quantities (time, bytes, cycles) sum.
   if (file.comm().local_rank(file.self().rank()) == 0) {
-    (is_write ? delta.collective_writes : delta.collective_reads) = 1;
-    delta.intranode_calls = outcome.two_level ? 1 : 0;
-    delta.parcoll_calls =
+    (is_write ? counts.collective_writes : counts.collective_reads) = 1;
+    counts.intranode_calls = outcome.two_level ? 1 : 0;
+    counts.parcoll_calls =
         ParcollSettings::from(file.hints()).enabled() ? 1 : 0;
-    delta.view_switches = outcome.mode == PartitionMode::Intermediate ? 1 : 0;
-    delta.last_num_groups = outcome.num_groups;
+    counts.view_switches = outcome.mode == PartitionMode::Intermediate ? 1 : 0;
+    counts.last_num_groups = outcome.num_groups;
   }
-  file.add_stats(delta);
+  return counts;
 }
 
 namespace {
-CollectiveOutcome run_partitioned(mpiio::FileHandle& file,
-                                  mpiio::PreparedRequest& prep,
-                                  bool is_write) {
-  return run_collective_engine(file.self(), file.comm(), file.hints(),
-                               file.fs_id(), file.bb_store(), prep, is_write,
-                               &file.engine_cache());
-}
-
-/// Attribute this rank's degraded-mode events during one collective call
-/// to the call's stats delta. Valid because a rank's counters only change
-/// while its own fiber runs.
-void record_fault_delta(mpiio::FileStats& delta,
-                        const fault::FaultCounters& before,
-                        const fault::FaultCounters& after) {
-  delta.fault_retries = after.retries - before.retries;
-  delta.fault_failovers = after.failovers - before.failovers;
-  delta.fault_drops = after.drops - before.drops;
-  delta.fault_reelections = after.reelections - before.reelections;
-  delta.fault_stalls = after.stalls - before.stalls;
-}
-
 /// Collective error agreement at the end of a collective call (integrity
 /// on only): reduce the highest-priority pending unrecoverable-corruption
 /// word over the call's communicator; a nonzero maximum makes every rank
@@ -419,53 +389,38 @@ void agree_on_errors(mpiio::FileHandle& file) {
     throw integ->error_of(word);
   }
 }
+
+/// write_at_all / read_at_all: the lifecycle around the collective
+/// engine. The engine's targets go through the staging store, so the hooks
+/// flush nothing; reads verify before any aggregator serves the bytes.
+CollectiveOutcome collective_call(mpiio::FileHandle& file, bool is_write,
+                                  std::uint64_t offset, const void* buffer,
+                                  std::uint64_t count,
+                                  const dtype::Datatype& memtype) {
+  mpi::SpanGuard call_span(file.self(), obs::SpanKind::Call,
+                           is_write ? "write_at_all" : "read_at_all");
+  mpiio::IoCall call =
+      file.begin_call(is_write, mpiio::FileHandle::Route::Staged, offset,
+                      buffer, count, memtype);
+  const CollectiveOutcome outcome = run_collective_engine(
+      file.self(), file.comm(), file.hints(), file.fs_id(), file.bb_store(),
+      call.request, is_write, &file.engine_cache());
+  agree_on_errors(file);
+  file.end_call(call, collective_counts(file, outcome, is_write));
+  return outcome;
+}
 }  // namespace
 
 CollectiveOutcome write_at_all(mpiio::FileHandle& file, std::uint64_t offset,
                                const void* buffer, std::uint64_t count,
                                const dtype::Datatype& memtype) {
-  file.require_writable();
-  mpi::SpanGuard call_span(file.self(), obs::SpanKind::Call, "write_at_all");
-  const auto before = file.time_snapshot();
-  const fault::FaultCounters faults_before =
-      file.self().world().fault_counters(file.self().rank());
-  mpiio::PreparedRequest prep =
-      file.prepare_write(offset, buffer, count, memtype);
-  file.register_write(prep);
-  const CollectiveOutcome outcome = run_partitioned(file, prep, true);
-  agree_on_errors(file);
-
-  mpiio::FileStats delta;
-  delta.time = mpiio::FileHandle::time_delta(before, file.time_snapshot());
-  record_fault_delta(delta, faults_before,
-                     file.self().world().fault_counters(file.self().rank()));
-  record_collective(file, outcome, /*is_write=*/true, delta);
-  return outcome;
+  return collective_call(file, true, offset, buffer, count, memtype);
 }
 
 CollectiveOutcome read_at_all(mpiio::FileHandle& file, std::uint64_t offset,
                               void* buffer, std::uint64_t count,
                               const dtype::Datatype& memtype) {
-  file.require_readable();
-  mpi::SpanGuard call_span(file.self(), obs::SpanKind::Call, "read_at_all");
-  const auto before = file.time_snapshot();
-  const fault::FaultCounters faults_before =
-      file.self().world().fault_counters(file.self().rank());
-  mpiio::PreparedRequest prep =
-      file.prepare_read(offset, buffer, count, memtype);
-  // Before any aggregator serves the bytes. No flush_staged: the collective
-  // engine reads through the staging store.
-  file.verify_read(prep);
-  const CollectiveOutcome outcome = run_partitioned(file, prep, false);
-  agree_on_errors(file);
-  file.finish_read(prep, buffer, count, memtype);
-
-  mpiio::FileStats delta;
-  delta.time = mpiio::FileHandle::time_delta(before, file.time_snapshot());
-  record_fault_delta(delta, faults_before,
-                     file.self().world().fault_counters(file.self().rank()));
-  record_collective(file, outcome, /*is_write=*/false, delta);
-  return outcome;
+  return collective_call(file, false, offset, buffer, count, memtype);
 }
 
 CollectiveOutcome write_all(mpiio::FileHandle& file, const void* buffer,
@@ -490,8 +445,9 @@ ParcollDecision plan_decision(mpiio::FileHandle& file, std::uint64_t offset,
                               const dtype::Datatype& memtype) {
   auto& self = file.self();
   const mpi::Comm& comm = file.comm();
-  mpiio::PreparedRequest prep =
-      file.prepare_read(offset, nullptr, count, memtype);
+  mpiio::PreparedRequest prep;
+  prep.bytes = count * memtype.size();
+  prep.extents = file.view().map(offset, prep.bytes);
   const auto accesses = mpi::allgather_shared(self, comm, access_of(prep));
   const SubgroupPlan plan = form_subgroups(self, comm, accesses, file.hints());
   ParcollDecision decision;

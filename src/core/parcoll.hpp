@@ -65,13 +65,12 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
                                         bool is_write,
                                         std::shared_ptr<void>* cache_slot);
 
-/// Fold one completed collective call into the file's stats. Every rank
-/// adds its own quantities (bytes, cycles, intra-node bytes); the file
-/// communicator's first rank adds the call-level counters. `delta` comes
-/// in carrying the call's time and fault attribution.
-void record_collective(mpiio::FileHandle& file,
-                       const CollectiveOutcome& outcome, bool is_write,
-                       mpiio::FileStats delta);
+/// The call counters of one completed collective call, for the lifecycle's
+/// stats fold (which adds the bytes, time and fault events). Every rank
+/// counts its own cycles and intra-node bytes; the file communicator's
+/// first rank counts the call-level counters.
+[[nodiscard]] mpiio::FileStats collective_counts(
+    mpiio::FileHandle& file, const CollectiveOutcome& outcome, bool is_write);
 
 /// The partitioning decision the hints + this request would produce, from
 /// the calling rank's perspective — runs the same collective planning

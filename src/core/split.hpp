@@ -21,27 +21,27 @@
 #include <memory>
 
 #include "core/parcoll.hpp"
+#include "mpiio/async.hpp"
 
 namespace parcoll::core {
-
-namespace detail {
-struct SplitState;
-}
 
 /// Handle to an outstanding split collective.
 class SplitRequest {
  public:
   SplitRequest() = default;
-  /// Internal: wraps the engine's state record (use the begin functions).
-  explicit SplitRequest(std::shared_ptr<detail::SplitState> state)
-      : state_(std::move(state)) {}
+  /// Internal: wraps the helper call and the slot its outcome lands in
+  /// (use the begin functions).
+  SplitRequest(std::shared_ptr<mpiio::HelperCall> call,
+               std::shared_ptr<CollectiveOutcome> outcome)
+      : call_(std::move(call)), outcome_(std::move(outcome)) {}
 
-  [[nodiscard]] bool valid() const { return state_ != nullptr; }
-  [[nodiscard]] bool done() const;
+  [[nodiscard]] bool valid() const { return call_ != nullptr; }
+  [[nodiscard]] bool done() const { return call_ && call_->done(); }
 
  private:
   friend CollectiveOutcome split_end(mpiio::FileHandle&, SplitRequest&);
-  std::shared_ptr<detail::SplitState> state_;
+  std::shared_ptr<mpiio::HelperCall> call_;
+  std::shared_ptr<CollectiveOutcome> outcome_;
 };
 
 /// Start a collective write at `offset`; the operation proceeds on a
@@ -59,7 +59,9 @@ SplitRequest read_at_all_begin(mpiio::FileHandle& file, std::uint64_t offset,
 
 /// Complete an outstanding split collective: blocks until the helper
 /// finishes (the wait is charged to Sync), merges the helper's time into
-/// the file statistics, and (for reads) unpacks into the user buffer.
+/// the file statistics, and (for reads) unpacks into the user buffer. No
+/// per-call error agreement runs here: an unrecoverable integrity error of
+/// a split call surfaces at close.
 CollectiveOutcome split_end(mpiio::FileHandle& file, SplitRequest& request);
 
 }  // namespace parcoll::core

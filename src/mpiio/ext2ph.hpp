@@ -44,6 +44,11 @@ class IoTarget {
                      const std::byte* data) = 0;
   virtual void read(mpi::Rank& self, std::span<const fs::Extent> extents,
                     std::byte* out) = 0;
+  /// write() or read(), by direction.
+  void transfer(mpi::Rank& self, std::span<const fs::Extent> extents,
+                std::byte* data, bool is_write) {
+    is_write ? write(self, extents, data) : read(self, extents, data);
+  }
 };
 
 /// Reads/writes the physical file.

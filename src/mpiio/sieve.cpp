@@ -116,11 +116,27 @@ void sieve_read_windows(mpi::Rank& self, int fs_id, PreparedRequest& request,
   }
 }
 
+/// sieve_*_at: the lifecycle around the sieve service, straight to the
+/// file system.
+void sieve_call(FileHandle& file, bool is_write, std::uint64_t offset,
+                const void* buffer, std::uint64_t count,
+                const dtype::Datatype& memtype,
+                std::uint64_t sieve_buffer_size) {
+  file.independent_call(is_write, offset, buffer, count, memtype,
+                        [&](IoTarget& target, PreparedRequest& request) {
+                          sieve_serve(file.self(), target, file.fs_id(),
+                                      request, is_write, sieve_buffer_size);
+                        });
+}
+
 }  // namespace
 
-void sieve_rmw(mpi::Rank& self, int fs_id, PreparedRequest& request,
-               bool is_write, std::uint64_t sieve_buffer_size) {
-  if (is_write) {
+void sieve_serve(mpi::Rank& self, IoTarget& target, int fs_id,
+                 PreparedRequest& request, bool is_write,
+                 std::uint64_t sieve_buffer_size) {
+  if (request.extents.size() <= 1) {
+    target.transfer(self, request.extents, request.data(), is_write);
+  } else if (is_write) {
     sieve_write_windows(self, fs_id, request, sieve_buffer_size);
   } else {
     sieve_read_windows(self, fs_id, request, sieve_buffer_size);
@@ -130,51 +146,13 @@ void sieve_rmw(mpi::Rank& self, int fs_id, PreparedRequest& request,
 void sieve_write_at(FileHandle& file, std::uint64_t offset, const void* buffer,
                     std::uint64_t count, const dtype::Datatype& memtype,
                     std::uint64_t sieve_buffer_size) {
-  const auto before = file.time_snapshot();
-  PreparedRequest request = file.prepare_write(offset, buffer, count, memtype);
-  file.register_write(request);
-  file.flush_staged(request);
-  auto& self = file.self();
-  auto& fs = self.world().fs();
-  DirectTarget target(fs, file.fs_id());
-
-  if (request.extents.size() <= 1) {
-    // Contiguous: plain write, no sieve.
-    target.write(self, request.extents, request.data());
-  } else {
-    sieve_write_windows(self, file.fs_id(), request, sieve_buffer_size);
-  }
-
-  FileStats delta;
-  delta.time = FileHandle::time_delta(before, file.time_snapshot());
-  delta.bytes_written = request.bytes;
-  delta.independent_writes = 1;
-  file.add_stats(delta);
+  sieve_call(file, true, offset, buffer, count, memtype, sieve_buffer_size);
 }
 
 void sieve_read_at(FileHandle& file, std::uint64_t offset, void* buffer,
                    std::uint64_t count, const dtype::Datatype& memtype,
                    std::uint64_t sieve_buffer_size) {
-  const auto before = file.time_snapshot();
-  PreparedRequest request = file.prepare_read(offset, buffer, count, memtype);
-  file.flush_staged(request);
-  file.verify_read(request);
-  auto& self = file.self();
-  DirectTarget target(self.world().fs(), file.fs_id());
-
-  if (request.extents.size() <= 1) {
-    target.read(self, request.extents,
-                request.packed.empty() ? nullptr : request.packed.data());
-  } else {
-    sieve_read_windows(self, file.fs_id(), request, sieve_buffer_size);
-  }
-  file.finish_read(request, buffer, count, memtype);
-
-  FileStats delta;
-  delta.time = FileHandle::time_delta(before, file.time_snapshot());
-  delta.bytes_read = request.bytes;
-  delta.independent_reads = 1;
-  file.add_stats(delta);
+  sieve_call(file, false, offset, buffer, count, memtype, sieve_buffer_size);
 }
 
 }  // namespace parcoll::mpiio

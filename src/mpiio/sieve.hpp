@@ -32,11 +32,14 @@ void sieve_read_at(FileHandle& file, std::uint64_t offset, void* buffer,
                    std::uint64_t count, const dtype::Datatype& memtype,
                    std::uint64_t sieve_buffer_size = kDefaultSieveBuffer);
 
-/// Service an already-prepared non-contiguous request by sieving (used by
-/// the collective layer when collective buffering is disabled by hint).
-/// Handle-independent so helper fibers (split collectives) can call it.
-void sieve_rmw(mpi::Rank& self, int fs_id, PreparedRequest& request,
-               bool is_write,
-               std::uint64_t sieve_buffer_size = kDefaultSieveBuffer);
+/// The data-sieving service of a prepared request, shared by sieve_*_at and
+/// the collective calls that romio_cb_write/read=disable degrade: a request
+/// of one extent goes to `target` whole; a longer one goes through sieve
+/// windows, which reach the file system directly (staged burst-buffer data
+/// under them must have landed). Handle-independent so helper fibers
+/// (split collectives) can call it.
+void sieve_serve(mpi::Rank& self, IoTarget& target, int fs_id,
+                 PreparedRequest& request, bool is_write,
+                 std::uint64_t sieve_buffer_size = kDefaultSieveBuffer);
 
 }  // namespace parcoll::mpiio

@@ -1,7 +1,12 @@
 #include "workloads/runner.hpp"
 
+#include "core/parcoll.hpp"
 #include "fs/lustre.hpp"
+#include "mpi/collectives.hpp"
+#include "mpiio/independent.hpp"
+#include "mpiio/sieve.hpp"
 #include "obs/run_export.hpp"
+#include "workloads/pattern.hpp"
 
 namespace parcoll::workloads {
 
@@ -48,6 +53,35 @@ machine::MachineModel RunSpec::model(int nranks) const {
   return model;
 }
 
+void transfer(const RunSpec& spec, mpiio::FileHandle& file, bool write,
+              std::uint64_t offset, void* buffer, std::uint64_t count,
+              const dtype::Datatype& memtype) {
+  switch (spec.impl) {
+    case Impl::PosixIndependent:
+      write ? mpiio::posix_write_at(file, offset, buffer, count, memtype)
+            : mpiio::posix_read_at(file, offset, buffer, count, memtype);
+      break;
+    case Impl::Sieving:
+      write ? mpiio::sieve_write_at(file, offset, buffer, count, memtype)
+            : mpiio::sieve_read_at(file, offset, buffer, count, memtype);
+      break;
+    case Impl::Independent:
+      write ? file.write_at(offset, buffer, count, memtype)
+            : file.read_at(offset, buffer, count, memtype);
+      break;
+    case Impl::Ext2ph:
+    case Impl::ParColl:
+      write ? core::write_at_all(file, offset, buffer, count, memtype)
+            : core::read_at_all(file, offset, buffer, count, memtype);
+      break;
+  }
+}
+
+namespace {
+
+/// Turn on the observers a spec asks for before World::run. A no-op for
+/// the default spec, keeping the simulated run bit-identical to an
+/// unobserved one.
 void apply_observability(mpi::World& world, const RunSpec& spec) {
   if (spec.stack_bytes != 0) {
     // Before any rank fiber is spawned, so every stack gets the size (and
@@ -74,37 +108,71 @@ void apply_observability(mpi::World& world, const RunSpec& spec) {
   }
 }
 
-RunResult collect(const mpi::World& world, const PhaseClock& clock,
-                  std::uint64_t bytes, const mpiio::FileStats& stats) {
+}  // namespace
+
+RunResult Driver::run(
+    int nranks, const RunSpec& spec, std::uint64_t bytes,
+    const std::function<void(mpi::Rank&, Driver&)>& rank_main) {
+  mpi::World world(spec.model(nranks), spec.byte_true);
+  world.set_fault(spec.fault);
+  apply_observability(world, spec);
+  Driver driver;
+  world.run([&](mpi::Rank& self) { rank_main(self, driver); });
+
   RunResult result;
-  result.elapsed = clock.elapsed();
+  result.elapsed = driver.t1_ - driver.t0_;
   result.total_elapsed = world.elapsed();
   result.bytes = bytes;
   for (const mpi::TimeBreakdown& breakdown : world.rank_times()) {
     result.sum += breakdown;
   }
-  result.stats = stats;
-  auto& mutable_world = const_cast<mpi::World&>(world);
-  auto& fs = mutable_world.fs();
+  result.stats = driver.stats_;
+  result.verified = driver.verified_;
+  auto& fs = world.fs();
   result.fs_rpcs = fs.total_rpcs();
   result.fs_lock_switches = fs.total_lock_switches();
-  result.schedule_token = mutable_world.engine().schedule_token();
-  result.choice_points = mutable_world.engine().choice_log().size();
+  result.schedule_token = world.engine().schedule_token();
+  result.choice_points = world.engine().choice_log().size();
   result.file_digest = fs.store().content_digest();
-  result.engine = mutable_world.engine().stats();
-  if (mutable_world.tracer() != nullptr) {
-    result.trace = std::make_shared<mpi::Tracer>(*mutable_world.tracer());
+  result.engine = world.engine().stats();
+  if (world.tracer() != nullptr) {
+    result.trace = std::make_shared<mpi::Tracer>(*world.tracer());
   }
-  result.faults = mutable_world.fault_state().total();
-  if (mutable_world.metrics() != nullptr) {
-    result.metrics =
-        std::make_shared<obs::MetricsRegistry>(*mutable_world.metrics());
+  result.faults = world.fault_state().total();
+  if (world.metrics() != nullptr) {
+    result.metrics = std::make_shared<obs::MetricsRegistry>(*world.metrics());
   }
-  if (mutable_world.sampler() != nullptr) {
-    result.timeline = mutable_world.sampler()->snapshot();
+  if (world.sampler() != nullptr) {
+    result.timeline = world.sampler()->snapshot();
   }
   result.jobs = world.client_jobs();
   return result;
+}
+
+void Driver::measure(mpi::Rank& self, const mpi::Comm& comm,
+                     const std::function<void()>& phase) {
+  mpi::barrier(self, comm);
+  if (!started_) {
+    t0_ = self.now();
+    started_ = true;
+  }
+  phase();
+  mpi::barrier(self, comm);
+  t1_ = self.now() > t1_ ? self.now() : t1_;
+}
+
+void Driver::report(mpi::Rank& self, const mpiio::FileStats& stats,
+                    bool verified) {
+  verified_ = verified_ && verified;
+  if (self.rank() == 0) {
+    stats_ = stats;
+  }
+}
+
+bool Driver::stored(mpi::Rank& self, int fs_id,
+                    std::span<const fs::Extent> extents, std::uint64_t salt) {
+  auto* store = dynamic_cast<fs::MemoryStore*>(&self.world().fs().store());
+  return store != nullptr && verify_store(*store, fs_id, extents, salt);
 }
 
 obs::JsonValue run_result_json(const RunResult& result) {
