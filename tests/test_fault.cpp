@@ -24,6 +24,7 @@
 #include "fs/ost.hpp"
 #include "mpi/collectives.hpp"
 #include "mpiio/file.hpp"
+#include "workloads/ior.hpp"
 #include "workloads/pattern.hpp"
 
 namespace parcoll {
@@ -484,6 +485,28 @@ TEST(FaultRecovery, SingleOstOutageMidWriteCompletesCorrectly) {
     // The recovery shows up in the file's close-time summary too.
     EXPECT_EQ(run.stats.fault_retries, run.faults.retries);
     EXPECT_EQ(run.stats.fault_failovers, run.faults.failovers);
+  }
+}
+
+/// The blocking independent families fold their fault events into the
+/// file's close-time stats, as the collectives do: 16-rank IOR with
+/// dropped RPCs reports the same retries and drops in the summary as in
+/// the run's fault counters.
+TEST(FaultRecovery, IndependentCallsFoldFaultsIntoFileStats) {
+  for (workloads::Impl impl :
+       {workloads::Impl::Independent, workloads::Impl::PosixIndependent,
+        workloads::Impl::Sieving, workloads::Impl::Ext2ph}) {
+    workloads::RunSpec spec;
+    spec.impl = impl;
+    spec.byte_true = false;
+    spec.fault = fault::FaultPlan::parse("seed=3;rpc-drop=0.02");
+    const workloads::RunResult run =
+        workloads::run_ior(workloads::IorConfig{}, 16, spec, /*write=*/true);
+    const char* name = workloads::to_string(impl);
+    EXPECT_GT(run.faults.retries, 0u) << name;
+    EXPECT_EQ(run.stats.fault_retries, run.faults.retries) << name;
+    EXPECT_EQ(run.stats.fault_drops, run.faults.drops) << name;
+    EXPECT_EQ(run.stats.fault_failovers, run.faults.failovers) << name;
   }
 }
 
