@@ -3,7 +3,6 @@
 #include <cstring>
 #include <optional>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
 #include "bb/staging.hpp"
@@ -61,8 +60,6 @@ std::uint64_t roster_hash(double agreed, const std::vector<int>& roster) {
   return h;
 }
 
-using Ext2phOutcomePair = std::pair<std::uint64_t, std::uint64_t>;
-
 RankAccess access_of(const mpiio::PreparedRequest& request) {
   RankAccess access;
   if (!request.extents.empty()) {
@@ -71,26 +68,6 @@ RankAccess access_of(const mpiio::PreparedRequest& request) {
   }
   access.bytes = request.bytes;
   return access;
-}
-
-/// The per-handle cached partition: established by the first ParColl call
-/// after a view is set, reused by later calls so that subgroups only ever
-/// synchronize among themselves and drift independently through time.
-struct PlanCache {
-  SubgroupPlan plan;
-};
-
-Ext2phOutcomePair run_ext2ph(mpi::Rank& self, const mpi::Comm& comm,
-                             mpiio::IoTarget& target,
-                             const mpiio::CollRequest& request,
-                             const mpiio::Ext2phOptions& options,
-                             bool is_write) {
-  const auto result = is_write
-                          ? mpiio::ext2ph_write(self, comm, target, request,
-                                                options)
-                          : mpiio::ext2ph_read(self, comm, target, request,
-                                               options);
-  return {result.cycles, result.rmw_reads};
 }
 
 /// The two-level structure of `comm`, or nullopt for the flat protocol:
@@ -122,7 +99,8 @@ void run_two_phase(mpi::Rank& self, const mpi::Comm& comm,
                    const mpiio::CollRequest& request,
                    mpiio::Ext2phOptions options, bool is_write,
                    CollectiveOutcome& outcome) {
-  if (const auto nodes = two_level_nodes(self, comm, hints)) {
+  const auto nodes = two_level_nodes(self, comm, hints);
+  if (nodes) {
     auto leader_aggs = nodes->layout->to_leader_locals(options.aggregators);
     // Auto's cost gate: staging funnels all file traffic through the node
     // leaders, so a roster with several aggregators on one node (e.g. the
@@ -130,21 +108,16 @@ void run_two_phase(mpi::Rank& self, const mpi::Comm& comm,
     // the coordination win. Auto declines then; On trusts the user.
     const bool declined = hints.cb_intranode == node::IntranodeMode::Auto &&
                           leader_aggs.size() != options.aggregators.size();
-    if (!declined) {
-      options.aggregators = std::move(leader_aggs);
-      const auto result =
-          is_write
-              ? node::two_level_write(self, *nodes, target, request, options)
-              : node::two_level_read(self, *nodes, target, request, options);
-      outcome.cycles = result.cycles;
-      outcome.rmw_reads = result.rmw_reads;
-      outcome.intra_bytes = result.intra_bytes;
-      outcome.two_level = true;
-      return;
-    }
+    outcome.two_level = !declined;
+    if (outcome.two_level) options.aggregators = std::move(leader_aggs);
   }
-  std::tie(outcome.cycles, outcome.rmw_reads) =
-      run_ext2ph(self, comm, target, request, options, is_write);
+  const mpiio::Ext2phOutcome result =
+      outcome.two_level
+          ? node::two_level(self, *nodes, target, request, options, is_write)
+          : mpiio::ext2ph(self, comm, target, request, options, is_write);
+  outcome.cycles = result.cycles;
+  outcome.rmw_reads = result.rmw_reads;
+  outcome.intra_bytes = result.intra_bytes;
 }
 
 }  // namespace
@@ -175,6 +148,7 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
 
   CollectiveOutcome outcome;
   outcome.bytes = prep.bytes;
+  bb::BbTarget physical(fs, fs_id, bb_store);
 
   const bool cb_enabled = is_write ? hints.cb_write_enabled
                                    : hints.cb_read_enabled;
@@ -186,8 +160,7 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
     if (bb_store != nullptr && prep.extents.size() > 1) {
       bb_store->flush_overlapping(self, prep.extents);
     }
-    bb::BbTarget target(fs, fs_id, bb_store);
-    mpiio::sieve_serve(self, target, fs_id, prep, is_write);
+    mpiio::sieve_serve(self, physical, fs_id, prep, is_write);
     return outcome;
   }
 
@@ -196,21 +169,20 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
     // Plain extended two-phase over the whole group (the baseline).
     options.aggregators = mpiio::default_aggregators(
         self.world().model().topology, comm, hints);
-    bb::BbTarget target(fs, fs_id, bb_store);
-    const mpiio::CollRequest request{prep.extents, prep.data()};
-    run_two_phase(self, comm, hints, target, request, options, is_write,
-                  outcome);
+    run_two_phase(self, comm, hints, physical, {prep.extents, prep.data()},
+                  options, is_write, outcome);
     return outcome;
   }
 
-  // Establish (or reuse) the partition. Only the establishing call pays a
-  // global exchange; with persistent groups, later calls on the same view
-  // go straight to their subgroup.
-  std::shared_ptr<PlanCache> cache;
+  // Establish (or reuse) the partition: the first ParColl call after a view
+  // is set caches it on the handle, so later calls on the same view go
+  // straight to their subgroup and subgroups drift independently through
+  // time. Only the establishing call pays a global exchange.
+  std::shared_ptr<SubgroupPlan> cached;
   if (cache_slot != nullptr) {
-    cache = std::static_pointer_cast<PlanCache>(*cache_slot);
+    cached = std::static_pointer_cast<SubgroupPlan>(*cache_slot);
   }
-  if (!cache || !hints.parcoll_persistent_groups) {
+  if (!cached || !hints.parcoll_persistent_groups) {
     // The pattern-detection allgather is the one remaining global exchange;
     // under two-level staging it funnels through the node leaders, so the
     // inter-node stage involves num_nodes participants instead of P.
@@ -220,30 +192,29 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
         nodes ? std::make_shared<const std::vector<RankAccess>>(
                     node::hier_allgather(self, *nodes, access_of(prep)))
               : mpi::allgather_shared(self, comm, access_of(prep));
-    auto fresh = std::make_shared<PlanCache>();
-    fresh->plan = form_subgroups(self, comm, accesses, hints);
-    if (fresh->plan.fa().mode == PartitionMode::Direct) {
+    cached = std::make_shared<SubgroupPlan>(
+        form_subgroups(self, comm, accesses, hints));
+    if (cached->fa().mode == PartitionMode::Direct) {
       // Establishing-call invariant: my extents lie in my File Area (the
       // partition was built from clean split points).
       const auto [fa_lo, fa_hi] =
-          fresh->plan.fa()
-              .areas[static_cast<std::size_t>(fresh->plan.my_group)];
+          cached->fa().areas[static_cast<std::size_t>(cached->my_group)];
       if (!prep.extents.empty() &&
           (prep.extents.front().offset < fa_lo ||
            prep.extents.back().end() > fa_hi)) {
         throw std::logic_error("parcoll: request escapes its File Area");
       }
     }
-    cache = fresh;
     if (cache_slot != nullptr) {
-      *cache_slot = cache;
+      *cache_slot = cached;
     }
     if (auto* checker = self.world().checker()) {
       checker->on_partition(self.rank(), comm.context_id(), comm.size(),
-                            plan_hash(fresh->plan));
+                            plan_hash(*cached));
     }
   }
-  const SubgroupPlan& plan = cache->plan;
+  const SubgroupPlan& plan = *cached;
+  outcome.partitioned = true;
   outcome.mode = plan.fa().mode;
   outcome.num_groups = plan.fa().num_groups;
   options.aggregators = plan.sub_aggregators;
@@ -251,19 +222,6 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
   // (re-election, exchange cycles, I/O) with this rank's subgroup.
   mpi::SpanGuard subgroup_span(self, obs::SpanKind::Subgroup, "subgroup",
                                plan.my_group);
-  // Per-subgroup call/cycle counters, recorded once per call by the
-  // subgroup's first rank (mirrors the FileStats call-level convention).
-  auto record_group_metrics = [&](const CollectiveOutcome& out) {
-    auto* metrics = self.world().metrics();
-    if (metrics == nullptr ||
-        plan.subcomm.local_rank(self.rank()) != 0) {
-      return;
-    }
-    const auto group = static_cast<std::size_t>(
-        plan.my_group >= 0 ? plan.my_group : 0);
-    ++metrics->counter("parcoll.group.calls", group);
-    metrics->counter("parcoll.group.cycles", group) += out.cycles;
-  };
 
   // Degraded mode: when the fault plan schedules rank stalls, the subgroup
   // agrees on a common time (a max-reduction over its members' clocks) and
@@ -292,59 +250,55 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
     }
   }
 
-  if (plan.fa().mode == PartitionMode::SingleGroup) {
-    bb::BbTarget target(fs, fs_id, bb_store);
-    const mpiio::CollRequest request{prep.extents, prep.data()};
-    run_two_phase(self, comm, hints, target, request, options, is_write,
-                  outcome);
-    record_group_metrics(outcome);
-    return outcome;
-  }
-
-  if (plan.fa().mode == PartitionMode::Direct) {
-    bb::BbTarget target(fs, fs_id, bb_store);
-    const mpiio::CollRequest request{prep.extents, prep.data()};
+  if (plan.fa().mode != PartitionMode::Intermediate) {
+    // SingleGroup (whose subcomm is the whole comm) and Direct run in file
+    // space.
+    run_two_phase(self, plan.subcomm, hints, physical,
+                  {prep.extents, prep.data()}, options, is_write, outcome);
+  } else {
+    // Intermediate view (pattern c). Share the members' physical extents
+    // within the subgroup so aggregators can resolve intermediate ranges.
+    // The intermediate coordinate space is subgroup-local (each group's
+    // space starts at 0): groups touch disjoint physical segments, so their
+    // spaces are independent and no global exchange is needed per call.
+    const auto member_extents =
+        mpi::allgatherv(self, plan.subcomm, prep.extents);
+    std::vector<MemberSegments> members;
+    members.reserve(member_extents.size());
+    std::uint64_t inter_pos = 0;
+    std::uint64_t my_inter_start = 0;
+    const int sub_me = plan.subcomm.local_rank(self.rank());
+    for (int sub_local = 0; sub_local < plan.subcomm.size(); ++sub_local) {
+      MemberSegments member;
+      member.inter_start = inter_pos;
+      member.extents = member_extents[static_cast<std::size_t>(sub_local)];
+      if (sub_local == sub_me) {
+        my_inter_start = inter_pos;
+      }
+      for (const fs::Extent& extent : member.extents) {
+        inter_pos += extent.length;
+      }
+      members.push_back(std::move(member));
+    }
+    IntermediateTarget target(physical, IntermediateMap(std::move(members)));
+    mpiio::CollRequest request;
+    if (prep.bytes > 0) {
+      request.extents.push_back(fs::Extent{my_inter_start, prep.bytes});
+    }
+    request.data = prep.data();
     run_two_phase(self, plan.subcomm, hints, target, request, options,
                   is_write, outcome);
-    record_group_metrics(outcome);
-    return outcome;
   }
 
-  // Intermediate view (pattern c). Share the members' physical extents
-  // within the subgroup so aggregators can resolve intermediate ranges.
-  // The intermediate coordinate space is subgroup-local (each group's
-  // space starts at 0): groups touch disjoint physical segments, so their
-  // spaces are independent and no global exchange is needed per call.
-  const auto member_extents =
-      mpi::allgatherv(self, plan.subcomm, prep.extents);
-  std::vector<MemberSegments> members;
-  members.reserve(member_extents.size());
-  std::uint64_t inter_pos = 0;
-  std::uint64_t my_inter_start = 0;
-  const int sub_me = plan.subcomm.local_rank(self.rank());
-  for (int sub_local = 0; sub_local < plan.subcomm.size(); ++sub_local) {
-    MemberSegments member;
-    member.inter_start = inter_pos;
-    member.extents = member_extents[static_cast<std::size_t>(sub_local)];
-    if (sub_local == sub_me) {
-      my_inter_start = inter_pos;
-    }
-    for (const fs::Extent& extent : member.extents) {
-      inter_pos += extent.length;
-    }
-    members.push_back(std::move(member));
+  // Per-subgroup call/cycle counters, recorded once per call by the
+  // subgroup's first rank (mirrors the FileStats call-level convention).
+  auto* metrics = self.world().metrics();
+  if (metrics != nullptr && plan.subcomm.local_rank(self.rank()) == 0) {
+    const auto group =
+        static_cast<std::size_t>(plan.my_group >= 0 ? plan.my_group : 0);
+    ++metrics->counter("parcoll.group.calls", group);
+    metrics->counter("parcoll.group.cycles", group) += outcome.cycles;
   }
-  bb::BbTarget physical(fs, fs_id, bb_store);
-  IntermediateTarget target(physical, IntermediateMap(std::move(members)));
-
-  mpiio::CollRequest request;
-  if (prep.bytes > 0) {
-    request.extents.push_back(fs::Extent{my_inter_start, prep.bytes});
-  }
-  request.data = prep.data();
-  run_two_phase(self, plan.subcomm, hints, target, request, options, is_write,
-                outcome);
-  record_group_metrics(outcome);
   return outcome;
 }
 
@@ -360,8 +314,7 @@ mpiio::FileStats collective_counts(mpiio::FileHandle& file,
   if (file.comm().local_rank(file.self().rank()) == 0) {
     (is_write ? counts.collective_writes : counts.collective_reads) = 1;
     counts.intranode_calls = outcome.two_level ? 1 : 0;
-    counts.parcoll_calls =
-        ParcollSettings::from(file.hints()).enabled() ? 1 : 0;
+    counts.parcoll_calls = outcome.partitioned ? 1 : 0;
     counts.view_switches = outcome.mode == PartitionMode::Intermediate ? 1 : 0;
     counts.last_num_groups = outcome.num_groups;
   }

@@ -26,6 +26,9 @@ namespace parcoll::core {
 
 struct CollectiveOutcome {
   std::uint64_t bytes = 0;  // this rank's contribution
+  /// True when the call went through ParColl partitioning (ParColl hints
+  /// on and collective buffering enabled for the direction).
+  bool partitioned = false;
   PartitionMode mode = PartitionMode::SingleGroup;
   int num_groups = 1;
   std::uint64_t cycles = 0;     // exchange/I-O cycles this rank executed

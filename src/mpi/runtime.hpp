@@ -222,6 +222,12 @@ class Rank {
   std::uint64_t next_coll_seq(std::uint64_t context_id) {
     return coll_seq_[context_id]++;
   }
+  /// The sequence number the next collective on `context_id` will take,
+  /// without taking it: equal on every member between two collectives.
+  [[nodiscard]] std::uint64_t coll_seq(std::uint64_t context_id) const {
+    const auto it = coll_seq_.find(context_id);
+    return it == coll_seq_.end() ? 0 : it->second;
+  }
 
   /// Apply any scheduled fault-plan stall for this rank that is due at the
   /// current virtual time. Called at synchronization points; each scheduled

@@ -94,18 +94,16 @@ struct Ext2phOptions {
 struct Ext2phOutcome {
   std::uint64_t cycles = 0;     // data-exchange/file-I/O cycles executed
   std::uint64_t rmw_reads = 0;  // aggregator read-modify-write fills (this rank)
+  std::uint64_t intra_bytes = 0;  // payload shipped intra-node (two-level)
 };
 
-/// Collective write over `comm`. Every member must call with the same
-/// options. Returns per-rank outcome counters.
-Ext2phOutcome ext2ph_write(mpi::Rank& self, const mpi::Comm& comm,
-                           IoTarget& target, const CollRequest& request,
-                           const Ext2phOptions& options);
-
-/// Collective read over `comm`.
-Ext2phOutcome ext2ph_read(mpi::Rank& self, const mpi::Comm& comm,
-                          IoTarget& target, const CollRequest& request,
-                          const Ext2phOptions& options);
+/// Collective write (`is_write`) or read over `comm`: one plan and one
+/// cycle loop for both directions; only each cycle's exchange and file
+/// access differ. Every member must call with the same options and
+/// direction. Returns per-rank outcome counters.
+Ext2phOutcome ext2ph(mpi::Rank& self, const mpi::Comm& comm, IoTarget& target,
+                     const CollRequest& request, const Ext2phOptions& options,
+                     bool is_write);
 
 /// The default aggregator set for `comm` under `hints` (paper §4.2): one
 /// aggregator per node (the lowest comm rank on it), nodes taken from

@@ -50,10 +50,14 @@ FileHandle::FileHandle(mpi::Rank& self, const mpi::Comm& comm,
   }
   const int fs_id = fs.open(name, hints.striping_factor, hints.striping_unit,
                             /*charge_metadata=*/!deferred);
-  // Keyed by the underlying file id (not the name): deleting and
-  // re-creating a file must not resurrect the old shared state.
+  // One state per collective open, as separate MPI file handles have:
+  // keyed by the underlying file id (deleting and re-creating a file must
+  // not resurrect old state) and the open's position among the
+  // communicator's collectives (reopening starts fresh), which every member
+  // agrees on.
   const std::string key = "mpiio:" + std::to_string(comm.context_id()) + ":" +
-                          std::to_string(fs_id);
+                          std::to_string(fs_id) + ":" +
+                          std::to_string(self.coll_seq(comm.context_id()));
   common_ = self.world().shared_object<FileCommon>(
       key, [&]() {
         auto common = std::make_shared<FileCommon>();
@@ -64,6 +68,9 @@ FileHandle::FileHandle(mpi::Rank& self, const mpi::Comm& comm,
         if (hints.bb.enabled) {
           common->bb = std::make_unique<bb::StagingStore>(
               self.world(), fs_id, hints.bb, common->stats);
+        }
+        if (const auto* integ = self.world().integrity()) {
+          common->integrity_at_open = integ->counters(fs_id);
         }
         return common;
       });
@@ -156,6 +163,7 @@ std::uint64_t claim_shared(mpi::Rank& self, FileCommon& common,
 
 void FileHandle::write_shared(const void* buffer, std::uint64_t count,
                               const dtype::Datatype& memtype) {
+  check_access(true);
   const std::uint64_t etypes = count * memtype.size() / view_.etype_size();
   const std::uint64_t at = claim_shared(self_, *common_, etypes);
   write_at(at, buffer, count, memtype);
@@ -163,6 +171,7 @@ void FileHandle::write_shared(const void* buffer, std::uint64_t count,
 
 void FileHandle::read_shared(void* buffer, std::uint64_t count,
                              const dtype::Datatype& memtype) {
+  check_access(false);
   const std::uint64_t etypes = count * memtype.size() / view_.etype_size();
   const std::uint64_t at = claim_shared(self_, *common_, etypes);
   read_at(at, buffer, count, memtype);
@@ -174,15 +183,19 @@ FileStats independent_counts(bool is_write) {
   return counts;
 }
 
-IoCall FileHandle::begin_call(bool is_write, Route route, std::uint64_t offset,
-                              const void* buffer, std::uint64_t count,
-                              const dtype::Datatype& memtype) {
+void FileHandle::check_access(bool is_write) const {
   if (is_write && (amode_ & kModeRdonly)) {
     throw std::logic_error("FileHandle: write on a read-only handle");
   }
   if (!is_write && (amode_ & kModeWronly)) {
     throw std::logic_error("FileHandle: read on a write-only handle");
   }
+}
+
+IoCall FileHandle::begin_call(bool is_write, Route route, std::uint64_t offset,
+                              const void* buffer, std::uint64_t count,
+                              const dtype::Datatype& memtype) {
+  check_access(is_write);
   IoCall call;
   call.is_write = is_write;
   // A read's entry point hands in its (mutable) destination.
@@ -318,20 +331,22 @@ void FileHandle::close() {
     // Close-time integrity sweep: everyone arrives first so no rank can
     // still be writing, then one rank re-verifies every registered block
     // (the hard guarantee behind the scrubber's best-effort passes) and
-    // copies this file's pipeline totals into its stats.
+    // copies this open's share of the file's pipeline totals into its
+    // stats.
     mpi::barrier(self_, common_->comm);
     if (common_->comm.local_rank(self_.rank()) == 0) {
       const double seconds = integ->scrub_all(
           self_.rank(), self_.world().fs().store(), /*by_scrubber=*/false);
       if (seconds > 0) self_.busy(mpi::TimeCat::Integrity, seconds);
-      const fs::IntegrityCounters& mine = integ->counters(fs_id());
+      const fs::IntegrityCounters& now = integ->counters(fs_id());
+      const fs::IntegrityCounters& then = common_->integrity_at_open;
       FileStats& stats = common_->stats;
-      stats.integrity_blocks = mine.blocks;
-      stats.integrity_bytes = mine.bytes_checksummed;
-      stats.corrupt_detected = mine.detected;
-      stats.corrupt_repaired = mine.repaired;
-      stats.scrub_repairs = mine.scrub_repairs;
-      stats.integrity_errors = mine.errors;
+      stats.integrity_blocks = now.blocks - then.blocks;
+      stats.integrity_bytes = now.bytes_checksummed - then.bytes_checksummed;
+      stats.corrupt_detected = now.detected - then.detected;
+      stats.corrupt_repaired = now.repaired - then.repaired;
+      stats.scrub_repairs = now.scrub_repairs - then.scrub_repairs;
+      stats.integrity_errors = now.errors - then.errors;
     }
     // Collective error agreement: recovery-exhausted extents surface as
     // the identical CollectiveIoError on every rank, or on none.

@@ -30,7 +30,7 @@ class StagingStore;
 
 namespace parcoll::mpiio {
 
-/// Comm-wide shared state of an open file.
+/// Comm-wide shared state of one collective open of a file.
 struct FileCommon {
   ~FileCommon();  // out of line: bb::StagingStore is incomplete here
 
@@ -47,6 +47,10 @@ struct FileCommon {
   /// included — land here and drain behind; independent I/O and
   /// close/sync flush through it for consistency.
   std::unique_ptr<bb::StagingStore> bb;
+  /// The file's integrity counts when this open began (the manager counts
+  /// per file for the file's whole lifetime; the summary reports the
+  /// difference).
+  fs::IntegrityCounters integrity_at_open;
 };
 
 /// A request prepared for the I/O engines: absolute file extents plus the
@@ -203,7 +207,8 @@ class FileHandle {
   // --- Shared file pointer (one per file, MPI_File_*_shared) ---
 
   /// Atomically claim `count * memtype.size()` bytes worth of etypes at
-  /// the shared pointer (a fetch-and-add round trip) and write there.
+  /// the shared pointer (a fetch-and-add round trip) and write there. A
+  /// call the access mode rejects leaves the pointer where it was.
   void write_shared(const void* buffer, std::uint64_t count,
                     const dtype::Datatype& memtype);
   void read_shared(void* buffer, std::uint64_t count,
@@ -241,6 +246,8 @@ class FileHandle {
   void add_stats(const FileStats& delta) { common_->stats += delta; }
 
  private:
+  /// Step 1: throw std::logic_error if the access mode forbids the call.
+  void check_access(bool is_write) const;
   /// Step 4's hooks. Writes: checksum the payload where it enters the
   /// stack, so the block records ride alongside the data from here on.
   void register_write(const PreparedRequest& request);

@@ -156,11 +156,7 @@ std::uint64_t run_sole_leader(mpi::Rank& self, mpiio::IoTarget& target,
     self.touch_bytes(static_cast<double>(batch));  // assembly cost
     const std::span<const fs::Extent> span(&merged.extents[i], j - i);
     std::byte* at = stream == nullptr ? nullptr : stream + stream_off;
-    if (is_write) {
-      target.write(self, span, at);
-    } else {
-      target.read(self, span, at);
-    }
+    target.transfer(self, span, at, is_write);
     stream_off += batch;
     i = j;
     ++cycles;
@@ -238,132 +234,33 @@ std::uint64_t ship_to_leader(mpi::Rank& self, const NodeComm& nodes,
   return shipped;
 }
 
-}  // namespace
-
-TwoLevelOutcome two_level_write(mpi::Rank& self, const NodeComm& nodes,
-                                mpiio::IoTarget& target,
-                                const mpiio::CollRequest& request,
-                                const mpiio::Ext2phOptions& leader_options) {
-  TwoLevelOutcome outcome;
-  if (!nodes.i_lead()) {
-    mpi::SpanGuard ship_span(self, obs::SpanKind::Stage, "intra-ship");
-    outcome.intra_bytes = ship_to_leader(self, nodes, request, true);
-    return outcome;
-  }
-  if (nodes.node_comm().size() == 1) {
-    // Lone member: nothing to merge, join the inter-node exchange as-is.
-    const auto r = mpiio::ext2ph_write(self, nodes.leader_comm(), target,
-                                       request, leader_options);
-    outcome.cycles = r.cycles;
-    outcome.rmw_reads = r.rmw_reads;
-    return outcome;
-  }
-  const bool byte_true = self.world().byte_true();
-  std::vector<MemberReq> members;
-  Merged merged;
-  std::vector<std::byte> stream;
-  {
-    mpi::SpanGuard gather_span(self, obs::SpanKind::Stage, "intra-gather");
-    members = gather_member_requests(self, nodes, request, true);
-    merged = merge_extents(members);
-    if (byte_true && merged.total > 0) {
-      stream.assign(merged.total, std::byte{0});
-    }
-    const std::uint64_t own_staged =
-        stage_into(members, merged, nodes.leader_node_local,
-                   stream.empty() ? nullptr : stream.data());
-    self.busy(mpi::TimeCat::Intra, memcpy_seconds(self, own_staged));
-  }
-
-  if (nodes.leader_comm().size() == 1) {
-    outcome.cycles = run_sole_leader(self, target, merged,
-                                     stream.empty() ? nullptr : stream.data(),
-                                     leader_options.cb_buffer_size, true);
-    return outcome;
-  }
-  const mpiio::CollRequest node_request{
-      merged.extents, stream.empty() ? nullptr : stream.data()};
-  const auto r = mpiio::ext2ph_write(self, nodes.leader_comm(), target,
-                                     node_request, leader_options);
-  outcome.cycles = r.cycles;
-  outcome.rmw_reads = r.rmw_reads;
-  return outcome;
-}
-
-TwoLevelOutcome two_level_read(mpi::Rank& self, const NodeComm& nodes,
-                               mpiio::IoTarget& target,
-                               const mpiio::CollRequest& request,
-                               const mpiio::Ext2phOptions& leader_options) {
-  TwoLevelOutcome outcome;
-  mpi::P2PEngine& p2p = self.world().p2p();
-  if (!nodes.i_lead()) {
-    mpi::SpanGuard ship_span(self, obs::SpanKind::Stage, "intra-ship");
-    outcome.intra_bytes = ship_to_leader(self, nodes, request, false);
-    const std::uint64_t total = request.total_bytes();
-    if (total > 0) {
-      p2p.recv(self, nodes.node_comm(), nodes.leader_node_local, kTagReply,
-               request.data, total, mpi::TimeCat::Intra);
-      outcome.intra_bytes += total;
-    }
-    return outcome;
-  }
-  if (nodes.node_comm().size() == 1) {
-    const auto r = mpiio::ext2ph_read(self, nodes.leader_comm(), target,
-                                      request, leader_options);
-    outcome.cycles = r.cycles;
-    outcome.rmw_reads = r.rmw_reads;
-    return outcome;
-  }
-  const bool byte_true = self.world().byte_true();
-  std::vector<MemberReq> members;
-  Merged merged;
-  std::vector<std::byte> stream;
-  {
-    mpi::SpanGuard gather_span(self, obs::SpanKind::Stage, "intra-gather");
-    members = gather_member_requests(self, nodes, request, false);
-    merged = merge_extents(members);
-    if (byte_true && merged.total > 0) {
-      stream.assign(merged.total, std::byte{0});
-    }
-  }
-  if (nodes.leader_comm().size() == 1) {
-    outcome.cycles = run_sole_leader(self, target, merged,
-                                     stream.empty() ? nullptr : stream.data(),
-                                     leader_options.cb_buffer_size, false);
-  } else {
-    const mpiio::CollRequest node_request{
-        merged.extents, stream.empty() ? nullptr : stream.data()};
-    const auto r = mpiio::ext2ph_read(self, nodes.leader_comm(), target,
-                                      node_request, leader_options);
-    outcome.cycles = r.cycles;
-    outcome.rmw_reads = r.rmw_reads;
-  }
-
-  // Scatter each member's slice of the node stream back, overlapped: like
-  // the inbound staging, each member pulls its slice out of the shared
-  // window from its own core, so the reply transfers carry the copy cost
-  // and run concurrently. The leader only pays for its own local slice.
+/// Leader side of a read: scatter each member's slice of the node stream
+/// back, overlapped. Like the inbound staging, each member pulls its slice
+/// out of the shared window from its own core, so the reply transfers carry
+/// the copy cost and run concurrently. The leader only pays for its own
+/// local slice.
+void scatter_to_members(mpi::Rank& self, const NodeComm& nodes,
+                        const std::vector<MemberReq>& members,
+                        const Merged& merged, const std::byte* stream,
+                        std::byte* own_out) {
   mpi::SpanGuard scatter_span(self, obs::SpanKind::Stage, "intra-scatter");
+  mpi::P2PEngine& p2p = self.world().p2p();
+  const bool byte_true = self.world().byte_true();
   std::uint64_t own_sliced = 0;
   std::vector<std::vector<std::byte>> replies(members.size());
   std::vector<mpi::Request> pending;
   for (std::size_t m = 0; m < members.size(); ++m) {
-    const std::uint64_t member_bytes = [&] {
-      std::uint64_t t = 0;
-      for (const fs::Extent& e : members[m].extents) t += e.length;
-      return t;
-    }();
     if (static_cast<int>(m) == nodes.leader_node_local) {
-      own_sliced += slice_from(members[m], merged,
-                               stream.empty() ? nullptr : stream.data(),
-                               request.data);
+      own_sliced += slice_from(members[m], merged, stream, own_out);
       continue;
     }
+    std::uint64_t member_bytes = 0;
+    for (const fs::Extent& e : members[m].extents) member_bytes += e.length;
     if (member_bytes == 0) continue;
     auto& reply = replies[m];
     if (byte_true) {
       reply.resize(member_bytes);
-      slice_from(members[m], merged, stream.data(), reply.data());
+      slice_from(members[m], merged, stream, reply.data());
     }
     pending.push_back(p2p.isend(self, nodes.node_comm(), static_cast<int>(m),
                                 kTagReply,
@@ -372,6 +269,65 @@ TwoLevelOutcome two_level_read(mpi::Rank& self, const NodeComm& nodes,
   }
   p2p.waitall(self, pending, mpi::TimeCat::Intra);
   self.busy(mpi::TimeCat::Intra, memcpy_seconds(self, own_sliced));
+}
+
+}  // namespace
+
+mpiio::Ext2phOutcome two_level(mpi::Rank& self, const NodeComm& nodes,
+                               mpiio::IoTarget& target,
+                               const mpiio::CollRequest& request,
+                               const mpiio::Ext2phOptions& leader_options,
+                               bool is_write) {
+  if (!nodes.i_lead()) {
+    mpi::SpanGuard ship_span(self, obs::SpanKind::Stage, "intra-ship");
+    mpiio::Ext2phOutcome outcome;
+    outcome.intra_bytes = ship_to_leader(self, nodes, request, is_write);
+    const std::uint64_t total = request.total_bytes();
+    if (!is_write && total > 0) {
+      self.world().p2p().recv(self, nodes.node_comm(), nodes.leader_node_local,
+                              kTagReply, request.data, total,
+                              mpi::TimeCat::Intra);
+      outcome.intra_bytes += total;
+    }
+    return outcome;
+  }
+  if (nodes.node_comm().size() == 1) {
+    // Lone member: nothing to merge, join the inter-node exchange as-is.
+    return mpiio::ext2ph(self, nodes.leader_comm(), target, request,
+                         leader_options, is_write);
+  }
+  std::vector<MemberReq> members;
+  Merged merged;
+  std::vector<std::byte> stream;
+  std::byte* node_stream = nullptr;
+  {
+    mpi::SpanGuard gather_span(self, obs::SpanKind::Stage, "intra-gather");
+    members = gather_member_requests(self, nodes, request, is_write);
+    merged = merge_extents(members);
+    if (self.world().byte_true() && merged.total > 0) {
+      stream.assign(merged.total, std::byte{0});
+      node_stream = stream.data();
+    }
+    if (is_write) {
+      const std::uint64_t own_staged =
+          stage_into(members, merged, nodes.leader_node_local, node_stream);
+      self.busy(mpi::TimeCat::Intra, memcpy_seconds(self, own_staged));
+    }
+  }
+
+  mpiio::Ext2phOutcome outcome;
+  if (nodes.leader_comm().size() == 1) {
+    outcome.cycles = run_sole_leader(self, target, merged, node_stream,
+                                     leader_options.cb_buffer_size, is_write);
+  } else {
+    outcome = mpiio::ext2ph(self, nodes.leader_comm(), target,
+                            mpiio::CollRequest{merged.extents, node_stream},
+                            leader_options, is_write);
+  }
+  if (!is_write) {
+    scatter_to_members(self, nodes, members, merged, node_stream,
+                       request.data);
+  }
   return outcome;
 }
 

@@ -21,24 +21,16 @@
 
 namespace parcoll::node {
 
-struct TwoLevelOutcome {
-  std::uint64_t cycles = 0;       // ext2ph cycles (leaders; 0 on non-leaders)
-  std::uint64_t rmw_reads = 0;    // aggregator RMW fills (leaders)
-  std::uint64_t intra_bytes = 0;  // payload this rank moved intra-node
-};
-
-/// Two-level collective write over `nodes.parent()`. Every member must call
-/// with the same `leader_options`, whose aggregator list is expressed in
-/// leader_comm-local ranks (see NodeLayout::to_leader_locals).
-TwoLevelOutcome two_level_write(mpi::Rank& self, const NodeComm& nodes,
-                                mpiio::IoTarget& target,
-                                const mpiio::CollRequest& request,
-                                const mpiio::Ext2phOptions& leader_options);
-
-/// Two-level collective read over `nodes.parent()`.
-TwoLevelOutcome two_level_read(mpi::Rank& self, const NodeComm& nodes,
+/// Two-level collective write (`is_write`) or read over `nodes.parent()`.
+/// Every member must call with the same `leader_options`, whose aggregator
+/// list is expressed in leader_comm-local ranks (see
+/// NodeLayout::to_leader_locals), and the same direction. Leaders report
+/// their ext2ph (or sole-leader) cycles and RMW fills; non-leaders report
+/// only `intra_bytes`, the payload they moved intra-node.
+mpiio::Ext2phOutcome two_level(mpi::Rank& self, const NodeComm& nodes,
                                mpiio::IoTarget& target,
                                const mpiio::CollRequest& request,
-                               const mpiio::Ext2phOptions& leader_options);
+                               const mpiio::Ext2phOptions& leader_options,
+                               bool is_write);
 
 }  // namespace parcoll::node

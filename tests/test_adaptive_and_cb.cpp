@@ -116,35 +116,45 @@ TEST(CbWrite, HintRoundTrips) {
   EXPECT_THROW(hints.set("romio_cb_write", "maybe"), std::invalid_argument);
 }
 
+/// With collective buffering disabled the call is served by data sieving,
+/// with or without the ParColl hints, so it never counts as a ParColl call.
 TEST(CbWrite, DisabledCollectiveStillWritesCorrectBytes) {
-  mpi::World world(machine::MachineModel::jaguar(4));
-  mpiio::Hints hints;
-  hints.cb_write_enabled = false;
-  bool ok = true;
-  world.run([&](mpi::Rank& self) {
-    mpiio::FileHandle file(self, self.comm_world(), "nocb.dat", hints);
-    const auto slot = dtype::Datatype::resized(dtype::Datatype::bytes(64), 0,
-                                               256);
-    file.set_view(static_cast<std::uint64_t>(self.rank()) * 64, 64, slot);
-    const std::uint64_t bytes = 8 * 64;
-    const auto extents = file.view().map(0, bytes);
-    std::vector<std::byte> data(bytes);
-    workloads::fill_buffer_for_extents(data.data(),
-                                       dtype::Datatype::bytes(bytes), 1,
-                                       extents, 31);
-    core::write_at_all(file, 0, data.data(), 1, dtype::Datatype::bytes(bytes));
-    mpi::barrier(self, self.comm_world());
-    auto* store = dynamic_cast<fs::MemoryStore*>(&self.world().fs().store());
-    ok = ok && store &&
-         workloads::verify_store(*store, file.fs_id(), extents, 31);
-    // And the read path with cb disabled.
-    std::vector<std::byte> back(bytes);
-    core::read_at_all(file, 0, back.data(), 1, dtype::Datatype::bytes(bytes));
-    ok = ok && workloads::check_buffer_for_extents(
-                   back.data(), dtype::Datatype::bytes(bytes), 1, extents, 31);
-    file.close();
-  });
-  EXPECT_TRUE(ok);
+  for (const int groups : {0, 2}) {
+    SCOPED_TRACE(groups == 0 ? "ext2ph hints" : "parcoll hints");
+    mpi::World world(machine::MachineModel::jaguar(4));
+    mpiio::Hints hints;
+    hints.cb_write_enabled = false;
+    hints.parcoll_num_groups = groups;
+    hints.parcoll_min_group_size = 2;
+    bool ok = true;
+    std::uint64_t parcoll_calls = 1;
+    world.run([&](mpi::Rank& self) {
+      mpiio::FileHandle file(self, self.comm_world(), "nocb.dat", hints);
+      const auto slot =
+          dtype::Datatype::resized(dtype::Datatype::bytes(64), 0, 256);
+      file.set_view(static_cast<std::uint64_t>(self.rank()) * 64, 64, slot);
+      const std::uint64_t bytes = 8 * 64;
+      const auto extents = file.view().map(0, bytes);
+      std::vector<std::byte> data(bytes);
+      const dtype::Datatype memtype = dtype::Datatype::bytes(bytes);
+      workloads::fill_buffer_for_extents(data.data(), memtype, 1, extents, 31);
+      core::write_at_all(file, 0, data.data(), 1, memtype);
+      mpi::barrier(self, self.comm_world());
+      if (self.rank() == 0) parcoll_calls = file.stats().parcoll_calls;
+      auto* store =
+          dynamic_cast<fs::MemoryStore*>(&self.world().fs().store());
+      ok = ok && store &&
+           workloads::verify_store(*store, file.fs_id(), extents, 31);
+      // And the read path with cb disabled.
+      std::vector<std::byte> back(bytes);
+      core::read_at_all(file, 0, back.data(), 1, memtype);
+      ok = ok && workloads::check_buffer_for_extents(back.data(), memtype, 1,
+                                                     extents, 31);
+      file.close();
+    });
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(parcoll_calls, 0u);
+  }
 }
 
 TEST(CbWrite, DisabledIsSlowerForInterleavedPatterns) {

@@ -15,7 +15,7 @@ namespace {
 
 constexpr std::uint64_t kSalt = 0xE2;
 
-/// Run ext2ph_write on `nranks` ranks, rank r contributing `extents_of(r)`,
+/// Run an ext2ph write on `nranks` ranks, rank r contributing `extents_of(r)`,
 /// then verify every extent landed with the right bytes. Returns rank 0's
 /// outcome.
 Ext2phOutcome run_write(int nranks,
@@ -35,7 +35,7 @@ Ext2phOutcome run_write(int nranks,
     workloads::fill_stream(packed.data(), extents, kSalt);
     const CollRequest request{extents, packed.empty() ? nullptr : packed.data()};
     const auto outcome =
-        ext2ph_write(self, self.comm_world(), target, request, options);
+        ext2ph(self, self.comm_world(), target, request, options, true);
     if (self.rank() == 0) outcome0 = outcome;
     mpi::barrier(self, self.comm_world());
     auto* store = dynamic_cast<fs::MemoryStore*>(&self.world().fs().store());
@@ -68,7 +68,7 @@ void run_read(int nranks,
     DirectTarget target(self.world().fs(), fs_id);
     std::vector<std::byte> packed(bytes);
     const CollRequest request{extents, packed.empty() ? nullptr : packed.data()};
-    ext2ph_read(self, self.comm_world(), target, request, options);
+    ext2ph(self, self.comm_world(), target, request, options, false);
     ok = ok && workloads::check_stream(packed.data(), extents, kSalt);
   });
   EXPECT_TRUE(ok);
@@ -152,8 +152,8 @@ TEST(Ext2ph, RmwPreservesPreexistingBytes) {
     std::vector<std::byte> packed(256);
     workloads::fill_stream(packed.data(), extents, 222);
     DirectTarget target(fs, fs_id);
-    ext2ph_write(self, self.comm_world(), target,
-                 CollRequest{extents, packed.data()}, opts({0, 1}));
+    ext2ph(self, self.comm_world(), target,
+           CollRequest{extents, packed.data()}, opts({0, 1}), true);
     mpi::barrier(self, self.comm_world());
 
     if (self.rank() == 0) {
@@ -213,8 +213,8 @@ TEST(Ext2ph, NoAggregatorsThrows) {
         DirectTarget target(self.world().fs(), fs_id);
         const std::vector<fs::Extent> extents{{0, 16}};
         std::vector<std::byte> packed(16);
-        ext2ph_write(self, self.comm_world(), target,
-                     CollRequest{extents, packed.data()}, Ext2phOptions{});
+        ext2ph(self, self.comm_world(), target,
+               CollRequest{extents, packed.data()}, Ext2phOptions{}, true);
       }),
       std::invalid_argument);
 }
@@ -260,9 +260,9 @@ TEST(Ext2ph, PhantomModeCountsCyclesAndTime) {
     const std::vector<fs::Extent> extents{
         {static_cast<std::uint64_t>(self.rank()) * (8ull << 20), 8ull << 20}};
     const double t0 = self.now();
-    const auto result = ext2ph_write(self, self.comm_world(), target,
-                                     CollRequest{extents, nullptr},
-                                     opts({0, 2}));
+    const auto result = ext2ph(self, self.comm_world(), target,
+                               CollRequest{extents, nullptr}, opts({0, 2}),
+                               true);
     if (self.rank() == 0) {
       outcome = result;
       elapsed = self.now() - t0;

@@ -29,10 +29,9 @@ struct Harness {
       for (const auto& extent : extents) bytes += extent.length;
       std::vector<std::byte> packed(bytes);
       workloads::fill_stream(packed.data(), extents, kSalt);
-      ext2ph_write(self, self.comm_world(), target,
-                   CollRequest{extents, packed.empty() ? nullptr
-                                                       : packed.data()},
-                   options);
+      ext2ph(self, self.comm_world(), target,
+             CollRequest{extents, packed.empty() ? nullptr : packed.data()},
+             options, true);
       mpi::barrier(self, self.comm_world());
       auto* store =
           dynamic_cast<fs::MemoryStore*>(&self.world().fs().store());
@@ -121,9 +120,9 @@ TEST(Ext2phEdge, WidelySeparatedRequests) {
     std::vector<std::byte> packed(1024);
     workloads::fill_stream(packed.data(), extents, kSalt);
     auto options = all_aggs(4, 1024);
-    const auto outcome = ext2ph_write(self, self.comm_world(), target,
-                                      CollRequest{extents, packed.data()},
-                                      options);
+    const auto outcome = ext2ph(self, self.comm_world(), target,
+                                CollRequest{extents, packed.data()}, options,
+                                true);
     if (self.rank() == 0) cycles = outcome.cycles;
     mpi::barrier(self, self.comm_world());
     auto* store = dynamic_cast<fs::MemoryStore*>(&self.world().fs().store());
@@ -144,8 +143,8 @@ TEST(Ext2phEdge, ReadFromUnwrittenRegionsReturnsZeros) {
         {static_cast<std::uint64_t>(self.rank()) * 4096 + 128, 256}};
     std::vector<std::byte> packed(256, std::byte{0xAA});
     auto options = all_aggs(2);
-    ext2ph_read(self, self.comm_world(), target,
-                CollRequest{extents, packed.data()}, options);
+    ext2ph(self, self.comm_world(), target,
+           CollRequest{extents, packed.data()}, options, false);
     for (std::byte b : packed) {
       if (b != std::byte{0}) ok = false;
     }
@@ -167,8 +166,8 @@ TEST(Ext2phEdge, RepeatedCallsOnSameCommAreIndependent) {
            2048}};
       std::vector<std::byte> packed(2048);
       workloads::fill_stream(packed.data(), extents, kSalt + call);
-      ext2ph_write(self, self.comm_world(), target,
-                   CollRequest{extents, packed.data()}, options);
+      ext2ph(self, self.comm_world(), target,
+             CollRequest{extents, packed.data()}, options, true);
       mpi::barrier(self, self.comm_world());
       auto* store =
           dynamic_cast<fs::MemoryStore*>(&self.world().fs().store());
@@ -210,8 +209,8 @@ TEST(Ext2phEdge, SubCommunicatorCollective) {
     Ext2phOptions options;
     options.aggregators = {0, 2};
     options.cb_buffer_size = 512;
-    ext2ph_write(self, half, target, CollRequest{extents, packed.data()},
-                 options);
+    ext2ph(self, half, target, CollRequest{extents, packed.data()}, options,
+           true);
     mpi::barrier(self, self.comm_world());
     auto* store = dynamic_cast<fs::MemoryStore*>(&self.world().fs().store());
     ok = ok && store && workloads::verify_store(*store, fs_id, extents, salt);

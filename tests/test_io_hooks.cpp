@@ -3,8 +3,8 @@
 // survive the staged data's drain and register its checksums, and a read
 // must see the staged bytes. The split-phase collective write registers
 // its checksums like write_at_all does. Every entry-point family's clock,
-// file bytes and close-time summary are pinned, and every entry point
-// checks the handle's access mode.
+// file bytes and close-time summary are pinned, every entry point checks
+// the handle's access mode, and every collective open has its own state.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -36,7 +36,8 @@ constexpr std::uint64_t kSecondSalt = 202;  // the later write
 /// independent paths that bypass the staging store); the clock pins run
 /// all of them.
 enum class Path {
-  Posix, Sieve, Async, Batched, Ext2ph, ParColl, Split, CbDisable
+  Posix, Sieve, Async, Batched, Ext2ph, ParColl, Split, CbDisable, TwoLevel,
+  SoleLeader
 };
 enum class Layer { BbWatermark, IntegrityDetect };
 
@@ -53,8 +54,9 @@ mpiio::Hints hints_for(Layer layer) {
   return hints;
 }
 
-/// One call through `path`'s entry point at `offset` (ParColl and
-/// CbDisable differ from Ext2ph only in their hints).
+/// One call through `path`'s entry point at `offset` (ParColl, CbDisable,
+/// TwoLevel and SoleLeader differ from Ext2ph only in their hints and
+/// machine).
 void transfer(Path path, mpiio::FileHandle& file, bool write,
               std::uint64_t offset, std::byte* data,
               const dtype::Datatype& memtype) {
@@ -81,6 +83,8 @@ void transfer(Path path, mpiio::FileHandle& file, bool write,
     case Path::Ext2ph:
     case Path::ParColl:
     case Path::CbDisable:
+    case Path::TwoLevel:
+    case Path::SoleLeader:
       write ? core::write_at_all(file, offset, data, 1, memtype)
             : core::read_at_all(file, offset, data, 1, memtype);
       break;
@@ -200,7 +204,9 @@ TEST(SplitEntryHooks, SplitWriteRegistersChecksumsUnderDetect) {
 // view is non-contiguous, so the POSIX (one call per extent) and sieve
 // (window read-modify-write) services differ from the batched one. A pin
 // moves if any step that advances the clock is reordered: pack, checksum
-// charge, flush wait or unpack.
+// charge, flush wait or unpack. TwoLevel and SoleLeader pin the two-level
+// stage in both directions: ext2ph over the node leaders of 8 two-core
+// nodes, and the sole-leader branch of one 16-core node.
 
 struct FamilyRun {
   double elapsed = 0;
@@ -229,7 +235,14 @@ FamilyRun run_family(Path family) {
     hints.cb_write_enabled = false;
     hints.cb_read_enabled = false;
   }
-  mpi::World world(machine::MachineModel::jaguar(kRanks));
+  if (family == Path::TwoLevel || family == Path::SoleLeader) {
+    hints.cb_intranode = node::IntranodeMode::On;
+  }
+  // Two cores per node, except SoleLeader's one 16-core node, where the
+  // leader communicator has a single member.
+  const int cores_per_node = family == Path::SoleLeader ? kRanks : 2;
+  mpi::World world(machine::MachineModel::jaguar(
+      kRanks, machine::Mapping::Block, cores_per_node));
   FamilyRun run;
   world.run([&](mpi::Rank& self) {
     mpiio::FileHandle file(self, self.comm_world(), "golden.dat", hints);
@@ -390,16 +403,54 @@ TEST(EntryPointClock, CollectiveBufferingDisabled) {
       "scrub_repairs=0 errors=0");
 }
 
+TEST(EntryPointClock, CollectiveTwoLevel) {
+  expect_pinned(
+      Path::TwoLevel, 0.02566680012932962, 10474153472279117010ull,
+      "file \"golden.dat\" summary:\n"
+      "  time:   compute=0.000183501s p2p=0.0162392s sync=0.0975018s "
+      "io=0.0349543s faulted=0s intra=0.10702s drain=0.0637133s "
+      "dwait=0.143295s integrity=4.57764e-05s (sum over ranks)\n"
+      "  data:   written=65536B read=65536B\n"
+      "  calls:  coll_w=1 coll_r=1 indep_w=0 indep_r=0\n"
+      "  cycles: 16 (rmw_reads=0)\n"
+      "  parcoll: calls=0 view_switches=0 last_groups=1\n"
+      "  intra:  calls=2 bytes=69632B\n"
+      "  bb:     staged=8 (65536B) drained=65536B spills=0 (0B) "
+      "conflict_flushes=0 drain_retries=0 drain_failovers=0\n"
+      "  integrity: blocks=256 (65536B) detected=0 repaired=0 "
+      "scrub_repairs=0 errors=0");
+}
+
+TEST(EntryPointClock, CollectiveSoleLeader) {
+  expect_pinned(
+      Path::SoleLeader, 0.0034885816121493539, 10474153472279117010ull,
+      "file \"golden.dat\" summary:\n"
+      "  time:   compute=0.000131072s p2p=0s sync=0.00287549s "
+      "io=0.00135281s faulted=0s intra=0.0214476s drain=0.00115846s "
+      "dwait=0.0185354s integrity=4.57764e-05s (sum over ranks)\n"
+      "  data:   written=65536B read=65536B\n"
+      "  calls:  coll_w=1 coll_r=1 indep_w=0 indep_r=0\n"
+      "  cycles: 2 (rmw_reads=0)\n"
+      "  parcoll: calls=0 view_switches=0 last_groups=1\n"
+      "  intra:  calls=2 bytes=130560B\n"
+      "  bb:     staged=1 (65536B) drained=65536B spills=0 (0B) "
+      "conflict_flushes=0 drain_retries=0 drain_failovers=0\n"
+      "  integrity: blocks=256 (65536B) detected=0 repaired=0 "
+      "scrub_repairs=0 errors=0");
+}
+
 // --- access modes ---------------------------------------------------------
 
 /// Every entry point checks the handle's access mode before it touches the
 /// file: writes on a read-only handle and reads on a write-only handle
-/// throw std::logic_error on every rank, and the file does not grow.
+/// throw std::logic_error on every rank, the file does not grow, and
+/// neither file pointer moves.
 TEST(IoLifecycle, EveryEntryPointRejectsTheWrongAccessMode) {
   constexpr std::uint64_t kBytes = 4096;
   mpi::World world(machine::MachineModel::jaguar(2));
   std::vector<std::string> missed;
   std::uint64_t size_after = 0;
+  std::vector<std::uint64_t> pointers;  // shared, then individual, per handle
   world.run([&](mpi::Rank& self) {
     const dtype::Datatype memtype = dtype::Datatype::bytes(kBytes);
     std::vector<std::byte> data(kBytes);
@@ -435,6 +486,8 @@ TEST(IoLifecycle, EveryEntryPointRejectsTheWrongAccessMode) {
         core::write_at_all_begin(f, at, buf, 1, memtype);
       });
       size_after = f.size();
+      pointers.push_back(f.shared_position());
+      pointers.push_back(f.position());
       f.close();
     }
     {
@@ -457,6 +510,8 @@ TEST(IoLifecycle, EveryEntryPointRejectsTheWrongAccessMode) {
       expect_rejected("read_at_all_begin", [&] {
         core::read_at_all_begin(f, at, buf, 1, memtype);
       });
+      pointers.push_back(f.shared_position());
+      pointers.push_back(f.position());
       f.close();
     }
   });
@@ -464,6 +519,59 @@ TEST(IoLifecycle, EveryEntryPointRejectsTheWrongAccessMode) {
   for (const std::string& name : missed) names += " " + name;
   EXPECT_TRUE(missed.empty()) << "no logic_error from:" << names;
   EXPECT_EQ(size_after, 0u);
+  EXPECT_EQ(pointers, std::vector<std::uint64_t>(8, 0));
+}
+
+/// Every collective open is its own file handle: reopening a closed file
+/// on the same communicator starts from fresh statistics, the reopen's own
+/// hints, a shared file pointer at 0 and integrity counts of this open only.
+TEST(IoLifecycle, ReopenStartsFreshSharedState) {
+  constexpr int kRanks = 4;
+  constexpr std::uint64_t kBytes = 4096;
+  mpi::World world(machine::MachineModel::jaguar(kRanks));
+  mpiio::Hints first;
+  first.integrity.level = fs::IntegrityLevel::Detect;
+  mpiio::Hints second = first;
+  second.parcoll_num_groups = 2;
+  second.parcoll_min_group_size = 2;
+  std::uint64_t shared_at_reopen = 1;
+  int groups_at_reopen = 0;
+  mpiio::FileStats first_stats;
+  mpiio::FileStats second_stats;
+  world.run([&](mpi::Rank& self) {
+    const dtype::Datatype memtype = dtype::Datatype::bytes(kBytes);
+    std::vector<std::byte> data(kBytes, std::byte{7});
+    const std::uint64_t at = static_cast<std::uint64_t>(self.rank()) * kBytes;
+    {
+      mpiio::FileHandle f(self, self.comm_world(), "re.dat", first);
+      core::write_at_all(f, at, data.data(), 1, memtype);
+      f.write_shared(data.data(), 1, memtype);
+      f.close();
+      if (self.rank() == 0) first_stats = f.stats();
+    }
+    mpiio::FileHandle f(self, self.comm_world(), "re.dat", second,
+                        mpiio::kModeRdonly);
+    if (self.rank() == 0) {
+      shared_at_reopen = f.shared_position();
+      groups_at_reopen = f.hints().parcoll_num_groups;
+    }
+    core::read_at_all(f, at, data.data(), 1, memtype);
+    f.close();
+    if (self.rank() == 0) second_stats = f.stats();
+  });
+  EXPECT_EQ(first_stats.bytes_written, 2 * kRanks * kBytes);
+  EXPECT_EQ(first_stats.integrity_blocks, 2u * kRanks);
+  EXPECT_EQ(shared_at_reopen, 0u);
+  EXPECT_EQ(groups_at_reopen, 2);
+  EXPECT_EQ(second_stats.bytes_written, 0u);
+  EXPECT_EQ(second_stats.bytes_read, kRanks * kBytes);
+  EXPECT_EQ(second_stats.collective_writes, 0u);
+  EXPECT_EQ(second_stats.collective_reads, 1u);
+  EXPECT_EQ(second_stats.independent_writes, 0u);
+  EXPECT_EQ(second_stats.parcoll_calls, 1u);
+  EXPECT_EQ(second_stats.last_num_groups, 2);
+  EXPECT_EQ(second_stats.integrity_blocks, 0u);
+  EXPECT_EQ(second_stats.integrity_bytes, 0u);
 }
 
 }  // namespace

@@ -170,8 +170,8 @@ TEST(ModelSanity, StripeAlignedDomainsReduceLockRevocations) {
       std::vector<int> all(16);
       std::iota(all.begin(), all.end(), 0);
       options.aggregators = all;
-      ext2ph_write(self, self.comm_world(), target,
-                   mpiio::CollRequest{extents, nullptr}, options);
+      ext2ph(self, self.comm_world(), target,
+             mpiio::CollRequest{extents, nullptr}, options, true);
       mpi::barrier(self, self.comm_world());
       if (self.rank() == 0) locks = self.world().fs().total_lock_switches();
     });

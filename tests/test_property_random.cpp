@@ -115,8 +115,8 @@ TEST_P(RandomPatternTest, CollectiveWriteThenReadRoundTrips) {
       std::vector<int> all(static_cast<std::size_t>(nranks));
       std::iota(all.begin(), all.end(), 0);
       options.aggregators = all;
-      ext2ph_write(self, self.comm_world(), target,
-                   mpiio::CollRequest{extents, packed.data()}, options);
+      ext2ph(self, self.comm_world(), target,
+             mpiio::CollRequest{extents, packed.data()}, options, true);
     } else {
       // Through the full ParColl stack with a synthetic per-rank view.
       mpiio::FileHandle file(self, self.comm_world(), "prop-view.dat", hints);

@@ -29,9 +29,12 @@ Presets (`--list` prints every run of a preset):
              parcoll} x 11 burst-buffer settings (each drain policy, a
              small capacity, integrity, faults, a seeded schedule, a read,
              byte-true repair).
-  intranode  (80 runs) {tileio, ior, flash}@32 + btio@36 x {ext2ph,
+  intranode  (128 runs) {tileio, ior, flash}@32 + btio@36 x {ext2ph,
              parcoll} x intranode {off, on, auto} x mapping {block,
-             cyclic}, plus --leader spread and rank-stall re-election.
+             cyclic}, plus --leader spread and rank-stall re-election;
+             two-level reads (on, on + cyclic, auto + --cb-nodes 8); and
+             --cores-per-node 16, written and read back, with --groups 2
+             for parcoll too, so communicators live on one node.
 
 No preset passes --engine-stats, so every stdout line is simulated output
 and must match exactly. `--ignore REGEX` drops matching lines on both sides
@@ -111,6 +114,19 @@ def intranode():
             for mode in ["off", "on"]:
                 runs.append([workload, nprocs, impl, "--intranode", mode,
                              "--fault", "seed=7;rank-stall=3:0.01:0.5"])
+            # Two-level reads, and communicators on one node (16 cores per
+            # node), where the leader stage is the sole-leader branch.
+            for extra in [["on", "--read"],
+                          ["on", "--mapping", "cyclic", "--read"],
+                          ["auto", "--cb-nodes", "8", "--read"]]:
+                runs.append([workload, nprocs, impl, "--intranode"] + extra)
+            one_node = [["--cores-per-node", "16"]]
+            if impl == "parcoll":
+                one_node.append(["--cores-per-node", "16", "--groups", "2"])
+            for extra in one_node:
+                for read in [[], ["--read"]]:
+                    runs.append([workload, nprocs, impl, "--intranode", "on"]
+                                + extra + read)
     return runs
 
 
