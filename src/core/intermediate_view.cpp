@@ -67,7 +67,7 @@ std::vector<fs::Extent> IntermediateTarget::translate_all(
     std::span<const fs::Extent> extents) const {
   std::vector<fs::Extent> physical;
   for (const fs::Extent& extent : extents) {
-    auto part = map_.translate(extent);
+    auto part = map_->translate(extent);
     physical.insert(physical.end(), part.begin(), part.end());
   }
   return physical;

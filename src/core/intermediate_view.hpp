@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "fs/lustre.hpp"
@@ -42,6 +43,10 @@ class IntermediateMap {
   [[nodiscard]] std::vector<fs::Extent> translate(const fs::Extent& span) const;
 
   [[nodiscard]] std::uint64_t total_bytes() const { return total_bytes_; }
+  /// Intermediate start of the `i`-th member (construction order).
+  [[nodiscard]] std::uint64_t inter_start(std::size_t i) const {
+    return members_[i].inter_start;
+  }
 
  private:
   struct Member {
@@ -56,10 +61,12 @@ class IntermediateMap {
 
 /// IoTarget that resolves intermediate extents through an IntermediateMap
 /// before delegating to the wrapped physical target (DirectTarget, or the
-/// burst-buffer staging target — the translation layer does not care).
+/// burst-buffer staging target — the translation layer does not care). The
+/// map is immutable, so every member of a subgroup can share one.
 class IntermediateTarget final : public mpiio::IoTarget {
  public:
-  IntermediateTarget(mpiio::IoTarget& inner, IntermediateMap map)
+  IntermediateTarget(mpiio::IoTarget& inner,
+                     std::shared_ptr<const IntermediateMap> map)
       : inner_(inner), map_(std::move(map)) {}
 
   void write(mpi::Rank& self, std::span<const fs::Extent> extents,
@@ -67,14 +74,12 @@ class IntermediateTarget final : public mpiio::IoTarget {
   void read(mpi::Rank& self, std::span<const fs::Extent> extents,
             std::byte* out) override;
 
-  [[nodiscard]] const IntermediateMap& map() const { return map_; }
-
  private:
   std::vector<fs::Extent> translate_all(
       std::span<const fs::Extent> extents) const;
 
   mpiio::IoTarget& inner_;
-  IntermediateMap map_;
+  std::shared_ptr<const IntermediateMap> map_;
 };
 
 }  // namespace parcoll::core

@@ -261,29 +261,34 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
     // The intermediate coordinate space is subgroup-local (each group's
     // space starts at 0): groups touch disjoint physical segments, so their
     // spaces are independent and no global exchange is needed per call.
+    // The exchange is an allgatherv's; the map is built once and shared.
     const auto member_extents =
-        mpi::allgatherv(self, plan.subcomm, prep.extents);
-    std::vector<MemberSegments> members;
-    members.reserve(member_extents.size());
-    std::uint64_t inter_pos = 0;
-    std::uint64_t my_inter_start = 0;
-    const int sub_me = plan.subcomm.local_rank(self.rank());
-    for (int sub_local = 0; sub_local < plan.subcomm.size(); ++sub_local) {
-      MemberSegments member;
-      member.inter_start = inter_pos;
-      member.extents = member_extents[static_cast<std::size_t>(sub_local)];
-      if (sub_local == sub_me) {
-        my_inter_start = inter_pos;
-      }
-      for (const fs::Extent& extent : member.extents) {
-        inter_pos += extent.length;
-      }
-      members.push_back(std::move(member));
-    }
-    IntermediateTarget target(physical, IntermediateMap(std::move(members)));
+        mpi::coll_run(self, plan.subcomm, mpi::CollKind::Allgather,
+                      mpi::detail::to_bytes(prep.extents));
+    const auto map =
+        mpi::shared_once<IntermediateMap>(self, plan.subcomm, [&] {
+          std::vector<MemberSegments> members;
+          members.reserve(member_extents->size());
+          std::uint64_t inter_pos = 0;
+          for (const auto& contribution : *member_extents) {
+            MemberSegments member;
+            member.inter_start = inter_pos;
+            member.extents =
+                mpi::detail::vector_from<fs::Extent>(contribution);
+            for (const fs::Extent& extent : member.extents) {
+              inter_pos += extent.length;
+            }
+            members.push_back(std::move(member));
+          }
+          return IntermediateMap(std::move(members));
+        });
+    IntermediateTarget target(physical, map);
     mpiio::CollRequest request;
     if (prep.bytes > 0) {
-      request.extents.push_back(fs::Extent{my_inter_start, prep.bytes});
+      const auto sub_me =
+          static_cast<std::size_t>(plan.subcomm.local_rank(self.rank()));
+      request.extents.push_back(
+          fs::Extent{map->inter_start(sub_me), prep.bytes});
     }
     request.data = prep.data();
     run_two_phase(self, plan.subcomm, hints, target, request, options,
@@ -323,8 +328,9 @@ mpiio::FileStats collective_counts(mpiio::FileHandle& file,
 
 namespace {
 /// Collective error agreement at the end of a collective call (integrity
-/// on only): reduce the highest-priority pending unrecoverable-corruption
-/// word over the call's communicator; a nonzero maximum makes every rank
+/// on only): reduce the file's highest-priority pending
+/// unrecoverable-corruption word over the call's communicator, so another
+/// file's error never surfaces here; a nonzero maximum makes every rank
 /// throw the identical CollectiveIoError. With integrity off this is never
 /// reached, so the default path stays free of the extra reduction.
 void agree_on_errors(mpiio::FileHandle& file) {
@@ -332,8 +338,8 @@ void agree_on_errors(mpiio::FileHandle& file) {
   if (integ == nullptr) {
     return;
   }
-  const std::uint64_t word = mpi::allreduce_max(file.self(), file.comm(),
-                                                integ->pending_word());
+  const std::uint64_t word = mpi::allreduce_max(
+      file.self(), file.comm(), integ->pending_word(file.fs_id()));
   if (auto* checker = file.self().world().checker()) {
     checker->on_error_agreement(file.self().rank(), file.comm().context_id(),
                                 file.comm().size(), word);

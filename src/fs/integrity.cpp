@@ -71,47 +71,37 @@ IntegrityManager::IntegrityManager(IntegrityConfig config,
                                    fault::FaultState* faults)
     : config_(config), faults_(faults) {}
 
-void IntegrityManager::erase_range(FileMap& map, std::uint64_t lo,
-                                   std::uint64_t hi) {
+IntegrityManager::FileMap::iterator IntegrityManager::first_overlapping(
+    FileMap& map, std::uint64_t lo) {
   auto it = map.lower_bound(lo);
   if (it != map.begin()) {
     auto prev = std::prev(it);
-    if (prev->first + prev->second.length > lo) it = prev;
+    if (prev->first + prev->second.length > lo) return prev;
   }
+  return it;
+}
+
+void IntegrityManager::erase_range(FileMap& map, std::uint64_t lo,
+                                   std::uint64_t hi) {
+  auto it = first_overlapping(map, lo);
   while (it != map.end() && it->first < hi) {
     const std::uint64_t rec_lo = it->first;
-    const std::uint64_t rec_hi = rec_lo + it->second.length;
-    Record old = std::move(it->second);
+    const Record old = std::move(it->second);
     it = map.erase(it);
     // An overwrite that only partially covers a record keeps the survivor
-    // pieces verifiable: re-derive their checksums from the replica (or
-    // keep phantom coverage as-is).
-    if (rec_lo < lo) {
-      Record left;
-      left.length = lo - rec_lo;
-      left.landed = old.landed >= old.length ? left.length : 0;
-      left.write = old.write;
-      if (!old.phantom()) {
-        left.replica.assign(old.replica.begin(),
-                            old.replica.begin() +
-                                static_cast<std::ptrdiff_t>(left.length));
-        left.crc = crc32c(left.replica.data(), left.replica.size());
-      }
-      map.emplace(rec_lo, std::move(left));
-    }
-    if (rec_hi > hi) {
-      Record right;
-      right.length = rec_hi - hi;
-      right.landed = old.landed >= old.length ? right.length : 0;
-      right.write = old.write;
-      if (!old.phantom()) {
-        right.replica.assign(old.replica.end() -
-                                 static_cast<std::ptrdiff_t>(right.length),
-                             old.replica.end());
-        right.crc = crc32c(right.replica.data(), right.replica.size());
-      }
-      map.emplace(hi, std::move(right));
-    }
+    // pieces verifiable: re-derive their checksums from the source bytes.
+    const auto keep = [&](std::uint64_t from, std::uint64_t to) {
+      Record piece;
+      piece.length = to - from;
+      piece.landed = old.landed >= old.length ? piece.length : 0;
+      piece.write = old.write;
+      const std::byte* src = old.replica.data() + (from - rec_lo);
+      piece.replica.assign(src, src + piece.length);
+      piece.crc = crc32c(src, piece.length);
+      map.emplace(from, std::move(piece));
+    };
+    if (rec_lo < lo) keep(rec_lo, lo);
+    if (rec_lo + old.length > hi) keep(hi, rec_lo + old.length);
   }
 }
 
@@ -119,34 +109,26 @@ double IntegrityManager::register_write(int client, int fs_id,
                                         std::span<const Extent> extents,
                                         const std::byte* data) {
   File& file = files_[fs_id];
-  FileMap& map = file.records;
   if (writes_registered_ == std::numeric_limits<std::uint32_t>::max()) {
     throw std::overflow_error("IntegrityManager: register_write count "
                               "exceeds the 32-bit block stamp");
   }
   const std::uint32_t write = ++writes_registered_;
-  std::uint64_t total = 0;
-  std::uint64_t pos = 0;  // cursor into the concatenated payload
+  std::uint64_t total = 0;  // also the cursor into the concatenated payload
   for (const Extent& extent : extents) {
     if (extent.length == 0) continue;
-    erase_range(map, extent.offset, extent.end());
-    std::uint64_t off = extent.offset;
-    std::uint64_t left = extent.length;
-    while (left > 0) {
-      const std::uint64_t len = std::min(left, config_.block);
-      Record record;
-      record.length = len;
-      record.write = write;
-      if (data != nullptr) {
-        const std::byte* src = data + pos;
-        record.crc = crc32c(src, len);
-        record.replica.assign(src, src + len);
+    erase_range(file.records, extent.offset, extent.end());
+    file.counts.blocks += (extent.length + config_.block - 1) / config_.block;
+    if (data != nullptr) {
+      for (std::uint64_t at = 0; at < extent.length; at += config_.block) {
+        Record record;
+        record.length = std::min(extent.length - at, config_.block);
+        record.write = write;
+        const std::byte* src = data + total + at;
+        record.crc = crc32c(src, record.length);
+        record.replica.assign(src, src + record.length);
+        file.records.emplace(extent.offset + at, std::move(record));
       }
-      map.emplace(off, std::move(record));
-      ++file.counts.blocks;
-      off += len;
-      pos += len;
-      left -= len;
     }
     total += extent.length;
   }
@@ -156,21 +138,19 @@ double IntegrityManager::register_write(int client, int fs_id,
 }
 
 template <typename Heal>
-bool IntegrityManager::check_record(int client, int fs_id,
+void IntegrityManager::check_record(int client, int fs_id,
                                     std::uint64_t offset,
                                     const Record& record,
                                     const std::byte* actual, bool by_scrubber,
                                     Heal&& heal) {
-  if (record.phantom() || actual == nullptr) return true;
-  if (crc32c(actual, record.length) == record.crc) return true;
+  if (crc32c(actual, record.length) == record.crc) return;
   note_detected(client, fs_id);
-  if (config_.level == IntegrityLevel::Repair && !record.replica.empty()) {
+  if (config_.level == IntegrityLevel::Repair) {
     heal(record.replica);
     note_repaired(client, fs_id, by_scrubber);
-    return true;
+  } else {
+    record_error(fs_id, offset, record.length);
   }
-  record_error(fs_id, offset, record.length);
-  return false;
 }
 
 double IntegrityManager::verify_buffer(int client, int fs_id,
@@ -190,8 +170,7 @@ double IntegrityManager::verify_buffer(int client, int fs_id,
       // already on the OST), so its audit waits for the store-side passes.
       // A record newer than the buffer describes bytes a later call wrote.
       if (it->second.write > as_of) continue;
-      const std::uint64_t at = pos + (it->first - extent.offset);
-      std::byte* actual = data == nullptr ? nullptr : data + at;
+      std::byte* actual = data + pos + (it->first - extent.offset);
       check_record(client, fs_id, it->first, it->second, actual,
                    /*by_scrubber=*/false, [&](const std::vector<std::byte>& r) {
                      std::memcpy(actual, r.data(), r.size());
@@ -213,14 +192,9 @@ double IntegrityManager::verify_ranges(int client, int fs_id,
   std::vector<std::byte> actual;
   for (const Extent& extent : extents) {
     if (extent.length == 0) continue;
-    auto it = map.lower_bound(extent.offset);
-    if (it != map.begin()) {
-      auto prev = std::prev(it);
-      if (prev->first + prev->second.length > extent.offset) it = prev;
-    }
-    for (; it != map.end() && it->first < extent.end(); ++it) {
+    for (auto it = first_overlapping(map, extent.offset);
+         it != map.end() && it->first < extent.end(); ++it) {
       const Record& record = it->second;
-      if (record.phantom()) continue;
       actual.resize(record.length);
       store.read(fs_id, it->first, actual.data(), record.length);
       check_record(client, fs_id, it->first, record, actual.data(),
@@ -239,10 +213,9 @@ double IntegrityManager::scrub_all(int client, ObjectStore& store,
   std::vector<std::byte> actual;
   for (auto& [fs_id, file] : files_) {
     for (auto& [offset, record] : file.records) {
-      // Skip phantom coverage and blocks still staged/in flight: the store
-      // does not hold their bytes yet, so an audit would misread pending
-      // data as corruption.
-      if (record.phantom() || record.landed < record.length) continue;
+      // Skip blocks still staged/in flight: the store does not hold their
+      // bytes yet, so an audit would misread pending data as corruption.
+      if (record.landed < record.length) continue;
       actual.resize(record.length);
       store.read(fs_id, offset, actual.data(), record.length);
       check_record(client, fs_id, offset, record, actual.data(), by_scrubber,
@@ -261,12 +234,8 @@ void IntegrityManager::mark_landed(int fs_id, std::uint64_t offset,
   if (found == files_.end() || length == 0) return;
   FileMap& map = found->second.records;
   const std::uint64_t hi = offset + length;
-  auto it = map.lower_bound(offset);
-  if (it != map.begin()) {
-    auto prev = std::prev(it);
-    if (prev->first + prev->second.length > offset) it = prev;
-  }
-  for (; it != map.end() && it->first < hi; ++it) {
+  for (auto it = first_overlapping(map, offset);
+       it != map.end() && it->first < hi; ++it) {
     Record& record = it->second;
     const std::uint64_t lo = std::max(offset, it->first);
     const std::uint64_t cap = std::min(hi, it->first + record.length);
@@ -294,8 +263,9 @@ void IntegrityManager::note_repaired(int client, int fs_id, bool by_scrubber) {
 
 void IntegrityManager::record_error(int fs_id, std::uint64_t offset,
                                     std::uint64_t length) {
-  errors_.emplace_back(fs_id, offset, length);
-  ++files_[fs_id].counts.errors;
+  File& file = files_[fs_id];
+  file.errors.emplace_back(fs_id, offset, length);
+  ++file.counts.errors;
 }
 
 const IntegrityCounters& IntegrityManager::counters(int fs_id) const {
@@ -304,11 +274,20 @@ const IntegrityCounters& IntegrityManager::counters(int fs_id) const {
   return found == files_.end() ? kNone : found->second.counts;
 }
 
-std::uint64_t IntegrityManager::pending_word() const {
+bool IntegrityManager::has_error() const {
+  return std::any_of(files_.begin(), files_.end(), [](const auto& entry) {
+    return !entry.second.errors.empty();
+  });
+}
+
+std::uint64_t IntegrityManager::pending_word(int fs_id) const {
   // Encode (file, offset) so the max across ranks picks one deterministic
-  // error. Offsets fit comfortably in 48 bits at simulated scales.
+  // error; the file part keeps an error at offset 0 nonzero. Offsets fit
+  // comfortably in 48 bits at simulated scales.
+  const auto found = files_.find(fs_id);
+  if (found == files_.end()) return 0;
   std::uint64_t word = 0;
-  for (const CollectiveIoError& error : errors_) {
+  for (const CollectiveIoError& error : found->second.errors) {
     const std::uint64_t encoded =
         (static_cast<std::uint64_t>(error.fs_id + 1) << 48) |
         (error.offset & 0xFFFFFFFFFFFFull);
@@ -320,11 +299,13 @@ std::uint64_t IntegrityManager::pending_word() const {
 CollectiveIoError IntegrityManager::error_of(std::uint64_t word) const {
   const int fs_id = static_cast<int>(word >> 48) - 1;
   const std::uint64_t offset = word & 0xFFFFFFFFFFFFull;
-  for (const CollectiveIoError& error : errors_) {
-    if (error.fs_id == fs_id && error.offset == offset) return error;
+  if (const auto found = files_.find(fs_id); found != files_.end()) {
+    for (const CollectiveIoError& error : found->second.errors) {
+      if (error.offset == offset) return error;
+    }
   }
-  // Another rank recorded it (should not happen with a world-global log,
-  // but keep the agreement total anyway).
+  // Another rank recorded it (should not happen with one manager per
+  // world, but keep the agreement total anyway).
   return CollectiveIoError(fs_id, offset, 0);
 }
 

@@ -6,11 +6,14 @@
 // staging, the exchange phase, bb drains, and write RPCs; the stored bytes
 // are re-verified against them at the OST on ingest, before a bb segment
 // drains, at the client on read, and by a background scrubber that walks
-// the ObjectStore for latent media corruption. At IntegrityLevel::Repair
-// each record also retains a replica of the source bytes, so a detected
-// mismatch can be healed in place; at Detect a mismatch is only recorded,
-// and the pending error is surfaced through a collective error-reduction
-// so every rank of the communicator throws the identical CollectiveIoError.
+// the ObjectStore for latent media corruption. Every record keeps its
+// source bytes: a partial overwrite re-checksums the surviving pieces from
+// them, and at IntegrityLevel::Repair a detected mismatch is healed from
+// them in place. At Detect a mismatch is only recorded, and the file's
+// pending error is surfaced through a collective error-reduction so every
+// rank of the communicator throws the identical CollectiveIoError. A write
+// without bytes (a phantom payload) counts its blocks and models its cost
+// but keeps no record: there is nothing to checksum.
 //
 // Like LustreSim, this layer knows nothing about MPI: callers are integer
 // client ids and every method returns the seconds of checksum work it
@@ -92,10 +95,10 @@ class IntegrityManager {
 
   [[nodiscard]] const IntegrityConfig& config() const { return config_; }
 
-  /// Checksum (and, at Repair, retain) the payload entering any write.
-  /// `data` is the extents' concatenated payload; nullptr (phantom
-  /// mode) registers coverage and models cost without bytes. Returns the
-  /// modeled checksum seconds for the caller to charge.
+  /// Checksum and retain the payload entering any write. `data` is the
+  /// extents' concatenated payload; with nullptr (phantom mode) the write
+  /// only counts its blocks and retires the records it overwrites. Returns
+  /// the modeled checksum seconds for the caller to charge.
   double register_write(int client, int fs_id, std::span<const Extent> extents,
                         const std::byte* data);
 
@@ -132,17 +135,19 @@ class IntegrityManager {
   void note_detected(int client, int fs_id);
   void note_repaired(int client, int fs_id, bool by_scrubber);
 
-  /// Record an unrecoverable corruption, pending collective agreement.
+  /// Record an unrecoverable corruption of file `fs_id`, pending
+  /// collective agreement. Errors stay pending for the file's lifetime.
   void record_error(int fs_id, std::uint64_t offset, std::uint64_t length);
 
-  /// Nonzero word encoding the highest-priority pending error (0 = none);
-  /// ranks agree via allreduce_max over this word.
-  [[nodiscard]] std::uint64_t pending_word() const;
+  /// Nonzero word encoding file `fs_id`'s highest-priority pending error
+  /// (0 = none); ranks agree via allreduce_max over this word.
+  [[nodiscard]] std::uint64_t pending_word(int fs_id) const;
 
   /// Build the agreed error from a nonzero word.
   [[nodiscard]] CollectiveIoError error_of(std::uint64_t word) const;
 
-  [[nodiscard]] bool has_error() const { return !errors_.empty(); }
+  /// Whether any file holds a pending error.
+  [[nodiscard]] bool has_error() const;
   /// Number of register_write calls so far.
   [[nodiscard]] std::uint32_t writes_registered() const {
     return writes_registered_;
@@ -152,37 +157,38 @@ class IntegrityManager {
   [[nodiscard]] const IntegrityCounters& counters(int fs_id) const;
 
  private:
-  /// One per checksum block, so millions at scale: keep it at 48 bytes.
+  /// One per checksummed block.
   struct Record {
     std::uint64_t length = 0;
     std::uint64_t landed = 0;        // bytes committed to the store so far
     std::uint32_t crc = 0;
     std::uint32_t write = 0;         // register_write call that made it
-    std::vector<std::byte> replica;  // retained source (memory mode)
-
-    /// Registered without bytes (phantom mode): coverage only.
-    [[nodiscard]] bool phantom() const { return replica.empty(); }
+    std::vector<std::byte> replica;  // the source bytes
   };
   using FileMap = std::map<std::uint64_t, Record>;
-  /// One file's block registry and the pipeline's counts against it.
+  /// One file's block registry, the pipeline's counts against it and its
+  /// errors pending agreement.
   struct File {
     FileMap records;
     IntegrityCounters counts;
+    std::vector<CollectiveIoError> errors;
   };
 
+  /// The first record ending after `lo`: the one straddling `lo`, if any,
+  /// else the first starting at or after it.
+  static FileMap::iterator first_overlapping(FileMap& map, std::uint64_t lo);
   void erase_range(FileMap& map, std::uint64_t lo, std::uint64_t hi);
-  /// Verify one record against `actual` (record-length bytes); returns
-  /// true when the bytes now match the record (clean or healed). `heal`
-  /// writes the replica back through the callback on repair.
+  /// Verify one record against `actual` (record-length bytes); on a
+  /// mismatch, `heal` writes the replica back at Repair, else the error
+  /// is recorded.
   template <typename Heal>
-  bool check_record(int client, int fs_id, std::uint64_t offset,
+  void check_record(int client, int fs_id, std::uint64_t offset,
                     const Record& record, const std::byte* actual,
                     bool by_scrubber, Heal&& heal);
 
   IntegrityConfig config_;
   fault::FaultState* faults_;
   std::unordered_map<int, File> files_;
-  std::vector<CollectiveIoError> errors_;
   std::uint32_t writes_registered_ = 0;
 };
 

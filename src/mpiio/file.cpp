@@ -350,8 +350,8 @@ void FileHandle::close() {
     }
     // Collective error agreement: recovery-exhausted extents surface as
     // the identical CollectiveIoError on every rank, or on none.
-    const std::uint64_t word =
-        mpi::allreduce_max(self_, common_->comm, integ->pending_word());
+    const std::uint64_t word = mpi::allreduce_max(
+        self_, common_->comm, integ->pending_word(fs_id()));
     if (word != 0) {
       mpi::barrier(self_, common_->comm);
       throw integ->error_of(word);

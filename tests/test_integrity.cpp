@@ -5,7 +5,8 @@
 //  - crc32c itself (known vectors, incremental chaining).
 //  - IntegrityManager in isolation: block registration, store verification
 //    at Detect vs Repair, partial-overwrite record splitting, buffer
-//    healing, per-file counts, and the pending-error word the collective
+//    healing, registrations without bytes (counted, never recorded),
+//    per-file counts, and the per-file pending-error word the collective
 //    agreement reduces.
 //  - Per-file counts end to end: phantom bb decay and one-file-per-rank
 //    BT-IO report each outcome and block in the file that owns it.
@@ -14,7 +15,8 @@
 //    must never survive when integrity=repair is on.
 //  - Retry exhaustion: with every retransmit corrupted, recovery runs out
 //    deterministically and every rank of the communicator throws the
-//    identical CollectiveIoError carrying the failing extent.
+//    identical CollectiveIoError carrying the failing extent; another
+//    file's calls never throw it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -148,7 +150,7 @@ TEST(IntegrityManager, DetectRecordsUnrecoverableError) {
   EXPECT_EQ(faults.of(0).corrupt_detected, 1u);
 
   // The pending word decodes back to the failing extent.
-  const std::uint64_t word = manager.pending_word();
+  const std::uint64_t word = manager.pending_word(1);
   ASSERT_NE(word, 0u);
   const fs::CollectiveIoError error = manager.error_of(word);
   EXPECT_EQ(error.fs_id, 1);
@@ -283,20 +285,84 @@ TEST(IntegrityManager, PendingWordPicksOneErrorForAgreement) {
   fault::FaultState faults;
   fs::IntegrityManager manager(tiny_config(fs::IntegrityLevel::Detect),
                                &faults);
-  EXPECT_EQ(manager.pending_word(), 0u);
+  EXPECT_EQ(manager.pending_word(5), 0u);
   manager.record_error(2, 100, 64);
-  manager.record_error(5, 7, 64);  // higher fs_id dominates the max-encode
+  manager.record_error(5, 7, 64);  // the file's highest offset wins
   manager.record_error(5, 3, 64);
-  const std::uint64_t word = manager.pending_word();
+  const std::uint64_t word = manager.pending_word(5);
   const fs::CollectiveIoError error = manager.error_of(word);
   EXPECT_EQ(error.fs_id, 5);
   EXPECT_EQ(error.offset, 7u);
+  // Each file's word carries only that file's errors.
+  EXPECT_EQ(manager.error_of(manager.pending_word(2)).offset, 100u);
+  EXPECT_EQ(manager.pending_word(3), 0u);
   // The word is what allreduce_max reduces: any rank holding a smaller
   // word decodes the winner identically.
   EXPECT_EQ(manager.error_of(word).fs_id, error.fs_id);
   EXPECT_EQ(std::string(error.what()).find("unrecoverable") !=
                 std::string::npos,
             true);
+}
+
+TEST(IntegrityManager, RegistrationWithoutBytesOnlyCounts) {
+  fault::FaultState faults;
+  const fs::IntegrityConfig config =
+      tiny_config(fs::IntegrityLevel::Detect, 512);
+  fs::IntegrityManager manager(config, &faults);
+  // 2048 B = 4 full blocks, 1000 B = one full block and a 488 B tail.
+  const fs::Extent extents[] = {{0, 2048}, {8192, 1000}};
+  const double cost = manager.register_write(0, 1, extents, nullptr);
+  EXPECT_DOUBLE_EQ(cost, 3048.0 / config.checksum_bw);
+  EXPECT_EQ(manager.counters(1).blocks, 6u);
+  EXPECT_EQ(manager.counters(1).bytes_checksummed, 3048u);
+
+  // Nothing was checksummed, so a staged buffer over the same range has
+  // nothing to be audited against: no time, no detection, whatever bytes.
+  auto decayed = pattern_bytes(3048);
+  decayed[100] ^= std::byte{0x04};
+  EXPECT_EQ(manager.verify_buffer(0, 1, extents, decayed.data(),
+                                  manager.writes_registered()),
+            0.0);
+  EXPECT_EQ(manager.counters(1).detected, 0u);
+  EXPECT_FALSE(manager.has_error());
+}
+
+TEST(IntegrityManager, RegistrationWithoutBytesRetiresWhatItOverwrites) {
+  fault::FaultState faults;
+  const fs::IntegrityConfig config = tiny_config(fs::IntegrityLevel::Detect);
+  fs::IntegrityManager manager(config, &faults);
+  fs::MemoryStore store;
+  const auto data = pattern_bytes(256);
+  const fs::Extent whole[] = {{0, 256}};
+  manager.register_write(0, 1, whole, data.data());
+  store.write(1, 0, data.data(), data.size());
+  manager.mark_landed(1, 0, data.size());
+
+  // A write without bytes over an unaligned middle range: the records it
+  // covers go, the pieces around it stay checksummed.
+  const fs::Extent middle[] = {{90, 100}};
+  manager.register_write(0, 1, middle, nullptr);
+  manager.mark_landed(1, 90, 100);
+  for (const std::uint64_t site : {std::uint64_t{90}, std::uint64_t{150},
+                                   std::uint64_t{189}}) {
+    std::byte flipped = data[site] ^ std::byte{0x40};
+    store.write(1, site, &flipped, 1);
+  }
+  // Only the survivors [0, 90) and [190, 256) are read back and checked.
+  EXPECT_DOUBLE_EQ(manager.verify_ranges(0, 1, whole, store),
+                   156.0 / config.checksum_bw);
+  manager.scrub_all(0, store, /*by_scrubber=*/false);
+  EXPECT_EQ(manager.counters(1).detected, 0u);
+  EXPECT_FALSE(manager.has_error());
+
+  // The survivors still catch corruption on either side.
+  for (const std::uint64_t site : {std::uint64_t{89}, std::uint64_t{190}}) {
+    std::byte flipped = data[site] ^ std::byte{0x40};
+    store.write(1, site, &flipped, 1);
+  }
+  manager.scrub_all(0, store, /*by_scrubber=*/false);
+  EXPECT_EQ(manager.counters(1).detected, 2u);
+  EXPECT_TRUE(manager.has_error());
 }
 
 TEST(IntegrityManager, CountsArePerFile) {
@@ -638,6 +704,60 @@ TEST(IntegrityAgreement, ZeroRetriesExhaustImmediately) {
   // was ever resent.
   EXPECT_EQ(run.faults.retries, 0u);
   EXPECT_GT(run.faults.corrupt_detected, 0u);
+}
+
+TEST(IntegrityAgreement, OneFilesErrorNeverSurfacesInAnother) {
+  // File A stages through a burst buffer whose every segment decays, so
+  // its writes end in the agreed CollectiveIoError. File B, opened after,
+  // is clean: its collective write and close must not throw A's error.
+  const int nranks = 8;
+  mpi::World world(machine::MachineModel::jaguar(nranks));
+  world.set_fault(fault::FaultPlan::parse("seed=5;bb-corrupt=1.0"));
+  mpiio::Hints plain;
+  plain.cb_buffer_size = 1024;
+  plain.integrity.level = fs::IntegrityLevel::Detect;
+  plain.integrity.block = 512;
+  mpiio::Hints staged = plain;
+  staged.bb.enabled = true;
+  std::vector<int> a_threw(nranks, 0);
+  std::vector<int> b_threw(nranks, 0);
+  std::vector<int> error_file(nranks, -1);
+  int a_fs = -1;
+  world.run([&](mpi::Rank& self) {
+    const auto me = static_cast<std::size_t>(self.rank());
+    const std::uint64_t bytes = 4096;
+    const dtype::Datatype memtype = dtype::Datatype::bytes(bytes);
+    std::vector<std::byte> buffer(bytes);
+    const auto write_and_close = [&](mpiio::FileHandle& file) {
+      file.set_view(static_cast<std::uint64_t>(self.rank()) * bytes, 1,
+                    memtype);
+      workloads::fill_buffer_for_extents(buffer.data(), memtype, 1,
+                                         file.view().map(0, bytes), kSalt);
+      core::write_at_all(file, 0, buffer.data(), 1, memtype);
+      file.close();
+    };
+    mpiio::FileHandle a(self, self.comm_world(), "a.dat", staged);
+    a_fs = a.fs_id();
+    try {
+      write_and_close(a);
+    } catch (const fs::CollectiveIoError& error) {
+      a_threw[me] = 1;
+      error_file[me] = error.fs_id;
+    }
+    mpiio::FileHandle b(self, self.comm_world(), "b.dat", plain);
+    try {
+      write_and_close(b);
+    } catch (const fs::CollectiveIoError& error) {
+      b_threw[me] = 1;
+      error_file[me] = error.fs_id;
+    }
+  });
+  for (int r = 0; r < nranks; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    EXPECT_EQ(a_threw[i], 1) << "rank " << r;
+    EXPECT_EQ(b_threw[i], 0) << "rank " << r;
+    EXPECT_EQ(error_file[i], a_fs) << "rank " << r;
+  }
 }
 
 TEST(IntegrityAgreement, BackoffCapSaturatesDuringRetransmits) {

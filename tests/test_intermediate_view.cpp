@@ -90,7 +90,8 @@ TEST(IntermediateTarget, WriteLandsAtPhysicalOffsets) {
     std::vector<MemberSegments> members;
     members.push_back(MemberSegments{0, {{100, 8}, {300, 8}}});
     mpiio::DirectTarget direct(fs, fs_id);
-    IntermediateTarget target(direct, IntermediateMap(std::move(members)));
+    IntermediateTarget target(
+        direct, std::make_shared<const IntermediateMap>(std::move(members)));
 
     // Writing intermediate [0,16) must hit physical {100,8} and {300,8}.
     const std::vector<fs::Extent> inter{{0, 16}};
@@ -118,7 +119,8 @@ TEST(IntermediateTarget, ChargesIoTime) {
     std::vector<MemberSegments> members;
     members.push_back(MemberSegments{0, {{0, 1 << 20}}});
     mpiio::DirectTarget direct(fs, fs_id);
-    IntermediateTarget target(direct, IntermediateMap(std::move(members)));
+    IntermediateTarget target(
+        direct, std::make_shared<const IntermediateMap>(std::move(members)));
     const std::vector<fs::Extent> inter{{0, 1 << 20}};
     std::vector<std::byte> data(1 << 20);
     target.write(self, inter, data.data());

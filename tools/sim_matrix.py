@@ -35,6 +35,17 @@ Presets (`--list` prints every run of a preset):
              two-level reads (on, on + cyclic, auto + --cb-nodes 8); and
              --cores-per-node 16, written and read back, with --groups 2
              for parcoll too, so communicators live on one node.
+  integrity  (210 runs) {tileio, ior, flash}@32 + btio@36 x {ext2ph,
+             parcoll, independent, sieving} x 11 settings (detect,
+             repair, detect --read, bb watermark + detect written and
+             read, exhausted and zero rpc-corrupt retries, bb deadline
+             under bb-corrupt at detect and at repair, --integrity-block
+             4096, --intranode on); parcoll at detect per workload with
+             --read, --intranode on (+ --read), --groups 2, --groups 4
+             --read, --wall-report --gantt and --sample-interval 1e-3
+             --top; byte-true tileio@16 (--groups 4) and btio@16 parcoll
+             at detect, bb watermark + detect, and repair under
+             media-corrupt.
 
 No preset passes --engine-stats, so every stdout line is simulated output
 and must match exactly. `--ignore REGEX` drops matching lines on both sides
@@ -130,7 +141,44 @@ def intranode():
     return runs
 
 
-PRESETS = {"lifecycle": lifecycle, "bb": bb, "intranode": intranode}
+def integrity():
+    detect = ["--integrity", "detect"]
+    bb_corrupt = ["--bb", "--bb-drain", "deadline", "--fault",
+                  "seed=3;bb-corrupt=0.05", "--integrity"]
+    settings = [
+        detect,
+        ["--integrity", "repair"],
+        detect + ["--read"],
+        BB_WATERMARK + detect,
+        BB_WATERMARK + detect + ["--read"],
+        detect + ["--fault", "seed=5;rpc-corrupt=0.2;max-retries=1"],
+        detect + ["--fault", "seed=5;rpc-corrupt=1.0;max-retries=0"],
+        bb_corrupt + ["detect"],
+        bb_corrupt + ["repair"],
+        detect + ["--integrity-block", "4096"],
+        detect + ["--intranode", "on"],
+    ]
+    runs = [[w, n, impl] + extra for w, n in WORKLOADS
+            for impl in ["ext2ph", "parcoll", "independent", "sieving"]
+            for extra in settings]
+    for workload, nprocs in WORKLOADS:
+        for extra in [["--read"], ["--intranode", "on"],
+                      ["--intranode", "on", "--read"], ["--groups", "2"],
+                      ["--groups", "4", "--read"],
+                      ["--wall-report", "--gantt"],
+                      ["--sample-interval", "1e-3", "--top"]]:
+            runs.append([workload, nprocs, "parcoll"] + detect + extra)
+    for workload, extra in [("tileio", ["--groups", "4"]), ("btio", [])]:
+        for setting in [detect, BB_WATERMARK + detect,
+                        ["--integrity", "repair", "--fault",
+                         "seed=9;media-corrupt=3:0.01"]]:
+            runs.append([workload, 16, "parcoll", "--byte-true"] + extra +
+                        setting)
+    return runs
+
+
+PRESETS = {"lifecycle": lifecycle, "bb": bb, "intranode": intranode,
+           "integrity": integrity}
 
 
 def argv_of(binary, run):
