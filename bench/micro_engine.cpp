@@ -10,11 +10,14 @@
 //     matter — and the bench exits non-zero so CI fails.
 //
 //  2. Engine scaling: a synthetic sleep-storm at 1k/10k/100k ranks, a
-//     spawn-churn phase that exercises the fiber stack pool, and a
-//     ParColl IOR run at scale. Reports host events/s, queue depth, stack
-//     pool hits, and peak RSS; --json feeds bench_to_trajectory.
+//     spawn-churn phase that exercises the fiber stack pool, a ParColl IOR
+//     run at scale, and the plain-ext2ph baseline at 10k ranks, whose
+//     event count and virtual elapsed are pinned too (exit non-zero on
+//     drift). Reports host events/s, queue depth, stack pool hits, and peak
+//     RSS; --json feeds bench_to_trajectory.
 //
-// --smoke keeps the rank counts CI-sized (drops the 100k tier).
+// --smoke keeps the rank counts CI-sized (drops the 100k tier, and runs
+// the ext2ph baseline at 4096 ranks).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -55,6 +58,19 @@ constexpr Golden kGoldenTile = {
 constexpr Golden kGoldenIor = {
     "ior-32", 372189963690044911ull, "p",
     0.11984201252554912, 0.12049201252554911, 8388608, 128};
+
+/// Plain-ext2ph IOR baseline pins (phantom, 64 KiB block and transfer,
+/// default aggregators, intranode off), captured before ext2ph's metadata
+/// went sparse. Host-side planning may get cheaper; these may not move.
+struct ScalePin {
+  int nranks;
+  std::uint64_t events;
+  double elapsed;
+};
+constexpr ScalePin kExt2phPins[] = {
+    {4096, 98304, 17.435459863358144},
+    {10240, 245760, 106.50143675438417},
+};
 
 /// Pre-PR engine throughput on the 10k-rank sleep storm, measured on the
 /// same container the goldens were pinned on (RelWithDebInfo, one core).
@@ -296,10 +312,58 @@ int main(int argc, char** argv) {
     report.add("ior-parcoll", nranks, result, extras);
   }
 
+  bool ext2ph_pinned = true;
+  {
+    // The paper's baseline at scale: every process aggregates and every
+    // cycle synchronizes all of them, so per-rank planning cost decides
+    // whether the simulator can run it at all.
+    const ScalePin& pin = kExt2phPins[smoke ? 0 : 1];
+    std::printf("plain ext2ph IOR at scale (%d ranks, phantom payloads):\n",
+                pin.nranks);
+    RunSpec spec;
+    spec.impl = workloads::Impl::Ext2ph;
+    spec.byte_true = false;
+    workloads::IorConfig config;
+    config.block_size = 64 << 10;
+    config.xfer_size = 64 << 10;
+    const auto wall0 = std::chrono::steady_clock::now();
+    const RunResult result = workloads::run_ior(config, pin.nranks, spec, true);
+    const double wall =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      wall0)
+            .count();
+    std::printf(
+        "  %-22s %8d ranks  %12.0f ev/s  wall %7.3f s  %10.1f MiB/s "
+        "(virtual)\n",
+        "ior-ext2ph", pin.nranks, result.engine.events_per_second(), wall,
+        result.bandwidth_mib());
+    print_engine_row("ior-ext2ph-engine", pin.nranks, result.engine);
+    if (result.engine.events_executed != pin.events ||
+        result.elapsed != pin.elapsed) {
+      std::fprintf(stderr,
+                   "PIN MISMATCH ior-ext2ph-%d: pinned %llu events, %.17g s; "
+                   "got %llu events, %.17g s\n",
+                   pin.nranks, (unsigned long long)pin.events, pin.elapsed,
+                   (unsigned long long)result.engine.events_executed,
+                   result.elapsed);
+      ext2ph_pinned = false;
+    }
+    std::vector<std::pair<std::string, double>> extras =
+        engine_extras(result.engine);
+    extras.emplace_back("host_wall_s", wall);
+    report.add("ior-ext2ph", pin.nranks, result, extras);
+  }
+
   if (!identical) {
     std::fprintf(stderr,
                  "micro_engine: bit-identity gate FAILED — engine schedule "
                  "or file contents drifted from the pinned goldens\n");
+    return 1;
+  }
+  if (!ext2ph_pinned) {
+    std::fprintf(stderr,
+                 "micro_engine: the plain-ext2ph scale run drifted from its "
+                 "pinned events or virtual elapsed\n");
     return 1;
   }
   std::printf("  bit-identity gate: PASS\n");

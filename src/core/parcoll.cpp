@@ -88,33 +88,48 @@ std::optional<node::NodeComm> two_level_nodes(mpi::Rank& self,
 }
 
 /// Run one two-phase exchange over `comm`, either flat or — when
-/// two_level_nodes says so — staged two-level: requests aggregate within
-/// each node first and only the node leaders join the inter-node ext2ph.
-/// `options.aggregators` is comm-local on entry; under two-level staging it
-/// is mapped onto the leaders of the nodes hosting those ranks, so
-/// ParColl's aggregator distribution (and any fault re-election) carries
-/// through to the leader stage.
+/// two_level_nodes says so and Auto's gate agrees — staged two-level:
+/// requests aggregate within each node first and only the node leaders
+/// join the inter-node ext2ph. `options.aggregators` is comm-local on
+/// entry; under two-level staging it is mapped onto the leaders of the
+/// nodes hosting those ranks, so ParColl's aggregator distribution (and
+/// any fault re-election) carries through to the leader stage.
 void run_two_phase(mpi::Rank& self, const mpi::Comm& comm,
                    const mpiio::Hints& hints, mpiio::IoTarget& target,
                    const mpiio::CollRequest& request,
                    mpiio::Ext2phOptions options, bool is_write,
                    CollectiveOutcome& outcome) {
-  const auto nodes = two_level_nodes(self, comm, hints);
-  if (nodes) {
-    auto leader_aggs = nodes->layout->to_leader_locals(options.aggregators);
-    // Auto's cost gate: staging funnels all file traffic through the node
-    // leaders, so a roster with several aggregators on one node (e.g. the
-    // Catamount every-process default) would lose I/O parallelism to buy
-    // the coordination win. Auto declines then; On trusts the user.
-    const bool declined = hints.cb_intranode == node::IntranodeMode::Auto &&
-                          leader_aggs.size() != options.aggregators.size();
-    outcome.two_level = !declined;
-    if (outcome.two_level) options.aggregators = std::move(leader_aggs);
+  std::optional<node::NodeComm> nodes;
+  if (hints.cb_intranode != node::IntranodeMode::Off) {
+    // The decision depends only on the communicator, the roster and the
+    // hints, which every member shares, so one member maps the roster to
+    // node leaders per call and all of them read the result (null: flat).
+    const auto leader_aggs = mpi::shared_once<mpiio::Roster>(
+        self, comm, [&]() -> mpiio::Roster {
+          const auto view = two_level_nodes(self, comm, hints);
+          if (!view) return nullptr;
+          auto leaders = view->layout->to_leader_locals(*options.aggregators);
+          // Auto's cost gate: staging funnels all file traffic through the
+          // node leaders, so a roster with several aggregators on one node
+          // (e.g. the Catamount every-process default) would lose I/O
+          // parallelism to buy the coordination win. Auto declines then;
+          // On trusts the user.
+          if (hints.cb_intranode == node::IntranodeMode::Auto &&
+              leaders.size() != options.aggregators->size()) {
+            return nullptr;
+          }
+          return mpiio::make_roster(std::move(leaders));
+        });
+    if (*leader_aggs) {
+      nodes = node::make_node_comm(self, comm, self.world().model().topology,
+                                   hints.cb_intranode_leader);
+      options.aggregators = *leader_aggs;
+    }
   }
+  outcome.two_level = nodes.has_value();
   const mpiio::Ext2phOutcome result =
-      outcome.two_level
-          ? node::two_level(self, *nodes, target, request, options, is_write)
-          : mpiio::ext2ph(self, comm, target, request, options, is_write);
+      nodes ? node::two_level(self, *nodes, target, request, options, is_write)
+            : mpiio::ext2ph(self, comm, target, request, options, is_write);
   outcome.cycles = result.cycles;
   outcome.rmw_reads = result.rmw_reads;
   outcome.intra_bytes = result.intra_bytes;
@@ -166,9 +181,14 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
 
   const ParcollSettings settings = ParcollSettings::from(hints);
   if (!settings.enabled()) {
-    // Plain extended two-phase over the whole group (the baseline).
-    options.aggregators = mpiio::default_aggregators(
-        self.world().model().topology, comm, hints);
+    // Plain extended two-phase over the whole group (the baseline). The
+    // default roster is a function of the communicator and the hints, so
+    // one member builds it per call and every member shares it (by default
+    // every process aggregates: P private copies would be quadratic).
+    options.aggregators = mpi::shared_once<std::vector<int>>(self, comm, [&] {
+      return mpiio::default_aggregators(self.world().model().topology, comm,
+                                        hints);
+    });
     run_two_phase(self, comm, hints, physical, {prep.extents, prep.data()},
                   options, is_write, outcome);
     return outcome;
@@ -217,7 +237,8 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
   outcome.partitioned = true;
   outcome.mode = plan.fa().mode;
   outcome.num_groups = plan.fa().num_groups;
-  options.aggregators = plan.sub_aggregators;
+  // Aliases the cached plan: no per-call copy of the roster.
+  options.aggregators = mpiio::Roster(cached, &plan.sub_aggregators);
   // Everything from here runs subgroup-local; the span labels descendants
   // (re-election, exchange cycles, I/O) with this rank's subgroup.
   mpi::SpanGuard subgroup_span(self, obs::SpanKind::Subgroup, "subgroup",
@@ -237,12 +258,12 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
         nodes ? node::hier_allreduce_max(self, *nodes, self.now())
               : mpi::allreduce_max(self, plan.subcomm, self.now());
     int replaced = 0;
-    options.aggregators = reelect_stalled_aggregators(
-        plan.subcomm, plan.sub_aggregators, *fplan, agreed, &replaced);
+    options.aggregators = mpiio::make_roster(reelect_stalled_aggregators(
+        plan.subcomm, plan.sub_aggregators, *fplan, agreed, &replaced));
     if (auto* checker = self.world().checker()) {
       checker->on_reelection(self.rank(), plan.subcomm.context_id(),
                              plan.subcomm.size(),
-                             roster_hash(agreed, options.aggregators));
+                             roster_hash(agreed, *options.aggregators));
     }
     if (replaced > 0 && plan.subcomm.local_rank(self.rank()) == 0) {
       self.world().fault_state().of(self.rank()).reelections +=

@@ -207,23 +207,41 @@ double IntegrityManager::verify_ranges(int client, int fs_id,
   return static_cast<double>(scanned) / config_.checksum_bw;
 }
 
+std::uint64_t IntegrityManager::scrub_records(int client, int fs_id,
+                                              const FileMap& records,
+                                              ObjectStore& store,
+                                              bool by_scrubber) {
+  std::uint64_t scanned = 0;
+  std::vector<std::byte> actual;
+  for (const auto& [offset, record] : records) {
+    // Skip blocks still staged/in flight: the store does not hold their
+    // bytes yet, so an audit would misread pending data as corruption.
+    if (record.landed < record.length) continue;
+    actual.resize(record.length);
+    store.read(fs_id, offset, actual.data(), record.length);
+    check_record(client, fs_id, offset, record, actual.data(), by_scrubber,
+                 [&, off = offset](const std::vector<std::byte>& r) {
+                   store.write(fs_id, off, r.data(), r.size());
+                 });
+    scanned += record.length;
+  }
+  return scanned;
+}
+
+double IntegrityManager::scrub_file(int client, int fs_id, ObjectStore& store,
+                                    bool by_scrubber) {
+  const auto found = files_.find(fs_id);
+  if (found == files_.end()) return 0.0;
+  return static_cast<double>(scrub_records(client, fs_id, found->second.records,
+                                           store, by_scrubber)) /
+         config_.checksum_bw;
+}
+
 double IntegrityManager::scrub_all(int client, ObjectStore& store,
                                    bool by_scrubber) {
   std::uint64_t scanned = 0;
-  std::vector<std::byte> actual;
-  for (auto& [fs_id, file] : files_) {
-    for (auto& [offset, record] : file.records) {
-      // Skip blocks still staged/in flight: the store does not hold their
-      // bytes yet, so an audit would misread pending data as corruption.
-      if (record.landed < record.length) continue;
-      actual.resize(record.length);
-      store.read(fs_id, offset, actual.data(), record.length);
-      check_record(client, fs_id, offset, record, actual.data(), by_scrubber,
-                   [&, off = offset](const std::vector<std::byte>& r) {
-                     store.write(fs_id, off, r.data(), r.size());
-                   });
-      scanned += record.length;
-    }
+  for (const auto& [fs_id, file] : files_) {
+    scanned += scrub_records(client, fs_id, file.records, store, by_scrubber);
   }
   return static_cast<double>(scanned) / config_.checksum_bw;
 }

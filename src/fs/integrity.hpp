@@ -116,12 +116,16 @@ class IntegrityManager {
   double verify_ranges(int client, int fs_id, std::span<const Extent> extents,
                        ObjectStore& store);
 
-  /// Verify every record of every registered file (the scrubber's walk and
-  /// the close-time sweep). `by_scrubber` additionally counts heals as
-  /// scrub repairs. Records whose bytes have not fully landed on the store
-  /// yet (registered at collective entry, still staged or in flight) are
-  /// skipped — auditing them against the store would "detect" every
-  /// pending block.
+  /// Verify every record of file `fs_id` (the close-time sweep).
+  /// `by_scrubber` additionally counts heals as scrub repairs. Records
+  /// whose bytes have not fully landed on the store yet (registered at
+  /// collective entry, still staged or in flight) are skipped — auditing
+  /// them against the store would "detect" every pending block.
+  double scrub_file(int client, int fs_id, ObjectStore& store,
+                    bool by_scrubber);
+
+  /// scrub_file over every registered file (the background scrubber's
+  /// walk).
   double scrub_all(int client, ObjectStore& store, bool by_scrubber);
 
   /// LustreSim calls this when a write piece commits to the object store:
@@ -178,6 +182,10 @@ class IntegrityManager {
   /// else the first starting at or after it.
   static FileMap::iterator first_overlapping(FileMap& map, std::uint64_t lo);
   void erase_range(FileMap& map, std::uint64_t lo, std::uint64_t hi);
+  /// Audit every landed record of one file against the store; returns the
+  /// bytes scanned.
+  std::uint64_t scrub_records(int client, int fs_id, const FileMap& records,
+                              ObjectStore& store, bool by_scrubber);
   /// Verify one record against `actual` (record-length bytes); on a
   /// mismatch, `heal` writes the replica back at Repair, else the error
   /// is recorded.

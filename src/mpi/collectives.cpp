@@ -31,6 +31,31 @@ std::uint64_t members_hash(const Comm& comm) {
   }
   return h;
 }
+
+/// Transpose sparse contributions into per-destination inboxes. Sources
+/// are visited in ascending order, so each inbox comes out ascending by
+/// source; each record's leading int turns from destination into source.
+CollContribs route_records(const CollContribs& contribs,
+                           std::size_t record_bytes) {
+  CollContribs inboxes(contribs.size());
+  for (std::size_t source = 0; source < contribs.size(); ++source) {
+    const auto& records = contribs[source];
+    if (records.size() % record_bytes != 0) {
+      throw std::logic_error("sparse exchange: partial record");
+    }
+    const int from = static_cast<int>(source);
+    for (std::size_t at = 0; at < records.size(); at += record_bytes) {
+      const std::byte* record = records.data() + at;
+      int dest = 0;
+      std::memcpy(&dest, record, sizeof dest);
+      auto& inbox = inboxes.at(static_cast<std::size_t>(dest));
+      const std::size_t pos = inbox.size();
+      inbox.insert(inbox.end(), record, record + record_bytes);
+      std::memcpy(inbox.data() + pos, &from, sizeof from);
+    }
+  }
+  return inboxes;
+}
 }  // namespace
 
 const char* to_string(CollKind kind) {
@@ -88,7 +113,7 @@ std::uint64_t CollEngine::derive_context(std::uint64_t parent_ctx,
 
 std::shared_ptr<const CollContribs> CollEngine::exchange(
     Rank& self, const Comm& comm, CollKind kind,
-    std::vector<std::byte> contribution) {
+    std::vector<std::byte> contribution, const SparseRouting* routing) {
   const int me = comm.local_rank(self.rank());
   if (me < 0) {
     throw std::logic_error("collective: caller is not in the communicator");
@@ -109,6 +134,7 @@ std::shared_ptr<const CollContribs> CollEngine::exchange(
     Op op;
     op.kind = kind;
     op.expected = comm.size();
+    if (routing != nullptr) op.routing = *routing;
     op.contribs.resize(static_cast<std::size_t>(comm.size()));
     it = ops_.emplace(key, std::move(op)).first;
   }
@@ -132,13 +158,21 @@ std::shared_ptr<const CollContribs> CollEngine::exchange(
     // Last arriver: compute cost, publish the result, release everyone.
     std::uint64_t max_contrib = 0;
     std::uint64_t total = 0;
-    for (const auto& c : op.contribs) {
-      max_contrib = std::max<std::uint64_t>(max_contrib, c.size());
-      total += c.size();
+    if (op.routing.record_bytes > 0) {
+      max_contrib = op.routing.charged_bytes;
+      total = max_contrib * static_cast<std::uint64_t>(op.expected);
+    } else {
+      for (const auto& c : op.contribs) {
+        max_contrib = std::max<std::uint64_t>(max_contrib, c.size());
+        total += c.size();
+      }
     }
     const double completion =
         op.max_arrival + coll_cost(net_, kind, op.expected, max_contrib, total);
-    op.result = std::make_shared<const CollContribs>(std::move(op.contribs));
+    op.result = std::make_shared<const CollContribs>(
+        op.routing.record_bytes > 0
+            ? route_records(op.contribs, op.routing.record_bytes)
+            : std::move(op.contribs));
     for (sim::ProcId pid : op.waiter_pids) {
       engine_.wake_at(completion, pid);
     }
@@ -201,9 +235,9 @@ void barrier(Rank& self, const Comm& comm) {
   coll_run(self, comm, CollKind::Barrier, {});
 }
 
-std::shared_ptr<const CollContribs> coll_run(Rank& self, const Comm& comm,
-                                             CollKind kind,
-                                             std::vector<std::byte> contribution) {
+std::shared_ptr<const CollContribs> coll_run(
+    Rank& self, const Comm& comm, CollKind kind,
+    std::vector<std::byte> contribution, const SparseRouting* routing) {
   self.maybe_fault_stall();
   // A standalone collective (one issued outside any collective-I/O call,
   // e.g. a workload-level barrier) opens its own Call span so its sync
@@ -214,7 +248,8 @@ std::shared_ptr<const CollContribs> coll_run(Rank& self, const Comm& comm,
       tracer != nullptr && !tracer->spans().in_call(self.pid())) {
     call_span.emplace(self, obs::SpanKind::Call, to_string(kind));
   }
-  return self.world().colls().exchange(self, comm, kind, std::move(contribution));
+  return self.world().colls().exchange(self, comm, kind,
+                                       std::move(contribution), routing);
 }
 
 int coll_local_rank(Rank& self, const Comm& comm) {

@@ -14,7 +14,9 @@
 // Implementation note: the engine gathers every rank's contribution and
 // hands all of them to every rank; the typed wrappers below then slice or
 // reduce locally. Data routing fidelity does not affect timing (costs are
-// per-kind), and it keeps the engine to a single code path.
+// per-kind), and it keeps the engine to a single code path. The one
+// exception is sparse_alltoall: its last arriver sorts the records into
+// per-destination inboxes once, so no rank scans all P contributions.
 #pragma once
 
 #include <cstdint>
@@ -55,16 +57,29 @@ enum class CollKind {
 
 using CollContribs = std::vector<std::vector<std::byte>>;
 
+/// How a sparse personalized exchange is routed and charged: every
+/// contribution is a run of `record_bytes` records, each led by its
+/// destination's local rank as an int, and every rank is charged as if it
+/// had contributed `charged_bytes` (its dense P-entry vector).
+struct SparseRouting {
+  std::size_t record_bytes = 0;
+  std::uint64_t charged_bytes = 0;
+};
+
 class CollEngine {
  public:
   CollEngine(sim::Engine& engine, const machine::NetworkParams& net);
 
   /// Core rendezvous: block until all members of `comm` have contributed,
   /// then return (a shared view of) everyone's contributions, ordered by
-  /// local rank. Charges Sync time.
-  std::shared_ptr<const CollContribs> exchange(Rank& self, const Comm& comm,
-                                               CollKind kind,
-                                               std::vector<std::byte> contribution);
+  /// local rank. Charges Sync time. With `routing`, the last arriver
+  /// instead builds one inbox per destination, once for every member:
+  /// entry j holds the records addressed to local rank j, each led by its
+  /// source's local rank, ascending by source.
+  std::shared_ptr<const CollContribs> exchange(
+      Rank& self, const Comm& comm, CollKind kind,
+      std::vector<std::byte> contribution,
+      const SparseRouting* routing = nullptr);
 
   /// Allocate a context id for a derived communicator. Must be called in
   /// the same order by all ranks that use the result (comm_split does).
@@ -91,6 +106,7 @@ class CollEngine {
  private:
   struct Op {
     CollKind kind = CollKind::Barrier;
+    SparseRouting routing;  // record_bytes == 0: a dense exchange
     int expected = 0;
     int arrived = 0;
     int fetched = 0;
@@ -182,6 +198,24 @@ template <typename T>
 std::vector<T> alltoall(Rank& self, const Comm& comm,
                         const std::vector<T>& send);
 
+/// One entry of a sparse personalized exchange: a peer (local rank) and
+/// the value sent to it, or received from it.
+template <typename T>
+struct PeerValue {
+  int peer = 0;
+  T value{};
+};
+
+/// Sparse alltoall: `send` lists (destination, value) pairs, strictly
+/// ascending by destination; the result lists (source, value) for every
+/// rank that named me, ascending by source. It runs and is charged as the
+/// dense alltoall of P-entry vectors of T (same kind, completion time and
+/// Sync charges); only what each rank materializes scales with the peers
+/// it touches instead of with P.
+template <typename T>
+std::vector<PeerValue<T>> sparse_alltoall(
+    Rank& self, const Comm& comm, const std::vector<PeerValue<T>>& send);
+
 /// Element-wise reduction of everyone's value with `op`.
 template <typename T, typename BinaryOp>
 T allreduce(Rank& self, const Comm& comm, const T& value, BinaryOp op);
@@ -242,9 +276,10 @@ Comm comm_dup(Rank& self, const Comm& comm);
 
 // --- template definitions -------------------------------------------------
 
-std::shared_ptr<const CollContribs> coll_run(Rank& self, const Comm& comm,
-                                             CollKind kind,
-                                             std::vector<std::byte> contribution);
+std::shared_ptr<const CollContribs> coll_run(
+    Rank& self, const Comm& comm, CollKind kind,
+    std::vector<std::byte> contribution,
+    const SparseRouting* routing = nullptr);
 int coll_local_rank(Rank& self, const Comm& comm);
 std::shared_ptr<const void> coll_shared_fetch(
     Rank& self, const Comm& comm,
@@ -348,6 +383,28 @@ std::vector<T> alltoall(Rank& self, const Comm& comm,
     std::memcpy(&result[j], row.data() + me * sizeof(T), sizeof(T));
   }
   return result;
+}
+
+template <typename T>
+std::vector<PeerValue<T>> sparse_alltoall(
+    Rank& self, const Comm& comm, const std::vector<PeerValue<T>>& send) {
+  // The engine reads and rewrites each record's leading int in place.
+  static_assert(std::is_standard_layout_v<PeerValue<T>>);
+  for (std::size_t i = 0; i < send.size(); ++i) {
+    if (send[i].peer < 0 || send[i].peer >= comm.size() ||
+        (i > 0 && send[i].peer <= send[i - 1].peer)) {
+      throw std::logic_error(
+          "sparse_alltoall: destinations must be strictly ascending local "
+          "ranks");
+    }
+  }
+  const SparseRouting routing{
+      sizeof(PeerValue<T>),
+      static_cast<std::uint64_t>(comm.size()) * sizeof(T)};
+  auto inboxes = coll_run(self, comm, CollKind::Alltoall,
+                          detail::to_bytes(send), &routing);
+  return detail::vector_from<PeerValue<T>>(
+      (*inboxes)[static_cast<std::size_t>(coll_local_rank(self, comm))]);
 }
 
 template <typename T, typename BinaryOp>

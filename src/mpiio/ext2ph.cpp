@@ -68,11 +68,28 @@ struct CoveredLoc {
   std::uint64_t end = 0;
 };
 
+/// Covered range [st_loc, end_loc) of each aggregator's file domain — the
+/// first/last byte actually requested there (ROMIO's st_loc/end_loc) — and
+/// the interleaving depth they imply (max cycles over aggregators).
+struct CoveredRanges {
+  std::vector<CoveredLoc> locs;  // by aggregator index
+  std::uint64_t ntimes = 0;
+};
+
+/// One source's request pieces inside my file domain (aggregator side).
+struct SourceExtents {
+  int source = 0;  // local rank
+  std::vector<fs::Extent> extents;
+};
+
+/// A cycle's sizes as the sparse Alltoall carries them: (aggregator, bytes)
+/// on the way out, (source, bytes) on the way in.
+using CycleSizes = std::vector<mpi::PeerValue<std::uint32_t>>;
+
 /// Everything both directions of the protocol share: the result of phases
 /// 1-3 (range gathering, file-domain partitioning, request dissemination).
 struct Plan {
   bool active = false;
-  int nranks = 0;
   int me = -1;
   std::uint64_t min_st = 0;
   std::uint64_t max_end = 0;
@@ -80,21 +97,19 @@ struct Plan {
   std::uint64_t ntimes = 0;
   std::uint64_t cb_buffer_size = 0;  // window size
   int my_agg_index = -1;  // index into options.aggregators, or -1
-  /// Covered range [st_loc, end_loc) of each aggregator's file domain —
-  /// the first/last byte actually requested there (ROMIO's st_loc/end_loc).
-  /// Windows walk this range, not the whole domain, so sparse requests do
-  /// not spin through empty cycles. Identical on every rank, so all of
-  /// them share one copy (a private naggs-sized vector per rank is
-  /// quadratic when every process aggregates on a wide comm).
-  std::shared_ptr<const std::vector<CoveredLoc>> loc_shared;
+  /// Windows walk each domain's covered range, not the whole domain, so
+  /// sparse requests do not spin through empty cycles. Identical on every
+  /// rank, so all of them share one copy (a private naggs-sized vector per
+  /// rank is quadratic when every process aggregates on a wide comm).
+  std::shared_ptr<const CoveredRanges> covered;
   std::vector<std::uint64_t> prefix;  // stream prefix of my extents
-  // Aggregator side: per source local rank, its extents within my domain.
-  std::vector<std::vector<fs::Extent>> others;
+  /// Aggregator side: every source with pieces in my domain, ascending.
+  std::vector<SourceExtents> others;
 
   /// Cycle `t`'s collective-buffer window of aggregator `a`: the next
   /// cb_buffer_size bytes of its covered range (empty once exhausted).
   [[nodiscard]] CoveredLoc window(int a, std::uint64_t t) const {
-    const CoveredLoc& loc = (*loc_shared)[static_cast<std::size_t>(a)];
+    const CoveredLoc& loc = covered->locs[static_cast<std::size_t>(a)];
     if (loc.st >= loc.end) return {};
     const std::uint64_t lo = loc.st + t * cb_buffer_size;
     return {lo, std::min(loc.end, lo + cb_buffer_size)};
@@ -121,18 +136,14 @@ struct RankRange {
 
 Plan make_plan(mpi::Rank& self, const mpi::Comm& comm,
                const CollRequest& request, const Ext2phOptions& options) {
-  if (options.aggregators.empty()) {
+  if (!options.aggregators || options.aggregators->empty()) {
     throw std::invalid_argument("ext2ph: aggregator list must not be empty");
   }
-  if (!std::is_sorted(options.aggregators.begin(),
-                      options.aggregators.end())) {
-    throw std::invalid_argument("ext2ph: aggregator list must be sorted");
-  }
+  const std::vector<int>& aggregators = *options.aggregators;
   Plan plan;
-  plan.nranks = comm.size();
   plan.me = comm.local_rank(self.rank());
   plan.cb_buffer_size = options.cb_buffer_size;
-  const int naggs = static_cast<int>(options.aggregators.size());
+  const int naggs = static_cast<int>(aggregators.size());
 
   // Phase 1: file-range gathering.
   RankRange mine{std::numeric_limits<std::uint64_t>::max(), 0};
@@ -149,6 +160,10 @@ Plan make_plan(mpi::Rank& self, const mpi::Comm& comm,
     std::uint64_t max_end = 0;
   };
   const auto bounds = mpi::shared_once<FileBounds>(self, comm, [&] {
+    // Every member passes the same roster, so one member checks it.
+    if (!std::is_sorted(aggregators.begin(), aggregators.end())) {
+      throw std::invalid_argument("ext2ph: aggregator list must be sorted");
+    }
     FileBounds folded;
     for (const auto& contribution : *all_ranges) {
       const RankRange range = mpi::detail::scalar_from<RankRange>(contribution);
@@ -175,10 +190,10 @@ Plan make_plan(mpi::Rank& self, const mpi::Comm& comm,
     const std::uint64_t align = options.fd_alignment;
     plan.fd_len = (plan.fd_len + align - 1) / align * align;
   }
-  const auto agg_it = std::lower_bound(options.aggregators.begin(),
-                                       options.aggregators.end(), plan.me);
-  if (agg_it != options.aggregators.end() && *agg_it == plan.me) {
-    plan.my_agg_index = static_cast<int>(agg_it - options.aggregators.begin());
+  const auto agg_it =
+      std::lower_bound(aggregators.begin(), aggregators.end(), plan.me);
+  if (agg_it != aggregators.end() && *agg_it == plan.me) {
+    plan.my_agg_index = static_cast<int>(agg_it - aggregators.begin());
   }
 
   // Stream prefix of my extents.
@@ -191,9 +206,10 @@ Plan make_plan(mpi::Rank& self, const mpi::Comm& comm,
 
   // Phase 3: request dissemination. Tell each aggregator which pieces of
   // my request fall inside its file domain (Alltoall of counts, then
-  // point-to-point offset lists).
-  std::vector<std::uint32_t> counts(static_cast<std::size_t>(plan.nranks), 0);
-  std::vector<std::pair<int, std::vector<fs::Extent>>> outgoing;
+  // point-to-point offset lists). Only the aggregators I touch get a
+  // count, and only the sources that touch me send one.
+  std::vector<mpi::PeerValue<std::uint32_t>> counts;
+  std::vector<std::vector<fs::Extent>> outgoing;  // parallel to counts
   if (!request.extents.empty()) {
     const int a_lo = plan.agg_of(mine.st, naggs);
     const int a_hi = plan.agg_of(mine.end - 1, naggs);
@@ -201,71 +217,58 @@ Plan make_plan(mpi::Rank& self, const mpi::Comm& comm,
       auto pieces = clip_extents(request.extents, plan.fd_start(a),
                                  plan.fd_end(a));
       if (!pieces.empty()) {
-        const int agg_rank = options.aggregators[static_cast<std::size_t>(a)];
-        counts[static_cast<std::size_t>(agg_rank)] =
-            static_cast<std::uint32_t>(pieces.size());
-        outgoing.emplace_back(agg_rank, std::move(pieces));
+        counts.push_back({aggregators[static_cast<std::size_t>(a)],
+                          static_cast<std::uint32_t>(pieces.size())});
+        outgoing.push_back(std::move(pieces));
       }
     }
   }
-  const auto incoming_counts = mpi::alltoall(self, comm, counts);
+  const auto incoming_counts = mpi::sparse_alltoall(self, comm, counts);
 
   std::vector<mpi::Request> requests;
-  std::vector<std::pair<int, std::vector<fs::Extent>>> incoming;
   auto& p2p = self.world().p2p();
   if (plan.my_agg_index >= 0) {
-    plan.others.resize(static_cast<std::size_t>(plan.nranks));
-    for (int r = 0; r < plan.nranks; ++r) {
-      const std::uint32_t n = incoming_counts[static_cast<std::size_t>(r)];
-      if (n == 0) continue;
-      incoming.emplace_back(r, std::vector<fs::Extent>(n));
-      auto& list = incoming.back().second;
-      requests.push_back(p2p.irecv(self, comm, r, kTagReq, list.data(),
+    plan.others.reserve(incoming_counts.size());
+    for (const auto& [source, n] : incoming_counts) {
+      plan.others.push_back({source, std::vector<fs::Extent>(n)});
+      auto& list = plan.others.back().extents;
+      requests.push_back(p2p.irecv(self, comm, source, kTagReq, list.data(),
                                    list.size() * sizeof(fs::Extent)));
     }
   }
-  for (const auto& [agg_rank, pieces] : outgoing) {
-    requests.push_back(p2p.isend(self, comm, agg_rank, kTagReq, pieces.data(),
-                                 pieces.size() * sizeof(fs::Extent)));
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    requests.push_back(p2p.isend(self, comm, counts[i].peer, kTagReq,
+                                 outgoing[i].data(),
+                                 outgoing[i].size() * sizeof(fs::Extent)));
   }
   p2p.waitall(self, requests);
-  for (auto& [r, list] : incoming) {
-    plan.others[static_cast<std::size_t>(r)] = std::move(list);
-  }
 
   // Covered range of my domain (st_loc/end_loc), from the received request
-  // lists; Allgather so every rank can compute every aggregator's windows,
-  // and derive the interleaving depth (max cycles over aggregators).
+  // lists; Allgather so every rank can compute every aggregator's windows.
   CoveredLoc my_loc{std::numeric_limits<std::uint64_t>::max(), 0};
-  if (plan.my_agg_index >= 0) {
-    for (const auto& list : plan.others) {
-      if (list.empty()) continue;
-      my_loc.st = std::min(my_loc.st, list.front().offset);
-      my_loc.end = std::max(my_loc.end, list.back().end());
-    }
+  for (const SourceExtents& from : plan.others) {
+    my_loc.st = std::min(my_loc.st, from.extents.front().offset);
+    my_loc.end = std::max(my_loc.end, from.extents.back().end());
   }
   const auto all_locs = mpi::coll_run(self, comm, mpi::CollKind::Allgather,
                                       mpi::detail::to_bytes(my_loc));
-  plan.loc_shared =
-      mpi::shared_once<std::vector<CoveredLoc>>(self, comm, [&] {
-        std::vector<CoveredLoc> table;
-        table.reserve(options.aggregators.size());
-        for (int agg_rank : options.aggregators) {
-          table.push_back(mpi::detail::scalar_from<CoveredLoc>(
-              (*all_locs)[static_cast<std::size_t>(agg_rank)]));
-        }
-        return table;
-      });
-  std::uint64_t max_ntimes = 0;
-  for (const CoveredLoc& loc : *plan.loc_shared) {
-    if (loc.end > loc.st) {
-      max_ntimes = std::max(
-          max_ntimes,
-          (loc.end - loc.st + options.cb_buffer_size - 1) /
-              options.cb_buffer_size);
+  plan.covered = mpi::shared_once<CoveredRanges>(self, comm, [&] {
+    CoveredRanges covered;
+    covered.locs.reserve(aggregators.size());
+    for (int agg_rank : aggregators) {
+      const auto loc = mpi::detail::scalar_from<CoveredLoc>(
+          (*all_locs)[static_cast<std::size_t>(agg_rank)]);
+      if (loc.end > loc.st) {
+        covered.ntimes =
+            std::max(covered.ntimes, (loc.end - loc.st +
+                                      options.cb_buffer_size - 1) /
+                                         options.cb_buffer_size);
+      }
+      covered.locs.push_back(loc);
     }
-  }
-  plan.ntimes = max_ntimes;
+    return covered;
+  });
+  plan.ntimes = plan.covered->ntimes;
   return plan;
 }
 
@@ -274,7 +277,7 @@ struct WindowWork {
   struct Entry {
     std::uint64_t offset;
     std::uint64_t length;
-    int source;               // local rank
+    std::size_t slot;         // the source's index in Cycle::sources
     std::uint64_t msg_pos;    // byte position within that source's message
   };
   std::vector<Entry> entries;  // sorted by offset
@@ -286,21 +289,28 @@ struct WindowWork {
   [[nodiscard]] bool has_holes() const { return total != hi - lo; }
 };
 
-WindowWork gather_window_work(const Plan& plan,
-                              const std::vector<std::uint32_t>& sizes,
+WindowWork gather_window_work(const Plan& plan, const CycleSizes& sources,
                               std::uint64_t win_lo, std::uint64_t win_hi) {
   WindowWork work;
-  for (int r = 0; r < plan.nranks; ++r) {
-    if (sizes[static_cast<std::size_t>(r)] == 0) continue;
-    const auto pieces =
-        clip_extents(plan.others[static_cast<std::size_t>(r)], win_lo, win_hi);
+  // Both lists ascend by source, so each lookup resumes where the last
+  // one stopped.
+  auto from = plan.others.begin();
+  for (std::size_t slot = 0; slot < sources.size(); ++slot) {
+    const auto [source, bytes] = sources[slot];
+    from = std::lower_bound(from, plan.others.end(), source,
+                            [](const SourceExtents& list, int r) {
+                              return list.source < r;
+                            });
     std::uint64_t msg_pos = 0;
-    for (const fs::Extent& piece : pieces) {
-      work.entries.push_back(
-          WindowWork::Entry{piece.offset, piece.length, r, msg_pos});
-      msg_pos += piece.length;
+    if (from != plan.others.end() && from->source == source) {
+      for (const fs::Extent& piece :
+           clip_extents(from->extents, win_lo, win_hi)) {
+        work.entries.push_back(
+            WindowWork::Entry{piece.offset, piece.length, slot, msg_pos});
+        msg_pos += piece.length;
+      }
     }
-    if (msg_pos != sizes[static_cast<std::size_t>(r)]) {
+    if (msg_pos != bytes) {
       throw std::logic_error(
           "ext2ph: cycle size mismatch between alltoall and request lists");
     }
@@ -331,9 +341,10 @@ struct Share {
 struct Cycle {
   int tag = kTagData;
   std::vector<Share> shares;  // one per aggregator whose window I touch
-  /// Aggregator side: the bytes each source (local rank) has in my window
-  /// (all zero on other ranks), and the window's merged entries.
-  std::vector<std::uint32_t> sources;
+  /// Aggregator side: every source with bytes in my window, ascending (a
+  /// source's index here is its dense slot; empty on other ranks), and the
+  /// window's merged entries.
+  CycleSizes sources;
   WindowWork work;
 };
 
@@ -353,16 +364,14 @@ void write_cycle(mpi::Rank& self, const mpi::Comm& comm, IoTarget& target,
   std::vector<mpi::Request> requests;
   std::vector<std::vector<std::byte>> recv_buffers(
       byte_true ? cycle.sources.size() : 0);
-  for (std::size_t r = 0; r < cycle.sources.size(); ++r) {
-    const std::uint32_t n = cycle.sources[r];
-    if (n == 0) continue;
+  for (std::size_t slot = 0; slot < cycle.sources.size(); ++slot) {
+    const auto [source, n] = cycle.sources[slot];
     std::byte* into = nullptr;
     if (byte_true) {
-      recv_buffers[r].resize(n);
-      into = recv_buffers[r].data();
+      recv_buffers[slot].resize(n);
+      into = recv_buffers[slot].data();
     }
-    requests.push_back(
-        p2p.irecv(self, comm, static_cast<int>(r), cycle.tag, into, n));
+    requests.push_back(p2p.irecv(self, comm, source, cycle.tag, into, n));
   }
   std::vector<std::vector<std::byte>> send_buffers(cycle.shares.size());
   for (std::size_t i = 0; i < cycle.shares.size(); ++i) {
@@ -399,8 +408,7 @@ void write_cycle(mpi::Rank& self, const mpi::Comm& comm, IoTarget& target,
   if (byte_true) {
     for (const auto& entry : work.entries) {
       std::memcpy(window + (entry.offset - work.lo),
-                  recv_buffers[static_cast<std::size_t>(entry.source)].data() +
-                      entry.msg_pos,
+                  recv_buffers[entry.slot].data() + entry.msg_pos,
                   entry.length);
     }
   }
@@ -439,24 +447,23 @@ void read_cycle(mpi::Rank& self, const mpi::Comm& comm, IoTarget& target,
     // Build one reply per requester, pieces in offset order.
     std::vector<std::uint64_t> reply_size(cycle.sources.size(), 0);
     for (const auto& entry : work.entries) {
-      reply_size[static_cast<std::size_t>(entry.source)] += entry.length;
+      reply_size[entry.slot] += entry.length;
     }
     if (byte_true) {
       reply_buffers.resize(cycle.sources.size());
       for (const auto& entry : work.entries) {
-        const auto source = static_cast<std::size_t>(entry.source);
-        auto& reply = reply_buffers[source];
-        if (reply.capacity() == 0) reply.reserve(reply_size[source]);
+        auto& reply = reply_buffers[entry.slot];
+        if (reply.capacity() == 0) reply.reserve(reply_size[entry.slot]);
         const auto* begin = window_buffer.data() + (entry.offset - work.lo);
         reply.insert(reply.end(), begin, begin + entry.length);
       }
     }
     self.touch_bytes(static_cast<double>(work.total));
-    for (std::size_t r = 0; r < reply_size.size(); ++r) {
-      if (reply_size[r] == 0) continue;
+    for (std::size_t slot = 0; slot < reply_size.size(); ++slot) {
+      if (reply_size[slot] == 0) continue;
       requests.push_back(p2p.isend(
-          self, comm, static_cast<int>(r), cycle.tag,
-          byte_true ? reply_buffers[r].data() : nullptr, reply_size[r]));
+          self, comm, cycle.sources[slot].peer, cycle.tag,
+          byte_true ? reply_buffers[slot].data() : nullptr, reply_size[slot]));
     }
   }
   p2p.waitall(self, requests);
@@ -555,7 +562,7 @@ Ext2phOutcome ext2ph(mpi::Rank& self, const mpi::Comm& comm, IoTarget& target,
   }();
   if (!plan.active) return outcome;
 
-  const int naggs = static_cast<int>(options.aggregators.size());
+  const int naggs = static_cast<int>(options.aggregators->size());
   int a_lo = 0;
   int a_hi = -1;
   if (!request.extents.empty()) {
@@ -570,8 +577,8 @@ Ext2phOutcome ext2ph(mpi::Rank& self, const mpi::Comm& comm, IoTarget& target,
                               /*group=*/-1, static_cast<std::int64_t>(t));
     Cycle cycle;
     cycle.tag = kTagData + static_cast<int>(t);
-    // My pieces for each aggregator's current window, and the size vector.
-    std::vector<std::uint32_t> sizes(static_cast<std::size_t>(plan.nranks), 0);
+    // My pieces for each aggregator's current window, and their sizes.
+    CycleSizes sizes;
     for (int a = a_lo; a <= a_hi; ++a) {
       const CoveredLoc window = plan.window(a, t);
       if (window.st >= window.end) continue;
@@ -580,15 +587,15 @@ Ext2phOutcome ext2ph(mpi::Rank& self, const mpi::Comm& comm, IoTarget& target,
           clip_stream(request.extents, plan.prefix, window.st, window.end);
       if (share.pieces.empty()) continue;
       for (const Piece& piece : share.pieces) share.bytes += piece.length;
-      share.agg_rank = options.aggregators[static_cast<std::size_t>(a)];
-      sizes[static_cast<std::size_t>(share.agg_rank)] =
-          static_cast<std::uint32_t>(share.bytes);
+      share.agg_rank = (*options.aggregators)[static_cast<std::size_t>(a)];
+      sizes.push_back(
+          {share.agg_rank, static_cast<std::uint32_t>(share.bytes)});
       cycle.shares.push_back(std::move(share));
     }
 
     // Per-cycle coordination: the Alltoall of cycle sizes. This is the
     // synchronization the paper's collective wall is made of.
-    cycle.sources = mpi::alltoall(self, comm, sizes);
+    cycle.sources = mpi::sparse_alltoall(self, comm, sizes);
 
     // The aggregator's own window: what each source has in it, merged.
     // Pure CPU, so doing it before a write's exchange moves no clock.
@@ -612,11 +619,13 @@ Ext2phOutcome ext2ph(mpi::Rank& self, const mpi::Comm& comm, IoTarget& target,
   }
 
   if (is_write) {
-    // Trailing status agreement (ROMIO reduces error codes).
+    // Trailing status agreement (ROMIO reduces error codes). Every status
+    // here is 0, so the reduction is charged but nobody folds P of them.
     mpi::SpanGuard finalize_span(self, obs::SpanKind::Stage, "finalize",
                                  /*group=*/-1,
                                  static_cast<std::int64_t>(plan.ntimes));
-    mpi::allreduce_max(self, comm, 0);
+    mpi::coll_run(self, comm, mpi::CollKind::Allreduce,
+                  mpi::detail::to_bytes(0));
   }
   return outcome;
 }

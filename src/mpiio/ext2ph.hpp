@@ -16,12 +16,18 @@
 //      exchange, and aggregator reads/writes of its collective-buffer
 //      window, with read-modify-write when the received data has holes.
 //
+// Both Alltoalls are charged as dense P-wide exchanges, but every rank
+// builds, sends and keeps only the entries of the peers it touches (a
+// rank's request reaches aggregators a_lo..a_hi only), so per-rank planning
+// and cycle state scale with those peers, not with P.
+//
 // Extents are expressed in "target space" via the IoTarget seam: the
 // physical file for plain collective I/O, or intermediate-view coordinates
 // under ParColl's file-view switch.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -79,11 +85,18 @@ struct CollRequest {
   }
 };
 
+/// An aggregator roster: local ranks in the calling communicator, sorted
+/// ascending. Shared, so the members of a wide call can all hold one copy.
+using Roster = std::shared_ptr<const std::vector<int>>;
+
+[[nodiscard]] inline Roster make_roster(std::vector<int> ranks) {
+  return std::make_shared<const std::vector<int>>(std::move(ranks));
+}
+
 struct Ext2phOptions {
   std::uint64_t cb_buffer_size = 4ull << 20;
-  /// Aggregators as local ranks in the calling communicator, sorted
-  /// ascending. Must not be empty.
-  std::vector<int> aggregators;
+  /// The aggregators. Must not be null or empty.
+  Roster aggregators;
   /// When nonzero, file-domain boundaries are rounded up to multiples of
   /// this (the stripe size): the Lustre-aware ADIO optimization that keeps
   /// any one stripe inside a single aggregator's domain, avoiding shared

@@ -330,13 +330,14 @@ void FileHandle::close() {
   if (auto* integ = self_.world().integrity()) {
     // Close-time integrity sweep: everyone arrives first so no rank can
     // still be writing, then one rank re-verifies every registered block
-    // (the hard guarantee behind the scrubber's best-effort passes) and
-    // copies this open's share of the file's pipeline totals into its
-    // stats.
+    // of this file (the hard guarantee behind the scrubber's best-effort
+    // passes) and copies this open's share of the file's pipeline totals
+    // into its stats.
     mpi::barrier(self_, common_->comm);
     if (common_->comm.local_rank(self_.rank()) == 0) {
-      const double seconds = integ->scrub_all(
-          self_.rank(), self_.world().fs().store(), /*by_scrubber=*/false);
+      const double seconds =
+          integ->scrub_file(self_.rank(), fs_id(), self_.world().fs().store(),
+                            /*by_scrubber=*/false);
       if (seconds > 0) self_.busy(mpi::TimeCat::Integrity, seconds);
       const fs::IntegrityCounters& now = integ->counters(fs_id());
       const fs::IntegrityCounters& then = common_->integrity_at_open;

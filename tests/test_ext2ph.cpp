@@ -77,7 +77,7 @@ void run_read(int nranks,
 Ext2phOptions opts(std::vector<int> aggregators,
                    std::uint64_t cb = 4ull << 20) {
   Ext2phOptions options;
-  options.aggregators = std::move(aggregators);
+  options.aggregators = make_roster(std::move(aggregators));
   options.cb_buffer_size = cb;
   return options;
 }

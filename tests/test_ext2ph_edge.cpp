@@ -45,9 +45,10 @@ struct Harness {
 };
 
 Ext2phOptions all_aggs(int nranks, std::uint64_t cb = 4096) {
+  std::vector<int> all(static_cast<std::size_t>(nranks));
+  std::iota(all.begin(), all.end(), 0);
   Ext2phOptions options;
-  options.aggregators.resize(static_cast<std::size_t>(nranks));
-  std::iota(options.aggregators.begin(), options.aggregators.end(), 0);
+  options.aggregators = make_roster(std::move(all));
   options.cb_buffer_size = cb;
   return options;
 }
@@ -92,7 +93,7 @@ TEST(Ext2phEdge, AggregatorsAreASubsetWithoutData) {
   // The two aggregators have no data of their own.
   Harness harness(6);
   Ext2phOptions options;
-  options.aggregators = {0, 1};
+  options.aggregators = make_roster({0, 1});
   options.cb_buffer_size = 512;
   harness.write_and_verify(
       [](int r) {
@@ -207,7 +208,7 @@ TEST(Ext2phEdge, SubCommunicatorCollective) {
     const std::uint64_t salt = kSalt + (self.rank() % 2);
     workloads::fill_stream(packed.data(), extents, salt);
     Ext2phOptions options;
-    options.aggregators = {0, 2};
+    options.aggregators = make_roster({0, 2});
     options.cb_buffer_size = 512;
     ext2ph(self, half, target, CollRequest{extents, packed.data()}, options,
            true);

@@ -760,6 +760,53 @@ TEST(IntegrityAgreement, OneFilesErrorNeverSurfacesInAnother) {
   }
 }
 
+TEST(IntegrityEndToEnd, CloseSweepAuditsOnlyTheClosingFile) {
+  // Two same-sized files, closed one after the other in one world. A byte
+  // of file A decays after A has closed: B's close-time sweep audits B
+  // alone, so it costs what A's did and never finds A's decay.
+  const int nranks = 4;
+  mpi::World world(machine::MachineModel::jaguar(nranks));
+  mpiio::Hints hints;
+  hints.integrity.level = fs::IntegrityLevel::Detect;
+  double sweep_a = 0;
+  double sweep_b = 0;
+  int a_fs = -1;
+  world.run([&](mpi::Rank& self) {
+    const std::uint64_t bytes = 1 << 20;
+    const dtype::Datatype memtype = dtype::Datatype::bytes(bytes);
+    std::vector<std::byte> buffer(bytes);
+    // Rank 0 runs the sweep; returns its Integrity seconds during close.
+    const auto write_and_close = [&](mpiio::FileHandle& file) {
+      file.set_view(static_cast<std::uint64_t>(self.rank()) * bytes, 1,
+                    memtype);
+      workloads::fill_buffer_for_extents(buffer.data(), memtype, 1,
+                                         file.view().map(0, bytes), kSalt);
+      core::write_at_all(file, 0, buffer.data(), 1, memtype);
+      const double before = self.times().breakdown()[mpi::TimeCat::Integrity];
+      file.close();
+      return self.times().breakdown()[mpi::TimeCat::Integrity] - before;
+    };
+    mpiio::FileHandle a(self, self.comm_world(), "a.dat", hints);
+    const double a_seconds = write_and_close(a);
+    if (self.rank() == 0) {
+      sweep_a = a_seconds;
+      a_fs = a.fs_id();
+      fs::ObjectStore& store = self.world().fs().store();
+      std::byte decayed{};
+      store.read(a_fs, 12345, &decayed, 1);
+      decayed = ~decayed;
+      store.write(a_fs, 12345, &decayed, 1);
+    }
+    mpiio::FileHandle b(self, self.comm_world(), "b.dat", hints);
+    const double b_seconds = write_and_close(b);
+    if (self.rank() == 0) sweep_b = b_seconds;
+  });
+  EXPECT_GT(sweep_a, 0.0);
+  EXPECT_DOUBLE_EQ(sweep_b, sweep_a);
+  EXPECT_EQ(world.integrity()->counters(a_fs).detected, 0u);
+  EXPECT_EQ(world.fault_state().total().corrupt_detected, 0u);
+}
+
 TEST(IntegrityAgreement, BackoffCapSaturatesDuringRetransmits) {
   // backoff base == cap: every retransmit waits exactly timeout + cap, so
   // the faulted seconds are an exact multiple and the cap demonstrably

@@ -169,7 +169,7 @@ TEST(ModelSanity, StripeAlignedDomainsReduceLockRevocations) {
       options.fd_alignment = alignment;
       std::vector<int> all(16);
       std::iota(all.begin(), all.end(), 0);
-      options.aggregators = all;
+      options.aggregators = mpiio::make_roster(all);
       ext2ph(self, self.comm_world(), target,
              mpiio::CollRequest{extents, nullptr}, options, true);
       mpi::barrier(self, self.comm_world());

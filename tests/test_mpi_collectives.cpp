@@ -6,6 +6,7 @@
 
 #include "mpi/collectives.hpp"
 #include "mpi/runtime.hpp"
+#include "sim/random.hpp"
 
 namespace parcoll::mpi {
 namespace {
@@ -103,6 +104,95 @@ TEST(Collectives, AlltoallPersonalizedExchange) {
       EXPECT_EQ(results[r][j], j * 100 + r);
     }
   }
+}
+
+/// A seeded sparse pattern: what `from` sends `to` (0 = nothing). About a
+/// quarter of the pairs are set; every even rank also sends to itself, and
+/// every rank 1 mod 3 sends nothing at all.
+std::uint32_t sparse_value(std::uint64_t seed, int from, int to) {
+  if (from % 3 == 1) return 0;
+  const std::uint64_t h =
+      sim::hash_combine(sim::hash_combine(seed, static_cast<std::uint64_t>(from)),
+                        static_cast<std::uint64_t>(to));
+  if (h % 4 != 0 && !(to == from && from % 2 == 0)) return 0;
+  return static_cast<std::uint32_t>(h >> 32) | 1u;
+}
+
+/// Rank `self`'s row of the pattern: dense, and as sparse (peer, value)s.
+std::pair<std::vector<std::uint32_t>, std::vector<PeerValue<std::uint32_t>>>
+sparse_row(std::uint64_t seed, int from, int nranks) {
+  std::vector<std::uint32_t> dense(static_cast<std::size_t>(nranks));
+  std::vector<PeerValue<std::uint32_t>> sparse;
+  for (int to = 0; to < nranks; ++to) {
+    dense[static_cast<std::size_t>(to)] = sparse_value(seed, from, to);
+    if (dense[static_cast<std::size_t>(to)] != 0) {
+      sparse.push_back({to, dense[static_cast<std::size_t>(to)]});
+    }
+  }
+  return {dense, sparse};
+}
+
+TEST(Collectives, SparseAlltoallDeliversTheDenseNonzeros) {
+  for (const int nranks : {1, 3, 17, 64}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      World world = make_world(nranks);
+      std::vector<std::vector<std::uint32_t>> dense(nranks);
+      std::vector<std::vector<PeerValue<std::uint32_t>>> sparse(nranks);
+      world.run([&](Rank& self) {
+        const auto [row, send] = sparse_row(seed, self.rank(), nranks);
+        dense[self.rank()] = alltoall(self, self.comm_world(), row);
+        sparse[self.rank()] = sparse_alltoall(self, self.comm_world(), send);
+      });
+      for (int r = 0; r < nranks; ++r) {
+        std::vector<std::pair<int, std::uint32_t>> want;
+        for (int j = 0; j < nranks; ++j) {
+          if (dense[r][j] != 0) want.emplace_back(j, dense[r][j]);
+        }
+        std::vector<std::pair<int, std::uint32_t>> got;
+        for (const auto& [peer, value] : sparse[r]) got.emplace_back(peer, value);
+        EXPECT_EQ(got, want) << "P=" << nranks << " seed=" << seed
+                             << " rank " << r;
+      }
+    }
+  }
+}
+
+TEST(Collectives, SparseAlltoallIsChargedLikeTheDenseCall) {
+  for (const int nranks : {3, 17, 64}) {
+    // Completion clock and Sync charge of every rank, staggered arrivals.
+    const auto run = [nranks](bool sparse) {
+      World world = make_world(nranks);
+      std::vector<double> done(nranks);
+      world.run([&](Rank& self) {
+        self.busy(TimeCat::Compute, 1e-3 * ((self.rank() * 7) % 5));
+        const auto [row, send] = sparse_row(9, self.rank(), nranks);
+        if (sparse) {
+          sparse_alltoall(self, self.comm_world(), send);
+        } else {
+          alltoall(self, self.comm_world(), row);
+        }
+        done[self.rank()] = self.now();
+      });
+      std::vector<double> sync;
+      for (const auto& breakdown : world.rank_times()) {
+        sync.push_back(breakdown[TimeCat::Sync]);
+      }
+      return std::pair{done, sync};
+    };
+    const auto dense = run(false);
+    const auto sparse = run(true);
+    EXPECT_EQ(sparse.first, dense.first) << "P=" << nranks;
+    EXPECT_EQ(sparse.second, dense.second) << "P=" << nranks;
+  }
+}
+
+TEST(Collectives, SparseAlltoallRejectsUnorderedDestinations) {
+  World world = make_world(2);
+  EXPECT_THROW(world.run([&](Rank& self) {
+                 sparse_alltoall(self, self.comm_world(),
+                                 std::vector<PeerValue<int>>{{1, 5}, {0, 3}});
+               }),
+               std::logic_error);
 }
 
 TEST(Collectives, AllreduceSumMaxMin) {

@@ -114,7 +114,7 @@ TEST_P(RandomPatternTest, CollectiveWriteThenReadRoundTrips) {
       // Plain ext2ph straight at the engine.
       std::vector<int> all(static_cast<std::size_t>(nranks));
       std::iota(all.begin(), all.end(), 0);
-      options.aggregators = all;
+      options.aggregators = mpiio::make_roster(all);
       ext2ph(self, self.comm_world(), target,
              mpiio::CollRequest{extents, packed.data()}, options, true);
     } else {

@@ -46,6 +46,15 @@ Presets (`--list` prints every run of a preset):
              --top; byte-true tileio@16 (--groups 4) and btio@16 parcoll
              at detect, bb watermark + detect, and repair under
              media-corrupt.
+  scale      (23 runs) wide communicators, where two-phase planning state
+             per rank matters most: {tileio@1024, btio@256} x {ext2ph,
+             parcoll} x {--intranode off, --intranode auto --read,
+             --intranode on --mapping cyclic, --cb-nodes 16};
+             flash@256 x {ext2ph, parcoll} x {--intranode on, --read};
+             ior@512 ext2ph with --intranode off and with --read, and
+             parcoll under a rank-stall fault (re-election). Each run takes
+             seconds; IOR skips --cb-nodes, which at 1024 ranks spins
+             through about 2,000 near-empty cycles per call.
 
 No preset passes --engine-stats, so every stdout line is simulated output
 and must match exactly. `--ignore REGEX` drops matching lines on both sides
@@ -177,8 +186,27 @@ def integrity():
     return runs
 
 
+def scale():
+    runs = []
+    for workload, nprocs in [("tileio", 1024), ("btio", 256)]:
+        for impl in ["ext2ph", "parcoll"]:
+            for extra in [["--intranode", "off"],
+                          ["--intranode", "auto", "--read"],
+                          ["--intranode", "on", "--mapping", "cyclic"],
+                          ["--cb-nodes", "16"]]:
+                runs.append([workload, nprocs, impl] + extra)
+    for impl in ["ext2ph", "parcoll"]:
+        for extra in [["--intranode", "on"], ["--read"]]:
+            runs.append(["flash", 256, impl] + extra)
+    runs += [["ior", 512, "ext2ph", "--intranode", "off"],
+             ["ior", 512, "ext2ph", "--read"],
+             ["ior", 512, "parcoll", "--fault",
+              "seed=7;rank-stall=3:0.01:0.5"]]
+    return runs
+
+
 PRESETS = {"lifecycle": lifecycle, "bb": bb, "intranode": intranode,
-           "integrity": integrity}
+           "integrity": integrity, "scale": scale}
 
 
 def argv_of(binary, run):
