@@ -356,6 +356,22 @@ std::vector<CheckConfig> smoke_configs() {
     config.fault_spec = "seed=19;media-corrupt=0:0.003;media-corrupt=1:0.004";
     configs.push_back(config);
   }
+  {
+    // Every optional layer at once under ParColl: two subgroups, each
+    // aggregating within its nodes first, staging through a watermark-
+    // drained burst buffer whose segments decay, healed by integrity
+    // repair before they drain. No layer may erase another's effect, and
+    // no subgroup may synchronize outside itself (sync-scope).
+    CheckConfig config{"ior-parcoll-composed", "ior", 8,
+                       workloads::Impl::ParColl, 2, /*cb_nodes=*/0,
+                       /*min_group_size=*/2};
+    config.intranode = true;
+    config.bb = true;
+    config.bb_drain = "watermark";
+    config.integrity = "repair";
+    config.fault_spec = "seed=17;bb-corrupt=0.25";
+    configs.push_back(config);
+  }
   return configs;
 }
 

@@ -14,6 +14,14 @@ void InvariantChecker::on_collective(int world_rank, std::uint64_t ctx,
                                      int comm_size,
                                      std::uint64_t members_hash) {
   ++checks_;
+  if (partitioned_calls_.count({world_rank, ctx}) != 0) {
+    std::ostringstream detail;
+    detail << "rank " << world_rank << " reached ordinal " << seq
+           << " (kind " << kind << ") on parent comm ctx " << ctx
+           << " inside a partitioned call: its subgroup synchronized with "
+              "the whole communicator";
+    report("sync-scope", detail.str());
+  }
   Site& site = colls_[SiteKey{ctx, seq}];
   if (site.arrived == 0) {
     site.kind = kind;
@@ -83,6 +91,16 @@ void InvariantChecker::on_error_agreement(int world_rank, std::uint64_t ctx,
                                           std::uint64_t outcome_word) {
   on_agreement_round("error-agreement", world_rank, ctx, comm_size,
                      outcome_word, error_agreements_, error_rounds_);
+}
+
+void InvariantChecker::on_partitioned_call_begin(int world_rank,
+                                                 std::uint64_t parent_ctx) {
+  partitioned_calls_.insert({world_rank, parent_ctx});
+}
+
+void InvariantChecker::on_partitioned_call_end(int world_rank,
+                                               std::uint64_t parent_ctx) {
+  partitioned_calls_.erase({world_rank, parent_ctx});
 }
 
 void InvariantChecker::finalize() {

@@ -18,6 +18,10 @@
 //                         holds the same outcome word (the same
 //                         unrecoverable-corruption extent, or none), so a
 //                         collective call throws on all ranks or on none.
+//   sync-scope            between a rank's partition (or plan reuse) and
+//                         the end of its partitioned call, the rank joins
+//                         no collective on the parent communicator: each
+//                         subgroup synchronizes only within itself.
 //   collective-complete   finalize(): no collective op was left with some
 //                         members arrived and others missing.
 //
@@ -32,6 +36,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -63,6 +68,13 @@ class InvariantChecker {
   /// `ctx`; `outcome_word` is the reduced error word (0 = no error).
   void on_error_agreement(int world_rank, std::uint64_t ctx, int comm_size,
                           std::uint64_t outcome_word);
+
+  /// A rank entered the subgroup-local part of a partitioned call on
+  /// parent communicator `parent_ctx`: until the matching
+  /// on_partitioned_call_end, a collective it reaches on `parent_ctx`
+  /// breaks sync-scope.
+  void on_partitioned_call_begin(int world_rank, std::uint64_t parent_ctx);
+  void on_partitioned_call_end(int world_rank, std::uint64_t parent_ctx);
 
   /// Call after World::run returns normally: flags collectives and
   /// agreement rounds where members are still missing.
@@ -105,6 +117,8 @@ class InvariantChecker {
   std::map<std::pair<std::uint64_t, int>, std::uint64_t> partition_rounds_;
   std::map<std::pair<std::uint64_t, int>, std::uint64_t> reelection_rounds_;
   std::map<std::pair<std::uint64_t, int>, std::uint64_t> error_rounds_;
+  /// (rank, parent ctx) of every partitioned call in progress.
+  std::set<std::pair<int, std::uint64_t>> partitioned_calls_;
   std::vector<Violation> violations_;
   std::uint64_t checks_ = 0;
 };

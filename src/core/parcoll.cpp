@@ -163,6 +163,7 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
 
   CollectiveOutcome outcome;
   outcome.bytes = prep.bytes;
+  outcome.comm = comm;
   bb::BbTarget physical(fs, fs_id, bb_store);
 
   const bool cb_enabled = is_write ? hints.cb_write_enabled
@@ -237,6 +238,11 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
   outcome.partitioned = true;
   outcome.mode = plan.fa().mode;
   outcome.num_groups = plan.fa().num_groups;
+  outcome.comm = plan.subcomm;
+  if (auto* checker = self.world().checker();
+      checker != nullptr && plan.subcomm != comm) {
+    checker->on_partitioned_call_begin(self.rank(), comm.context_id());
+  }
   // Aliases the cached plan: no per-call copy of the roster.
   options.aggregators = mpiio::Roster(cached, &plan.sub_aggregators);
   // Everything from here runs subgroup-local; the span labels descendants
@@ -328,6 +334,14 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
   return outcome;
 }
 
+void end_subgroup_scope(mpi::Rank& self, const mpi::Comm& comm,
+                        const CollectiveOutcome& outcome) {
+  if (auto* checker = self.world().checker();
+      checker != nullptr && outcome.comm != comm) {
+    checker->on_partitioned_call_end(self.rank(), comm.context_id());
+  }
+}
+
 mpiio::FileStats collective_counts(mpiio::FileHandle& file,
                                    const CollectiveOutcome& outcome,
                                    bool is_write) {
@@ -349,25 +363,33 @@ mpiio::FileStats collective_counts(mpiio::FileHandle& file,
 
 namespace {
 /// Collective error agreement at the end of a collective call (integrity
-/// on only): reduce the file's highest-priority pending
-/// unrecoverable-corruption word over the call's communicator, so another
-/// file's error never surfaces here; a nonzero maximum makes every rank
-/// throw the identical CollectiveIoError. With integrity off this is never
-/// reached, so the default path stays free of the extra reduction.
-void agree_on_errors(mpiio::FileHandle& file) {
+/// on only): reduce a pending unrecoverable-corruption word over the
+/// communicator the call synchronized, and return the agreed word (0: no
+/// error). A call partitioned into subgroups agrees within its subgroup on
+/// the errors that overlap its members' extents, so no subgroup waits on
+/// another or throws another's error; any other call agrees over the file
+/// communicator on the file's highest-priority error. Errors a call does
+/// not see surface at close, which agrees file-wide. With integrity off
+/// this never reduces, so the default path stays free of the extra
+/// reduction.
+std::uint64_t agree_on_errors(mpiio::FileHandle& file,
+                              const CollectiveOutcome& outcome,
+                              const mpiio::PreparedRequest& prep) {
   auto* integ = file.self().world().integrity();
   if (integ == nullptr) {
-    return;
+    return 0;
   }
+  const bool subgroup = outcome.comm != file.comm();
   const std::uint64_t word = mpi::allreduce_max(
-      file.self(), file.comm(), integ->pending_word(file.fs_id()));
+      file.self(), outcome.comm,
+      subgroup ? integ->pending_word(file.fs_id(), prep.extents)
+               : integ->pending_word(file.fs_id()));
   if (auto* checker = file.self().world().checker()) {
-    checker->on_error_agreement(file.self().rank(), file.comm().context_id(),
-                                file.comm().size(), word);
+    checker->on_error_agreement(file.self().rank(),
+                                outcome.comm.context_id(),
+                                outcome.comm.size(), word);
   }
-  if (word != 0) {
-    throw integ->error_of(word);
-  }
+  return word;
 }
 
 /// write_at_all / read_at_all: the lifecycle around the collective
@@ -385,7 +407,11 @@ CollectiveOutcome collective_call(mpiio::FileHandle& file, bool is_write,
   const CollectiveOutcome outcome = run_collective_engine(
       file.self(), file.comm(), file.hints(), file.fs_id(), file.bb_store(),
       call.request, is_write, &file.engine_cache());
-  agree_on_errors(file);
+  const std::uint64_t error = agree_on_errors(file, outcome, call.request);
+  end_subgroup_scope(file.self(), file.comm(), outcome);
+  if (error != 0) {
+    throw file.self().world().integrity()->error_of(error);
+  }
   file.end_call(call, collective_counts(file, outcome, is_write));
   return outcome;
 }

@@ -37,6 +37,9 @@ struct CollectiveOutcome {
   bool two_level = false;
   /// Bytes this rank shipped over the intra-node path.
   std::uint64_t intra_bytes = 0;
+  /// The communicator the call synchronized: the subgroup's for a call
+  /// partitioned into several groups, else the one the call was made on.
+  mpi::Comm comm;
 };
 
 /// Collective write through the file's view. All members of the file's
@@ -67,6 +70,13 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
                                         mpiio::PreparedRequest& prep,
                                         bool is_write,
                                         std::shared_ptr<void>* cache_slot);
+
+/// Close the subgroup-local part of a partitioned call for the invariant
+/// checker's sync-scope rule: call once the call's last subgroup collective
+/// has run (a no-op without a checker or a partition). `comm` and `outcome`
+/// are run_collective_engine's.
+void end_subgroup_scope(mpi::Rank& self, const mpi::Comm& comm,
+                        const CollectiveOutcome& outcome);
 
 /// The call counters of one completed collective call, for the lifecycle's
 /// stats fold (which adds the bytes, time and fault events). Every rank

@@ -30,6 +30,7 @@ SplitRequest split_begin(mpiio::FileHandle& file, bool is_write,
             *outcome = run_collective_engine(helper, helper_comm, hints, fs_id,
                                              bb_store, request, is_write,
                                              /*cache_slot=*/nullptr);
+            end_subgroup_scope(helper, helper_comm, *outcome);
           }),
       outcome);
 }

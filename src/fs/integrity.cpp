@@ -298,18 +298,45 @@ bool IntegrityManager::has_error() const {
   });
 }
 
+namespace {
+/// Encode (file, offset) so the max across ranks picks one deterministic
+/// error; the file part keeps an error at offset 0 nonzero. Offsets fit
+/// comfortably in 48 bits at simulated scales.
+std::uint64_t error_word(const CollectiveIoError& error) {
+  return (static_cast<std::uint64_t>(error.fs_id + 1) << 48) |
+         (error.offset & 0xFFFFFFFFFFFFull);
+}
+
+/// Whether [offset, offset + length) meets any of the sorted, disjoint
+/// `extents`.
+bool overlaps(std::span<const Extent> extents, std::uint64_t offset,
+              std::uint64_t length) {
+  const auto first = std::partition_point(
+      extents.begin(), extents.end(),
+      [&](const Extent& extent) { return extent.end() <= offset; });
+  return first != extents.end() && first->offset < offset + length;
+}
+}  // namespace
+
 std::uint64_t IntegrityManager::pending_word(int fs_id) const {
-  // Encode (file, offset) so the max across ranks picks one deterministic
-  // error; the file part keeps an error at offset 0 nonzero. Offsets fit
-  // comfortably in 48 bits at simulated scales.
   const auto found = files_.find(fs_id);
   if (found == files_.end()) return 0;
   std::uint64_t word = 0;
   for (const CollectiveIoError& error : found->second.errors) {
-    const std::uint64_t encoded =
-        (static_cast<std::uint64_t>(error.fs_id + 1) << 48) |
-        (error.offset & 0xFFFFFFFFFFFFull);
-    word = std::max(word, encoded);
+    word = std::max(word, error_word(error));
+  }
+  return word;
+}
+
+std::uint64_t IntegrityManager::pending_word(
+    int fs_id, std::span<const Extent> extents) const {
+  const auto found = files_.find(fs_id);
+  if (found == files_.end()) return 0;
+  std::uint64_t word = 0;
+  for (const CollectiveIoError& error : found->second.errors) {
+    if (overlaps(extents, error.offset, error.length)) {
+      word = std::max(word, error_word(error));
+    }
   }
   return word;
 }

@@ -11,7 +11,9 @@
 // them, and at IntegrityLevel::Repair a detected mismatch is healed from
 // them in place. At Detect a mismatch is only recorded, and the file's
 // pending error is surfaced through a collective error-reduction so every
-// rank of the communicator throws the identical CollectiveIoError. A write
+// rank that agrees on it throws the identical CollectiveIoError: the
+// subgroup whose partitioned call touched it, and the whole communicator
+// at close. A write
 // without bytes (a phantom payload) counts its blocks and models its cost
 // but keeps no record: there is nothing to checksum.
 //
@@ -78,8 +80,8 @@ struct IntegrityCounters {
   std::uint64_t errors = 0;  // unrecoverable, pending collective agreement
 };
 
-/// The error every rank of the communicator throws after the collective
-/// error-reduction agrees recovery is exhausted for an extent.
+/// The error every rank of the agreeing communicator throws after the
+/// collective error-reduction agrees recovery is exhausted for an extent.
 class CollectiveIoError : public std::runtime_error {
  public:
   CollectiveIoError(int fs_id, std::uint64_t offset, std::uint64_t length);
@@ -146,6 +148,12 @@ class IntegrityManager {
   /// Nonzero word encoding file `fs_id`'s highest-priority pending error
   /// (0 = none); ranks agree via allreduce_max over this word.
   [[nodiscard]] std::uint64_t pending_word(int fs_id) const;
+  /// The same, over only the pending errors that overlap `extents` (sorted
+  /// by offset, disjoint): the word a ParColl subgroup reduces, so it
+  /// agrees on errors in the data its members touched and never on another
+  /// subgroup's.
+  [[nodiscard]] std::uint64_t pending_word(
+      int fs_id, std::span<const Extent> extents) const;
 
   /// Build the agreed error from a nonzero word.
   [[nodiscard]] CollectiveIoError error_of(std::uint64_t word) const;

@@ -113,7 +113,8 @@ std::uint64_t CollEngine::derive_context(std::uint64_t parent_ctx,
 
 std::shared_ptr<const CollContribs> CollEngine::exchange(
     Rank& self, const Comm& comm, CollKind kind,
-    std::vector<std::byte> contribution, const SparseRouting* routing) {
+    std::vector<std::byte> contribution, const SparseRouting* routing,
+    const CollFold* fold) {
   const int me = comm.local_rank(self.rank());
   if (me < 0) {
     throw std::logic_error("collective: caller is not in the communicator");
@@ -169,10 +170,15 @@ std::shared_ptr<const CollContribs> CollEngine::exchange(
     }
     const double completion =
         op.max_arrival + coll_cost(net_, kind, op.expected, max_contrib, total);
-    op.result = std::make_shared<const CollContribs>(
-        op.routing.record_bytes > 0
-            ? route_records(op.contribs, op.routing.record_bytes)
-            : std::move(op.contribs));
+    if (fold != nullptr) {
+      op.result = std::make_shared<const CollContribs>(
+          CollContribs{(*fold)(op.contribs)});
+    } else {
+      op.result = std::make_shared<const CollContribs>(
+          op.routing.record_bytes > 0
+              ? route_records(op.contribs, op.routing.record_bytes)
+              : std::move(op.contribs));
+    }
     for (sim::ProcId pid : op.waiter_pids) {
       engine_.wake_at(completion, pid);
     }
@@ -237,7 +243,8 @@ void barrier(Rank& self, const Comm& comm) {
 
 std::shared_ptr<const CollContribs> coll_run(
     Rank& self, const Comm& comm, CollKind kind,
-    std::vector<std::byte> contribution, const SparseRouting* routing) {
+    std::vector<std::byte> contribution, const SparseRouting* routing,
+    const CollFold* fold) {
   self.maybe_fault_stall();
   // A standalone collective (one issued outside any collective-I/O call,
   // e.g. a workload-level barrier) opens its own Call span so its sync
@@ -249,7 +256,7 @@ std::shared_ptr<const CollContribs> coll_run(
     call_span.emplace(self, obs::SpanKind::Call, to_string(kind));
   }
   return self.world().colls().exchange(self, comm, kind,
-                                       std::move(contribution), routing);
+                                       std::move(contribution), routing, fold);
 }
 
 int coll_local_rank(Rank& self, const Comm& comm) {

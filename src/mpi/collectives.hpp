@@ -14,9 +14,10 @@
 // Implementation note: the engine gathers every rank's contribution and
 // hands all of them to every rank; the typed wrappers below then slice or
 // reduce locally. Data routing fidelity does not affect timing (costs are
-// per-kind), and it keeps the engine to a single code path. The one
-// exception is sparse_alltoall: its last arriver sorts the records into
-// per-destination inboxes once, so no rank scans all P contributions.
+// per-kind), and it keeps the engine to a single code path. Two exceptions
+// keep wide communicators linear: sparse_alltoall's last arriver sorts the
+// records into per-destination inboxes once, and allreduce's last arriver
+// folds the contributions once, so no rank scans all P contributions.
 #pragma once
 
 #include <cstdint>
@@ -66,6 +67,10 @@ struct SparseRouting {
   std::uint64_t charged_bytes = 0;
 };
 
+/// Folds every member's contribution, in local-rank order, into the one
+/// value a reduction delivers to all members.
+using CollFold = std::function<std::vector<std::byte>(const CollContribs&)>;
+
 class CollEngine {
  public:
   CollEngine(sim::Engine& engine, const machine::NetworkParams& net);
@@ -75,11 +80,13 @@ class CollEngine {
   /// local rank. Charges Sync time. With `routing`, the last arriver
   /// instead builds one inbox per destination, once for every member:
   /// entry j holds the records addressed to local rank j, each led by its
-  /// source's local rank, ascending by source.
+  /// source's local rank, ascending by source. With `fold`, the last
+  /// arriver runs it once and every member receives its one value as the
+  /// only entry. Neither changes what the call is charged.
   std::shared_ptr<const CollContribs> exchange(
       Rank& self, const Comm& comm, CollKind kind,
       std::vector<std::byte> contribution,
-      const SparseRouting* routing = nullptr);
+      const SparseRouting* routing = nullptr, const CollFold* fold = nullptr);
 
   /// Allocate a context id for a derived communicator. Must be called in
   /// the same order by all ranks that use the result (comm_split does).
@@ -279,7 +286,7 @@ Comm comm_dup(Rank& self, const Comm& comm);
 std::shared_ptr<const CollContribs> coll_run(
     Rank& self, const Comm& comm, CollKind kind,
     std::vector<std::byte> contribution,
-    const SparseRouting* routing = nullptr);
+    const SparseRouting* routing = nullptr, const CollFold* fold = nullptr);
 int coll_local_rank(Rank& self, const Comm& comm);
 std::shared_ptr<const void> coll_shared_fetch(
     Rank& self, const Comm& comm,
@@ -409,12 +416,19 @@ std::vector<PeerValue<T>> sparse_alltoall(
 
 template <typename T, typename BinaryOp>
 T allreduce(Rank& self, const Comm& comm, const T& value, BinaryOp op) {
-  auto all = coll_run(self, comm, CollKind::Allreduce, detail::to_bytes(value));
-  T accum = detail::scalar_from<T>((*all)[0]);
-  for (std::size_t i = 1; i < all->size(); ++i) {
-    accum = op(accum, detail::scalar_from<T>((*all)[i]));
-  }
-  return accum;
+  // One left fold in local-rank order, shared by every member: each member
+  // folding all P values would be quadratic, and one fixed order keeps
+  // floating-point results bit-identical on every rank.
+  const CollFold fold = [&op](const CollContribs& all) {
+    T accum = detail::scalar_from<T>(all[0]);
+    for (std::size_t i = 1; i < all.size(); ++i) {
+      accum = op(accum, detail::scalar_from<T>(all[i]));
+    }
+    return detail::to_bytes(accum);
+  };
+  auto folded = coll_run(self, comm, CollKind::Allreduce,
+                         detail::to_bytes(value), nullptr, &fold);
+  return detail::scalar_from<T>(folded->front());
 }
 
 template <typename T>

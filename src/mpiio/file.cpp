@@ -350,7 +350,9 @@ void FileHandle::close() {
       stats.integrity_errors = now.errors - then.errors;
     }
     // Collective error agreement: recovery-exhausted extents surface as
-    // the identical CollectiveIoError on every rank, or on none.
+    // the identical CollectiveIoError on every rank, or on none. This is
+    // the file-wide verdict: a partitioned call agreed only within its
+    // subgroup, on the data that subgroup touched.
     const std::uint64_t word = mpi::allreduce_max(
         self_, common_->comm, integ->pending_word(fs_id()));
     if (word != 0) {

@@ -2,6 +2,7 @@
 // bug-injection self-tests, and degraded-mode file-content equivalence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "check/explore.hpp"
@@ -267,6 +268,27 @@ TEST(InvariantChecker, FlagsSplitBrainReelection) {
   EXPECT_EQ(checker.violations()[0].invariant, "reelection-agreement");
 }
 
+TEST(InvariantChecker, FlagsParentCollectiveInsidePartitionedCall) {
+  // Rank 0's partitioned call on parent ctx 1 runs its subgroup's
+  // collectives on ctx 2. A reduction on the parent inside the call (a
+  // comm-wide error agreement) breaks sync-scope; the subgroup's own
+  // reduction and the parent's collectives after the call do not.
+  constexpr int kAllreduce = 5;
+  check::InvariantChecker checker;
+  checker.on_collective(0, /*ctx=*/1, /*seq=*/0, kAllreduce, 4, 0xabc);
+  checker.on_partitioned_call_begin(0, /*parent_ctx=*/1);
+  checker.on_collective(0, /*ctx=*/2, 0, kAllreduce, 2, 0xdef);
+  // Rank 1 is in no partitioned call.
+  checker.on_collective(1, /*ctx=*/1, 1, kAllreduce, 4, 0xabc);
+  EXPECT_TRUE(checker.ok());
+  checker.on_collective(0, /*ctx=*/1, 1, kAllreduce, 4, 0xabc);
+  ASSERT_EQ(checker.violations().size(), 1u);
+  EXPECT_EQ(checker.violations()[0].invariant, "sync-scope");
+  checker.on_partitioned_call_end(0, 1);
+  checker.on_collective(0, /*ctx=*/1, 2, kAllreduce, 4, 0xabc);
+  EXPECT_EQ(checker.violations().size(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Bug injection: the checker catches planted interleaving bugs
 // ---------------------------------------------------------------------------
@@ -373,6 +395,31 @@ TEST(ContentEquivalence, DegradedModeActuallyDegrades) {
   EXPECT_GT(seen.reelections, 0u);
   EXPECT_GT(seen.stalls, 0u);
   EXPECT_GT(seen.drops, 0u);
+}
+
+TEST(ContentEquivalence, ComposedConfigEngagesEveryLayer) {
+  // The composition config is only worth exploring while every layer it
+  // stacks still does work: a layer that silently stopped engaging would
+  // leave the digest check with nothing to catch. Same shape as the
+  // checker's tiny IOR (16 KiB blocks in 4 KiB transfers).
+  const auto configs = check::smoke_configs();
+  const auto composed =
+      std::find_if(configs.begin(), configs.end(), [](const auto& config) {
+        return config.name == "ior-parcoll-composed";
+      });
+  ASSERT_NE(composed, configs.end());
+  workloads::IorConfig ior;
+  ior.block_size = 16 << 10;
+  ior.xfer_size = 4 << 10;
+  const workloads::RunResult result = workloads::run_ior(
+      ior, composed->nprocs, composed->spec(), /*write=*/true);
+  EXPECT_TRUE(result.verified);
+  EXPECT_GT(result.stats.parcoll_calls, 0u);
+  EXPECT_EQ(result.stats.last_num_groups, 2);
+  EXPECT_GT(result.stats.intranode_calls, 0u);
+  EXPECT_GT(result.stats.bb_staged_segments, 0u);
+  EXPECT_GT(result.faults.corrupt_injected, 0u);
+  EXPECT_GT(result.faults.corrupt_repaired, 0u);
 }
 
 TEST(ContentEquivalence, DegradedRunsUnderRandomSchedulesMatchToo) {

@@ -16,7 +16,8 @@
 //  - Retry exhaustion: with every retransmit corrupted, recovery runs out
 //    deterministically and every rank of the communicator throws the
 //    identical CollectiveIoError carrying the failing extent; another
-//    file's calls never throw it.
+//    file's calls never throw it, and under ParColl another subgroup's
+//    calls never throw it either (close throws it on every rank).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -304,6 +305,24 @@ TEST(IntegrityManager, PendingWordPicksOneErrorForAgreement) {
             true);
 }
 
+TEST(IntegrityManager, ScopedPendingWordSeesOnlyOverlappingErrors) {
+  fault::FaultState faults;
+  fs::IntegrityManager manager(tiny_config(fs::IntegrityLevel::Detect),
+                               &faults);
+  manager.record_error(5, 1000, 64);  // [1000, 1064)
+  manager.record_error(5, 4000, 64);  // [4000, 4064)
+  manager.record_error(6, 0, 64);     // another file
+  const auto word_over = [&](std::vector<fs::Extent> extents) {
+    return manager.pending_word(5, extents);
+  };
+  EXPECT_EQ(word_over({}), 0u);
+  EXPECT_EQ(word_over({{0, 1000}, {1064, 2936}}), 0u);  // around both
+  EXPECT_EQ(manager.error_of(word_over({{1063, 1}})).offset, 1000u);
+  EXPECT_EQ(manager.error_of(word_over({{0, 8}, {3990, 11}})).offset, 4000u);
+  // Both touched: the same winner as the file-wide word.
+  EXPECT_EQ(word_over({{1000, 3001}}), manager.pending_word(5));
+}
+
 TEST(IntegrityManager, RegistrationWithoutBytesOnlyCounts) {
   fault::FaultState faults;
   const fs::IntegrityConfig config =
@@ -556,6 +575,7 @@ TEST(IntegrityEndToEnd, PhantomBbCorruptionCountsInFileStats) {
 /// One shuffled-IOR write through the burst buffer with integrity on.
 struct ShuffledRun {
   bool threw = false;     // the ranks caught the agreed CollectiveIoError
+  int close_errors = 0;   // ranks whose close threw it
   bool verified = true;   // every block reads back as written
   mpiio::FileStats stats;  // rank 0's close-time summary
   fault::FaultCounters faults;
@@ -564,7 +584,9 @@ struct ShuffledRun {
 /// Byte-true 32-rank ParColl IOR write, 1 MiB blocks in 128 KiB transfers
 /// visited in shuffled order (IOR -z), through a watermark-drained burst
 /// buffer. Ranks catch the agreed CollectiveIoError themselves, so a run
-/// that detects corruption still ends every fiber.
+/// that detects corruption still ends every fiber. A subgroup that agrees
+/// on an error at a write stops writing but still closes: the other
+/// subgroups did not throw it and wait for it there.
 ShuffledRun run_shuffled_ior(std::uint64_t seed, fs::IntegrityLevel level,
                              const std::string& fault = "") {
   workloads::IorConfig config;
@@ -599,9 +621,14 @@ ShuffledRun run_shuffled_ior(std::uint64_t seed, fs::IntegrityLevel level,
         workloads::fill_stream(buffer.data(), std::span(&extent, 1), kSalt);
         core::write_at_all(file, extent.offset, buffer.data(), 1, memtype);
       }
+    } catch (const fs::CollectiveIoError&) {
+      run.threw = true;
+    }
+    try {
       file.close();  // drains everything durably
     } catch (const fs::CollectiveIoError&) {
       run.threw = true;
+      ++run.close_errors;
       return;
     }
     auto* store = dynamic_cast<fs::MemoryStore*>(&self.world().fs().store());
@@ -636,8 +663,10 @@ TEST(IntegrityEndToEnd, ShuffledIorThroughBbHasNoFalseDetections) {
   // Planted decay in the same runs is still caught: detect reports it
   // collectively, repair heals it before it drains.
   const std::string planted = "seed=3;bb-corrupt=0.05";
-  EXPECT_TRUE(
-      run_shuffled_ior(3, fs::IntegrityLevel::Detect, planted).threw);
+  const ShuffledRun detected =
+      run_shuffled_ior(3, fs::IntegrityLevel::Detect, planted);
+  EXPECT_TRUE(detected.threw);
+  EXPECT_EQ(detected.close_errors, 32);  // at close at the latest
   const ShuffledRun repaired =
       run_shuffled_ior(3, fs::IntegrityLevel::Repair, planted);
   EXPECT_FALSE(repaired.threw);
@@ -758,6 +787,72 @@ TEST(IntegrityAgreement, OneFilesErrorNeverSurfacesInAnother) {
     EXPECT_EQ(b_threw[i], 0) << "rank " << r;
     EXPECT_EQ(error_file[i], a_fs) << "rank " << r;
   }
+}
+
+TEST(IntegrityAgreement, SubgroupErrorStaysInItsSubgroup) {
+  // ParColl-2 over 8 ranks that each own a contiguous 4 KiB block: ranks
+  // 0-3 form subgroup A, ranks 4-7 subgroup B. After a clean collective
+  // write, a stored byte of rank 1's block decays, and the collective read
+  // finds it in rank 1's client audit. A's members agree on it and throw at
+  // the read; B's read agrees within B on B's own data and throws nothing.
+  // Close agrees file-wide, so every rank throws the identical error there.
+  const int nranks = 8;
+  const std::uint64_t bytes = 4096;
+  const std::uint64_t decayed_at = bytes + 100;  // in rank 1's block
+  mpi::World world(machine::MachineModel::jaguar(nranks));
+  mpiio::Hints hints;
+  hints.cb_buffer_size = 1024;
+  hints.parcoll_num_groups = 2;
+  hints.parcoll_min_group_size = 2;
+  hints.integrity.level = fs::IntegrityLevel::Detect;
+  hints.integrity.block = 512;
+  std::vector<int> groups(nranks, 0);
+  std::vector<int> read_threw(nranks, 0);
+  std::vector<int> close_threw(nranks, 0);
+  std::vector<fs::CollectiveIoError> at_close(nranks, {0, 0, 0});
+  world.run([&](mpi::Rank& self) {
+    const auto me = static_cast<std::size_t>(self.rank());
+    const dtype::Datatype memtype = dtype::Datatype::bytes(bytes);
+    mpiio::FileHandle file(self, self.comm_world(), "sub.dat", hints);
+    file.set_view(me * bytes, 1, memtype);
+    std::vector<std::byte> buffer(bytes);
+    workloads::fill_buffer_for_extents(buffer.data(), memtype, 1,
+                                       file.view().map(0, bytes), kSalt);
+    const core::CollectiveOutcome wrote =
+        core::write_at_all(file, 0, buffer.data(), 1, memtype);
+    groups[me] = wrote.num_groups;
+    mpi::barrier(self, self.comm_world());
+    if (self.rank() == 1) {
+      fs::ObjectStore& store = self.world().fs().store();
+      std::byte decayed{};
+      store.read(file.fs_id(), decayed_at, &decayed, 1);
+      decayed = ~decayed;
+      store.write(file.fs_id(), decayed_at, &decayed, 1);
+    }
+    mpi::barrier(self, self.comm_world());
+    try {
+      core::read_at_all(file, 0, buffer.data(), 1, memtype);
+    } catch (const fs::CollectiveIoError&) {
+      read_threw[me] = 1;
+    }
+    try {
+      file.close();
+    } catch (const fs::CollectiveIoError& error) {
+      close_threw[me] = 1;
+      at_close[me] = error;
+    }
+  });
+  for (int r = 0; r < nranks; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    EXPECT_EQ(groups[i], 2) << "rank " << r;
+    EXPECT_EQ(read_threw[i], r < 4 ? 1 : 0) << "rank " << r;
+    EXPECT_EQ(close_threw[i], 1) << "rank " << r;
+    EXPECT_EQ(at_close[i].fs_id, at_close[0].fs_id) << "rank " << r;
+    EXPECT_EQ(at_close[i].offset, at_close[0].offset) << "rank " << r;
+    EXPECT_EQ(at_close[i].length, at_close[0].length) << "rank " << r;
+  }
+  EXPECT_LE(at_close[0].offset, decayed_at);
+  EXPECT_GT(at_close[0].offset + at_close[0].length, decayed_at);
 }
 
 TEST(IntegrityEndToEnd, CloseSweepAuditsOnlyTheClosingFile) {

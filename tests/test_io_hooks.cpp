@@ -357,9 +357,9 @@ TEST(EntryPointClock, CollectiveExt2ph) {
 
 TEST(EntryPointClock, CollectiveParColl) {
   expect_pinned(
-      Path::ParColl, 0.039618314372455526, 10474153472279117010ull,
+      Path::ParColl, 0.039598314372455527, 10474153472279117010ull,
       "file \"golden.dat\" summary:\n"
-      "  time:   compute=0.000183501s p2p=0.0477189s sync=0.11915s "
+      "  time:   compute=0.000183501s p2p=0.0477189s sync=0.0586147s "
       "io=0.1454s faulted=0s intra=0s drain=0.151235s dwait=0.309966s "
       "integrity=4.57764e-05s (sum over ranks)\n"
       "  data:   written=65536B read=65536B\n"

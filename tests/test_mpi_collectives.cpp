@@ -2,6 +2,9 @@
 // cost-model shape, and comm_split.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cmath>
 #include <numeric>
 
 #include "mpi/collectives.hpp"
@@ -208,6 +211,62 @@ TEST(Collectives, AllreduceSumMaxMin) {
     EXPECT_EQ(sum, 21);
     EXPECT_EQ(max, 6);
     EXPECT_EQ(min, 1);
+  }
+}
+
+TEST(Collectives, AllreduceEqualsThePerRankFoldBitForBit) {
+  // Doubles of spread magnitudes and signs, whose sum depends on the order
+  // they are added in. Every rank must receive the left fold in local-rank
+  // order, bit for bit: over the world, and over a split whose keys reverse
+  // the rank order.
+  constexpr int kRanks = 37;
+  const auto value_of = [](int rank) {
+    return std::ldexp(rank % 3 == 0 ? -1.0 - 0.1 * rank : 1.0 + 0.1 * rank,
+                      (rank * 13) % 61 - 30);
+  };
+  const auto fold = [&](const std::vector<int>& order) {
+    std::array<double, 3> acc{};
+    acc.fill(value_of(order[0]));
+    for (std::size_t i = 1; i < order.size(); ++i) {
+      const double v = value_of(order[i]);
+      acc[0] = acc[0] + v;
+      acc[1] = acc[1] < v ? v : acc[1];
+      acc[2] = v < acc[2] ? v : acc[2];
+    }
+    return acc;
+  };
+  std::vector<int> ascending(kRanks);
+  std::iota(ascending.begin(), ascending.end(), 0);
+  const std::vector<int> descending(ascending.rbegin(), ascending.rend());
+  const auto forward = fold(ascending);
+  const auto backward = fold(descending);
+  // The data is order-sensitive, so the check below can tell orders apart.
+  ASSERT_NE(std::bit_cast<std::uint64_t>(forward[0]),
+            std::bit_cast<std::uint64_t>(backward[0]));
+
+  World world = make_world(kRanks);
+  std::vector<std::array<double, 3>> over_world(kRanks);
+  std::vector<std::array<double, 3>> over_split(kRanks);
+  world.run([&](Rank& self) {
+    const double mine = value_of(self.rank());
+    const Comm& all = self.comm_world();
+    over_world[self.rank()] = {allreduce_sum(self, all, mine),
+                               allreduce_max(self, all, mine),
+                               allreduce_min(self, all, mine)};
+    const Comm reversed = comm_split(self, all, 0, kRanks - self.rank());
+    over_split[self.rank()] = {allreduce_sum(self, reversed, mine),
+                               allreduce_max(self, reversed, mine),
+                               allreduce_min(self, reversed, mine)};
+  });
+  for (int r = 0; r < kRanks; ++r) {
+    for (std::size_t k = 0; k < 3; ++k) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(over_world[r][k]),
+                std::bit_cast<std::uint64_t>(forward[k]))
+          << "rank " << r << " op " << k;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(over_split[r][k]),
+                std::bit_cast<std::uint64_t>(backward[k]))
+          << "rank " << r << " op " << k;
+    }
   }
 }
 

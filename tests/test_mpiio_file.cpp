@@ -201,7 +201,7 @@ TEST(FileStatsSummary, PinnedIntegrityRepair) {
   EXPECT_EQ(
       pinned_summary(spec),
       "file \"tile.out\" summary:\n"
-      "  time:   compute=2.4576e-06s p2p=0.00038479s sync=0.77804s "
+      "  time:   compute=2.4576e-06s p2p=0.00038479s sync=0.505948s "
       "io=0.0317445s faulted=0.25s intra=0s integrity=4.76837e-07s "
       "(sum over ranks)\n"
       "  data:   written=2048B read=0B\n"
