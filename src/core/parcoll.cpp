@@ -288,16 +288,15 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
     // The intermediate coordinate space is subgroup-local (each group's
     // space starts at 0): groups touch disjoint physical segments, so their
     // spaces are independent and no global exchange is needed per call.
-    // The exchange is an allgatherv's; the map is built once and shared.
-    const auto member_extents =
-        mpi::coll_run(self, plan.subcomm, mpi::CollKind::Allgather,
-                      mpi::detail::to_bytes(prep.extents));
-    const auto map =
-        mpi::shared_once<IntermediateMap>(self, plan.subcomm, [&] {
+    // The exchange is an allgatherv's; its last arriver builds the map.
+    const auto map = mpi::coll_build<IntermediateMap>(
+        self, plan.subcomm, mpi::CollKind::Allgather,
+        mpi::detail::to_bytes(prep.extents),
+        [](const mpi::CollContribs& all) {
           std::vector<MemberSegments> members;
-          members.reserve(member_extents->size());
+          members.reserve(all.size());
           std::uint64_t inter_pos = 0;
-          for (const auto& contribution : *member_extents) {
+          for (const auto& contribution : all) {
             MemberSegments member;
             member.inter_start = inter_pos;
             member.extents =
@@ -409,10 +408,13 @@ CollectiveOutcome collective_call(mpiio::FileHandle& file, bool is_write,
       call.request, is_write, &file.engine_cache());
   const std::uint64_t error = agree_on_errors(file, outcome, call.request);
   end_subgroup_scope(file.self(), file.comm(), outcome);
+  // A call ending in the agreed error still moved its bytes and spent its
+  // time, so it is counted; only a read's buffer is not delivered.
+  file.end_call(call, collective_counts(file, outcome, is_write),
+                /*deliver=*/error == 0);
   if (error != 0) {
     throw file.self().world().integrity()->error_of(error);
   }
-  file.end_call(call, collective_counts(file, outcome, is_write));
   return outcome;
 }
 }  // namespace

@@ -144,13 +144,22 @@ void IntegrityManager::check_record(int client, int fs_id,
                                     const std::byte* actual, bool by_scrubber,
                                     Heal&& heal) {
   if (crc32c(actual, record.length) == record.crc) return;
-  note_detected(client, fs_id);
   if (config_.level == IntegrityLevel::Repair) {
+    note_detected(client, fs_id);
     heal(record.replica);
     note_repaired(client, fs_id, by_scrubber);
-  } else {
-    record_error(fs_id, offset, record.length);
+    return;
   }
+  const std::vector<CollectiveIoError>& pending = files_[fs_id].errors;
+  if (std::any_of(pending.begin(), pending.end(),
+                  [&](const CollectiveIoError& error) {
+                    return error.offset < offset + record.length &&
+                           offset < error.offset + error.length;
+                  })) {
+    return;
+  }
+  note_detected(client, fs_id);
+  record_error(fs_id, offset, record.length);
 }
 
 double IntegrityManager::verify_buffer(int client, int fs_id,

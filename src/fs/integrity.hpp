@@ -196,7 +196,8 @@ class IntegrityManager {
                               ObjectStore& store, bool by_scrubber);
   /// Verify one record against `actual` (record-length bytes); on a
   /// mismatch, `heal` writes the replica back at Repair, else the error
-  /// is recorded.
+  /// is recorded, unless it overlaps one of the file's pending errors: a
+  /// later audit of the same corruption counts nothing new.
   template <typename Heal>
   void check_record(int client, int fs_id, std::uint64_t offset,
                     const Record& record, const std::byte* actual,

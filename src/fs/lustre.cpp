@@ -131,22 +131,13 @@ double LustreSim::submit(int client, int file_id,
           rpc.bytes;
     }
     const double issue = engine_.now();
-    if (fault_plan_ == nullptr) {
-      const ServeOutcome outcome =
-          osts_[static_cast<std::size_t>(ost_index)].serve(
-              engine_.now(), file_id, client, rpc.lock_lo, rpc.lock_hi,
-              rpc.bytes, is_write, rpc.fragments);
-      last_completion = std::max(last_completion, outcome.done);
-      note_served(ost_index, rpc.bytes, issue, outcome.done);
-      rpc = PendingRpc{};
-      return;
-    }
-    // Degraded mode: detect a swallowed RPC after the timeout, resend with
-    // capped exponential backoff, and after the retry budget is exhausted
-    // fail over to the next surviving OST. Data already sits in the
-    // ObjectStore (written in the chunk loop), so failover only redirects
-    // the *timing* of service — stripe placement of bytes is unchanged,
-    // matching a degraded Lustre client writing through a backup target.
+    // Without a fault plan the first serve succeeds. Degraded mode: detect
+    // a swallowed RPC after the timeout, resend with capped exponential
+    // backoff, and after the retry budget is exhausted fail over to the
+    // next surviving OST. Data already sits in the ObjectStore (written in
+    // the chunk loop), so failover only redirects the *timing* of service
+    // — stripe placement of bytes is unchanged, matching a degraded Lustre
+    // client writing through a backup target.
     int target = ost_index;
     int attempt = 0;
     int hops = 0;

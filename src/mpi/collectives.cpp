@@ -32,30 +32,6 @@ std::uint64_t members_hash(const Comm& comm) {
   return h;
 }
 
-/// Transpose sparse contributions into per-destination inboxes. Sources
-/// are visited in ascending order, so each inbox comes out ascending by
-/// source; each record's leading int turns from destination into source.
-CollContribs route_records(const CollContribs& contribs,
-                           std::size_t record_bytes) {
-  CollContribs inboxes(contribs.size());
-  for (std::size_t source = 0; source < contribs.size(); ++source) {
-    const auto& records = contribs[source];
-    if (records.size() % record_bytes != 0) {
-      throw std::logic_error("sparse exchange: partial record");
-    }
-    const int from = static_cast<int>(source);
-    for (std::size_t at = 0; at < records.size(); at += record_bytes) {
-      const std::byte* record = records.data() + at;
-      int dest = 0;
-      std::memcpy(&dest, record, sizeof dest);
-      auto& inbox = inboxes.at(static_cast<std::size_t>(dest));
-      const std::size_t pos = inbox.size();
-      inbox.insert(inbox.end(), record, record + record_bytes);
-      std::memcpy(inbox.data() + pos, &from, sizeof from);
-    }
-  }
-  return inboxes;
-}
 }  // namespace
 
 const char* to_string(CollKind kind) {
@@ -111,10 +87,10 @@ std::uint64_t CollEngine::derive_context(std::uint64_t parent_ctx,
                            static_cast<std::uint64_t>(color) + 0x1234567ull);
 }
 
-std::shared_ptr<const CollContribs> CollEngine::exchange(
+std::shared_ptr<const void> CollEngine::exchange(
     Rank& self, const Comm& comm, CollKind kind,
-    std::vector<std::byte> contribution, const SparseRouting* routing,
-    const CollFold* fold) {
+    std::vector<std::byte> contribution, const CollBuild* build,
+    std::uint64_t charge_as) {
   const int me = comm.local_rank(self.rank());
   if (me < 0) {
     throw std::logic_error("collective: caller is not in the communicator");
@@ -135,7 +111,6 @@ std::shared_ptr<const CollContribs> CollEngine::exchange(
     Op op;
     op.kind = kind;
     op.expected = comm.size();
-    if (routing != nullptr) op.routing = *routing;
     op.contribs.resize(static_cast<std::size_t>(comm.size()));
     it = ops_.emplace(key, std::move(op)).first;
   }
@@ -156,13 +131,10 @@ std::shared_ptr<const CollContribs> CollEngine::exchange(
     engine_.suspend("collective");
     // Woken at the completion time.
   } else {
-    // Last arriver: compute cost, publish the result, release everyone.
-    std::uint64_t max_contrib = 0;
-    std::uint64_t total = 0;
-    if (op.routing.record_bytes > 0) {
-      max_contrib = op.routing.charged_bytes;
-      total = max_contrib * static_cast<std::uint64_t>(op.expected);
-    } else {
+    // Last arriver: compute cost, build the result, release everyone.
+    std::uint64_t max_contrib = charge_as;
+    std::uint64_t total = charge_as * static_cast<std::uint64_t>(op.expected);
+    if (charge_as == 0) {
       for (const auto& c : op.contribs) {
         max_contrib = std::max<std::uint64_t>(max_contrib, c.size());
         total += c.size();
@@ -170,15 +142,10 @@ std::shared_ptr<const CollContribs> CollEngine::exchange(
     }
     const double completion =
         op.max_arrival + coll_cost(net_, kind, op.expected, max_contrib, total);
-    if (fold != nullptr) {
-      op.result = std::make_shared<const CollContribs>(
-          CollContribs{(*fold)(op.contribs)});
-    } else {
-      op.result = std::make_shared<const CollContribs>(
-          op.routing.record_bytes > 0
-              ? route_records(op.contribs, op.routing.record_bytes)
-              : std::move(op.contribs));
-    }
+    op.result = build != nullptr
+                    ? (*build)(op.contribs)
+                    : std::make_shared<const CollContribs>(
+                          std::move(op.contribs));
     for (sim::ProcId pid : op.waiter_pids) {
       engine_.wake_at(completion, pid);
     }
@@ -190,8 +157,8 @@ std::shared_ptr<const CollContribs> CollEngine::exchange(
   const double sync_wait = engine_.now() - arrival;
   self.times().add(TimeCat::Sync, sync_wait);
 
-  auto result = ops_.at(key).result;
   Op& done = ops_.at(key);
+  auto result = done.result;
   if (auto* metrics = self.world().metrics()) {
     metrics->quantile("mpi.coll.sync_wait_s").observe(sync_wait);
     // How far behind the last arriver this rank showed up: the straggler
@@ -228,23 +195,15 @@ std::shared_ptr<const void> CollEngine::shared_fetch(
   return result;
 }
 
-const Comm* CollEngine::cached_split(std::uint64_t ctx) const {
-  const auto it = split_cache_.find(ctx);
-  return it == split_cache_.end() ? nullptr : &it->second;
-}
-
-void CollEngine::cache_split(const Comm& comm) {
-  split_cache_.emplace(comm.context_id(), comm);
-}
-
 void barrier(Rank& self, const Comm& comm) {
   coll_run(self, comm, CollKind::Barrier, {});
 }
 
-std::shared_ptr<const CollContribs> coll_run(
-    Rank& self, const Comm& comm, CollKind kind,
-    std::vector<std::byte> contribution, const SparseRouting* routing,
-    const CollFold* fold) {
+std::shared_ptr<const void> coll_exchange(Rank& self, const Comm& comm,
+                                          CollKind kind,
+                                          std::vector<std::byte> contribution,
+                                          const CollBuild* build,
+                                          std::uint64_t charge_as) {
   self.maybe_fault_stall();
   // A standalone collective (one issued outside any collective-I/O call,
   // e.g. a workload-level barrier) opens its own Call span so its sync
@@ -255,8 +214,8 @@ std::shared_ptr<const CollContribs> coll_run(
       tracer != nullptr && !tracer->spans().in_call(self.pid())) {
     call_span.emplace(self, obs::SpanKind::Call, to_string(kind));
   }
-  return self.world().colls().exchange(self, comm, kind,
-                                       std::move(contribution), routing, fold);
+  return self.world().colls().exchange(
+      self, comm, kind, std::move(contribution), build, charge_as);
 }
 
 int coll_local_rank(Rank& self, const Comm& comm) {
@@ -287,54 +246,48 @@ std::uint64_t sendrecv(Rank& self, const Comm& comm, int dst, int send_tag,
 }
 
 Comm comm_split(Rank& self, const Comm& comm, int color, int key) {
-  // Gather (color, key, world rank) from everyone; build my color's comm.
   struct Entry {
     int color;
     int key;
     int world;
   };
-  const std::uint64_t seq = self.next_coll_seq(comm.context_id());
-  // Reuse the allgather machinery for the split's metadata exchange. Note:
-  // the sequence number above is reserved for context derivation; the
-  // allgather below consumes the next one, which is fine because all ranks
-  // do both in the same order.
-  auto all = coll_run(self, comm, CollKind::Allgather,
-                      detail::to_bytes(Entry{color, key, self.rank()}));
-
-  auto& colls = self.world().colls();
-  const std::uint64_t my_ctx =
-      colls.derive_context(comm.context_id(), seq, color);
-  // The first member through builds every color's communicator from the
-  // shared exchange and publishes them by derived context id; everyone
-  // else aliases a published member table. Building per caller would cost
-  // an O(P) scan per rank plus an O(group) private copy per member —
-  // quadratic on wide communicators.
-  if (const Comm* cached = colls.cached_split(my_ctx)) {
-    return *cached;
-  }
-  std::map<int, std::vector<Entry>> by_color;
-  for (const auto& bytes : *all) {
-    const Entry entry = detail::scalar_from<Entry>(bytes);
-    by_color[entry.color].push_back(entry);
-  }
-  Comm mine;
-  for (auto& [group_color, group] : by_color) {
-    std::sort(group.begin(), group.end(), [](const Entry& a, const Entry& b) {
-      return std::tie(a.key, a.world) < std::tie(b.key, b.world);
-    });
-    std::vector<int> members;
-    members.reserve(group.size());
-    for (const Entry& entry : group) {
-      members.push_back(entry.world);
-    }
-    Comm built(colls.derive_context(comm.context_id(), seq, group_color),
-               std::move(members));
-    if (group_color == color) {
-      mine = built;
-    }
-    colls.cache_split(built);
-  }
-  return mine;
+  // Derived context ids hash the split's own sequence number, which every
+  // member reads before the exchange takes it.
+  const std::uint64_t seq = self.coll_seq(comm.context_id());
+  const CollEngine& colls = self.world().colls();
+  // The last arriver builds every color's communicator once, so the
+  // members of one color share one state; building per caller would cost
+  // an O(P) scan per rank plus an O(group) private member table per
+  // member, quadratic on wide communicators.
+  const auto by_color = coll_build<std::map<int, Comm>>(
+      self, comm, CollKind::Allgather,
+      detail::to_bytes(Entry{color, key, self.rank()}),
+      [&](const CollContribs& all) {
+        std::map<int, std::vector<Entry>> groups;
+        for (const auto& bytes : all) {
+          const Entry entry = detail::scalar_from<Entry>(bytes);
+          groups[entry.color].push_back(entry);
+        }
+        std::map<int, Comm> comms;
+        for (auto& [group_color, group] : groups) {
+          std::sort(group.begin(), group.end(),
+                    [](const Entry& a, const Entry& b) {
+                      return std::tie(a.key, a.world) <
+                             std::tie(b.key, b.world);
+                    });
+          std::vector<int> members;
+          members.reserve(group.size());
+          for (const Entry& entry : group) {
+            members.push_back(entry.world);
+          }
+          comms.emplace(group_color,
+                        Comm(colls.derive_context(comm.context_id(), seq,
+                                                  group_color),
+                             std::move(members)));
+        }
+        return comms;
+      });
+  return by_color->at(color);
 }
 
 Comm comm_dup(Rank& self, const Comm& comm) {

@@ -11,13 +11,18 @@
 // dominant contributor in the two-phase protocol's per-cycle metadata
 // exchange.
 //
-// Implementation note: the engine gathers every rank's contribution and
-// hands all of them to every rank; the typed wrappers below then slice or
-// reduce locally. Data routing fidelity does not affect timing (costs are
-// per-kind), and it keeps the engine to a single code path. Two exceptions
-// keep wide communicators linear: sparse_alltoall's last arriver sorts the
-// records into per-destination inboxes once, and allreduce's last arriver
-// folds the contributions once, so no rank scans all P contributions.
+// Implementation note: every collective is one rendezvous,
+// CollEngine::exchange, and by default every rank receives all of the
+// contributions, which the typed wrappers below slice or reduce locally
+// (data routing fidelity does not affect timing: costs are per-kind). A
+// value shared by several ranks has one home, by its lifetime:
+//  - made from a collective's contributions: that collective's build
+//    (coll_build), run once by the last arriver over every contribution
+//    in local-rank order; every member receives the one immutable result;
+//  - computable by every member alone, once per call: shared_once, built
+//    by the first member through, with nothing exchanged;
+//  - fixed for a communicator or an open file: World::shared_object.
+// So no rank scans all P contributions or holds a private P-sized copy.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +32,6 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "machine/machine_model.hpp"
@@ -58,35 +62,27 @@ enum class CollKind {
 
 using CollContribs = std::vector<std::vector<std::byte>>;
 
-/// How a sparse personalized exchange is routed and charged: every
-/// contribution is a run of `record_bytes` records, each led by its
-/// destination's local rank as an int, and every rank is charged as if it
-/// had contributed `charged_bytes` (its dense P-entry vector).
-struct SparseRouting {
-  std::size_t record_bytes = 0;
-  std::uint64_t charged_bytes = 0;
-};
-
-/// Folds every member's contribution, in local-rank order, into the one
-/// value a reduction delivers to all members.
-using CollFold = std::function<std::vector<std::byte>(const CollContribs&)>;
+/// A collective's build step: makes, from every member's contribution in
+/// local-rank order, the one value every member receives.
+using CollBuild =
+    std::function<std::shared_ptr<const void>(const CollContribs&)>;
 
 class CollEngine {
  public:
   CollEngine(sim::Engine& engine, const machine::NetworkParams& net);
 
   /// Core rendezvous: block until all members of `comm` have contributed,
-  /// then return (a shared view of) everyone's contributions, ordered by
-  /// local rank. Charges Sync time. With `routing`, the last arriver
-  /// instead builds one inbox per destination, once for every member:
-  /// entry j holds the records addressed to local rank j, each led by its
-  /// source's local rank, ascending by source. With `fold`, the last
-  /// arriver runs it once and every member receives its one value as the
-  /// only entry. Neither changes what the call is charged.
-  std::shared_ptr<const CollContribs> exchange(
-      Rank& self, const Comm& comm, CollKind kind,
-      std::vector<std::byte> contribution,
-      const SparseRouting* routing = nullptr, const CollFold* fold = nullptr);
+  /// then return the call's one shared result. Charges Sync time. Without
+  /// `build` the result is everyone's contributions (a CollContribs ordered
+  /// by local rank); with it, the last arriver runs its build once and
+  /// every member receives what it made. A nonzero `charge_as` bills the
+  /// call as if every member had contributed that many bytes (a sparse
+  /// exchange charged as its dense form).
+  std::shared_ptr<const void> exchange(Rank& self, const Comm& comm,
+                                       CollKind kind,
+                                       std::vector<std::byte> contribution,
+                                       const CollBuild* build = nullptr,
+                                       std::uint64_t charge_as = 0);
 
   /// Allocate a context id for a derived communicator. Must be called in
   /// the same order by all ranks that use the result (comm_split does).
@@ -104,23 +100,16 @@ class CollEngine {
       Rank& self, const Comm& comm,
       const std::function<std::shared_ptr<const void>()>& build);
 
-  /// comm_split memo: every same-color member of one split builds an
-  /// identical communicator, so the first member through publishes the
-  /// results by derived context id and the rest alias the member tables.
-  [[nodiscard]] const Comm* cached_split(std::uint64_t ctx) const;
-  void cache_split(const Comm& comm);
-
  private:
   struct Op {
     CollKind kind = CollKind::Barrier;
-    SparseRouting routing;  // record_bytes == 0: a dense exchange
     int expected = 0;
     int arrived = 0;
     int fetched = 0;
     double max_arrival = 0.0;
     CollContribs contribs;
     std::vector<sim::ProcId> waiter_pids;
-    std::shared_ptr<const CollContribs> result;
+    std::shared_ptr<const void> result;
   };
   using OpKey = std::pair<std::uint64_t, std::uint64_t>;  // (ctx, seq)
 
@@ -134,7 +123,6 @@ class CollEngine {
   const machine::NetworkParams& net_;
   std::map<OpKey, Op> ops_;
   std::map<OpKey, SharedVal> shared_vals_;
-  std::unordered_map<std::uint64_t, Comm> split_cache_;
 };
 
 // --- Typed wrappers -------------------------------------------------------
@@ -283,14 +271,42 @@ Comm comm_dup(Rank& self, const Comm& comm);
 
 // --- template definitions -------------------------------------------------
 
-std::shared_ptr<const CollContribs> coll_run(
-    Rank& self, const Comm& comm, CollKind kind,
-    std::vector<std::byte> contribution,
-    const SparseRouting* routing = nullptr, const CollFold* fold = nullptr);
+/// The front end to CollEngine::exchange (fault stalls, the standalone
+/// call span); the typed front ends below go through it.
+std::shared_ptr<const void> coll_exchange(Rank& self, const Comm& comm,
+                                          CollKind kind,
+                                          std::vector<std::byte> contribution,
+                                          const CollBuild* build = nullptr,
+                                          std::uint64_t charge_as = 0);
 int coll_local_rank(Rank& self, const Comm& comm);
 std::shared_ptr<const void> coll_shared_fetch(
     Rank& self, const Comm& comm,
     const std::function<std::shared_ptr<const void>()>& build);
+
+/// A collective without a build: every member receives all contributions.
+inline std::shared_ptr<const CollContribs> coll_run(
+    Rank& self, const Comm& comm, CollKind kind,
+    std::vector<std::byte> contribution) {
+  return std::static_pointer_cast<const CollContribs>(
+      coll_exchange(self, comm, kind, std::move(contribution)));
+}
+
+/// A collective with a build: the last arriver runs `build(contribs)`
+/// once, over every contribution in local-rank order, and every member
+/// receives the same immutable R. `charge_as` as in CollEngine::exchange.
+template <typename R, typename Build>
+std::shared_ptr<const R> coll_build(Rank& self, const Comm& comm,
+                                    CollKind kind,
+                                    std::vector<std::byte> contribution,
+                                    Build&& build,
+                                    std::uint64_t charge_as = 0) {
+  const CollBuild erased =
+      [&build](const CollContribs& all) -> std::shared_ptr<const void> {
+    return std::make_shared<const R>(build(all));
+  };
+  return std::static_pointer_cast<const R>(coll_exchange(
+      self, comm, kind, std::move(contribution), &erased, charge_as));
+}
 
 /// Typed front end to CollEngine::shared_fetch: every member of `comm`
 /// calls with a `build` that deterministically computes the same T; one
@@ -307,22 +323,23 @@ std::shared_ptr<const T> shared_once(Rank& self, const Comm& comm,
 
 /// Like allgather, but every member receives the same shared immutable
 /// vector instead of a private copy. The exchange (and its cost) is
-/// identical to allgather's; only the per-rank materialization is
-/// deduplicated. Use for comm-sized metadata on wide communicators, where
-/// P private copies of a P-entry vector are quadratic.
+/// identical to allgather's; the last arriver builds the one vector. Use
+/// for comm-sized metadata on wide communicators, where P private copies
+/// of a P-entry vector are quadratic.
 template <typename T>
 std::shared_ptr<const std::vector<T>> allgather_shared(Rank& self,
                                                        const Comm& comm,
                                                        const T& value) {
-  auto all = coll_run(self, comm, CollKind::Allgather, detail::to_bytes(value));
-  return shared_once<std::vector<T>>(self, comm, [&] {
-    std::vector<T> result;
-    result.reserve(all->size());
-    for (const auto& contribution : *all) {
-      result.push_back(detail::scalar_from<T>(contribution));
-    }
-    return result;
-  });
+  return coll_build<std::vector<T>>(
+      self, comm, CollKind::Allgather, detail::to_bytes(value),
+      [](const CollContribs& all) {
+        std::vector<T> result;
+        result.reserve(all.size());
+        for (const auto& contribution : all) {
+          result.push_back(detail::scalar_from<T>(contribution));
+        }
+        return result;
+      });
 }
 
 template <typename T>
@@ -336,13 +353,7 @@ T bcast(Rank& self, const Comm& comm, int root, const T& value) {
 
 template <typename T>
 std::vector<T> allgather(Rank& self, const Comm& comm, const T& value) {
-  auto all = coll_run(self, comm, CollKind::Allgather, detail::to_bytes(value));
-  std::vector<T> result;
-  result.reserve(all->size());
-  for (const auto& contribution : *all) {
-    result.push_back(detail::scalar_from<T>(contribution));
-  }
-  return result;
+  return *allgather_shared(self, comm, value);
 }
 
 template <typename T>
@@ -395,8 +406,6 @@ std::vector<T> alltoall(Rank& self, const Comm& comm,
 template <typename T>
 std::vector<PeerValue<T>> sparse_alltoall(
     Rank& self, const Comm& comm, const std::vector<PeerValue<T>>& send) {
-  // The engine reads and rewrites each record's leading int in place.
-  static_assert(std::is_standard_layout_v<PeerValue<T>>);
   for (std::size_t i = 0; i < send.size(); ++i) {
     if (send[i].peer < 0 || send[i].peer >= comm.size() ||
         (i > 0 && send[i].peer <= send[i - 1].peer)) {
@@ -405,13 +414,28 @@ std::vector<PeerValue<T>> sparse_alltoall(
           "ranks");
     }
   }
-  const SparseRouting routing{
-      sizeof(PeerValue<T>),
-      static_cast<std::uint64_t>(comm.size()) * sizeof(T)};
-  auto inboxes = coll_run(self, comm, CollKind::Alltoall,
-                          detail::to_bytes(send), &routing);
-  return detail::vector_from<PeerValue<T>>(
-      (*inboxes)[static_cast<std::size_t>(coll_local_rank(self, comm))]);
+  // The last arriver transposes the records into per-destination inboxes
+  // once. Sources are visited in ascending order, so each inbox comes out
+  // ascending by source.
+  using Inboxes = std::vector<std::vector<PeerValue<T>>>;
+  const auto inboxes = coll_build<Inboxes>(
+      self, comm, CollKind::Alltoall, detail::to_bytes(send),
+      [](const CollContribs& all) {
+        Inboxes boxes(all.size());
+        for (std::size_t source = 0; source < all.size(); ++source) {
+          const auto& records = all[source];
+          for (std::size_t at = 0; at < records.size();
+               at += sizeof(PeerValue<T>)) {
+            PeerValue<T> record;
+            std::memcpy(&record, records.data() + at, sizeof record);
+            boxes.at(static_cast<std::size_t>(record.peer))
+                .push_back({static_cast<int>(source), record.value});
+          }
+        }
+        return boxes;
+      },
+      static_cast<std::uint64_t>(comm.size()) * sizeof(T));
+  return (*inboxes)[static_cast<std::size_t>(coll_local_rank(self, comm))];
 }
 
 template <typename T, typename BinaryOp>
@@ -419,16 +443,15 @@ T allreduce(Rank& self, const Comm& comm, const T& value, BinaryOp op) {
   // One left fold in local-rank order, shared by every member: each member
   // folding all P values would be quadratic, and one fixed order keeps
   // floating-point results bit-identical on every rank.
-  const CollFold fold = [&op](const CollContribs& all) {
-    T accum = detail::scalar_from<T>(all[0]);
-    for (std::size_t i = 1; i < all.size(); ++i) {
-      accum = op(accum, detail::scalar_from<T>(all[i]));
-    }
-    return detail::to_bytes(accum);
-  };
-  auto folded = coll_run(self, comm, CollKind::Allreduce,
-                         detail::to_bytes(value), nullptr, &fold);
-  return detail::scalar_from<T>(folded->front());
+  return *coll_build<T>(self, comm, CollKind::Allreduce,
+                        detail::to_bytes(value),
+                        [&op](const CollContribs& all) {
+                          T accum = detail::scalar_from<T>(all[0]);
+                          for (std::size_t i = 1; i < all.size(); ++i) {
+                            accum = op(accum, detail::scalar_from<T>(all[i]));
+                          }
+                          return accum;
+                        });
 }
 
 template <typename T>

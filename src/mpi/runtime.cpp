@@ -28,7 +28,12 @@ World::World(machine::MachineModel model, bool byte_true)
   world_comm_ = Comm(/*context_id=*/1, std::move(members));
 }
 
-World::~World() = default;
+World::~World() {
+  // A run that ended in an exception leaves other fibers suspended
+  // mid-call. Unwind them first, while the members their destructors
+  // reach (tracer spans, staging stores, the sampler's registry) live.
+  engine_.unwind();
+}
 
 void World::run(std::function<void(Rank&)> program) {
   if (ran_) {

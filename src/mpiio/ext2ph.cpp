@@ -151,31 +151,27 @@ Plan make_plan(mpi::Rank& self, const mpi::Comm& comm,
     mine.st = request.extents.front().offset;
     mine.end = request.extents.back().end();
   }
-  // Exchange bytes identical to a plain allgather; the min/max fold over
-  // the P ranges runs once and every rank reads the two shared scalars.
-  const auto all_ranges = mpi::coll_run(self, comm, mpi::CollKind::Allgather,
-                                        mpi::detail::to_bytes(mine));
-  struct FileBounds {
-    std::uint64_t min_st = std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t max_end = 0;
-  };
-  const auto bounds = mpi::shared_once<FileBounds>(self, comm, [&] {
-    // Every member passes the same roster, so one member checks it.
-    if (!std::is_sorted(aggregators.begin(), aggregators.end())) {
-      throw std::invalid_argument("ext2ph: aggregator list must be sorted");
-    }
-    FileBounds folded;
-    for (const auto& contribution : *all_ranges) {
-      const RankRange range = mpi::detail::scalar_from<RankRange>(contribution);
-      if (range.end > range.st) {  // rank actually has data
-        folded.min_st = std::min(folded.min_st, range.st);
-        folded.max_end = std::max(folded.max_end, range.end);
-      }
-    }
-    return folded;
-  });
-  plan.min_st = bounds->min_st;
-  plan.max_end = bounds->max_end;
+  // Exchange bytes identical to a plain allgather; the last arriver folds
+  // the P ranges once and every rank reads the two shared scalars.
+  const auto bounds = mpi::coll_build<RankRange>(
+      self, comm, mpi::CollKind::Allgather, mpi::detail::to_bytes(mine),
+      [&](const mpi::CollContribs& all) {
+        // Every member passes the same roster, so the build checks it once.
+        if (!std::is_sorted(aggregators.begin(), aggregators.end())) {
+          throw std::invalid_argument("ext2ph: aggregator list must be sorted");
+        }
+        RankRange folded{std::numeric_limits<std::uint64_t>::max(), 0};
+        for (const auto& contribution : all) {
+          const auto range = mpi::detail::scalar_from<RankRange>(contribution);
+          if (range.end > range.st) {  // rank actually has data
+            folded.st = std::min(folded.st, range.st);
+            folded.end = std::max(folded.end, range.end);
+          }
+        }
+        return folded;
+      });
+  plan.min_st = bounds->st;
+  plan.max_end = bounds->end;
   if (plan.max_end <= plan.min_st) {
     return plan;  // nothing to do anywhere; every rank agrees
   }
@@ -250,24 +246,24 @@ Plan make_plan(mpi::Rank& self, const mpi::Comm& comm,
     my_loc.st = std::min(my_loc.st, from.extents.front().offset);
     my_loc.end = std::max(my_loc.end, from.extents.back().end());
   }
-  const auto all_locs = mpi::coll_run(self, comm, mpi::CollKind::Allgather,
-                                      mpi::detail::to_bytes(my_loc));
-  plan.covered = mpi::shared_once<CoveredRanges>(self, comm, [&] {
-    CoveredRanges covered;
-    covered.locs.reserve(aggregators.size());
-    for (int agg_rank : aggregators) {
-      const auto loc = mpi::detail::scalar_from<CoveredLoc>(
-          (*all_locs)[static_cast<std::size_t>(agg_rank)]);
-      if (loc.end > loc.st) {
-        covered.ntimes =
-            std::max(covered.ntimes, (loc.end - loc.st +
-                                      options.cb_buffer_size - 1) /
-                                         options.cb_buffer_size);
-      }
-      covered.locs.push_back(loc);
-    }
-    return covered;
-  });
+  plan.covered = mpi::coll_build<CoveredRanges>(
+      self, comm, mpi::CollKind::Allgather, mpi::detail::to_bytes(my_loc),
+      [&](const mpi::CollContribs& all) {
+        CoveredRanges covered;
+        covered.locs.reserve(aggregators.size());
+        for (int agg_rank : aggregators) {
+          const auto loc = mpi::detail::scalar_from<CoveredLoc>(
+              all[static_cast<std::size_t>(agg_rank)]);
+          if (loc.end > loc.st) {
+            covered.ntimes =
+                std::max(covered.ntimes, (loc.end - loc.st +
+                                          options.cb_buffer_size - 1) /
+                                             options.cb_buffer_size);
+          }
+          covered.locs.push_back(loc);
+        }
+        return covered;
+      });
   plan.ntimes = plan.covered->ntimes;
   return plan;
 }

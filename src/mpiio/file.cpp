@@ -221,8 +221,8 @@ IoCall FileHandle::begin_call(bool is_write, Route route, std::uint64_t offset,
   return call;
 }
 
-void FileHandle::end_call(IoCall& call, FileStats counts) {
-  unpack(call);
+void FileHandle::end_call(IoCall& call, FileStats counts, bool deliver) {
+  if (deliver) unpack(call);
   const mpi::TimeBreakdown now = self_.times().breakdown();
   for (std::size_t i = 0; i < mpi::kNumTimeCats; ++i) {
     counts.time.seconds[i] = now.seconds[i] - call.time_before.seconds[i];

@@ -149,8 +149,10 @@ class FileHandle {
                     const dtype::Datatype& memtype);
   /// Steps 6-7 for a call serviced on this fiber: unpack a read, then fold
   /// the time and fault events since begin_call, the bytes and `counts`
-  /// (the family's call counters) into the file's stats.
-  void end_call(IoCall& call, FileStats counts);
+  /// (the family's call counters) into the file's stats. With `deliver`
+  /// false (a call ending in an agreed error) the read is not unpacked,
+  /// so the fold moves no clock.
+  void end_call(IoCall& call, FileStats counts, bool deliver = true);
   /// Steps 6-7 for a call serviced on a helper fiber: as end_call, but the
   /// time folded is the helper's, and no fault events are: the helper
   /// shares the rank's fault counters with this fiber, so a diff here could

@@ -90,8 +90,8 @@ NodeComm make_node_comm(mpi::Rank& self, const mpi::Comm& comm,
   if (nc.my_parent_local < 0) {
     throw std::logic_error("make_node_comm: caller not a member of comm");
   }
-  // A context id names one communicator (comm_split interns by it too),
-  // so the id and the policy identify the layout.
+  // A context id names one communicator, so the id and the policy
+  // identify the layout.
   const std::string key = "node:" + std::to_string(comm.context_id()) + ":" +
                           to_string(policy);
   nc.layout = self.world().shared_object<NodeLayout>(key, [&] {

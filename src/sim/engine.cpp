@@ -208,6 +208,21 @@ void Engine::run() {
   }
 }
 
+void Engine::unwind() {
+  unwinding_ = true;
+  // As in resume_process, hold no Process reference across a resume.
+  for (std::size_t pid = 0; pid < procs_.size(); ++pid) {
+    Fiber* fiber = procs_[pid].fiber.get();
+    if (fiber == nullptr) continue;
+    current_ = static_cast<ProcId>(pid);
+    fiber->unwind();
+    current_ = kNoProc;
+    procs_[pid].state = ProcState::Finished;
+    procs_[pid].fiber.reset();
+    --live_;
+  }
+}
+
 void Engine::sleep(double seconds) {
   if (seconds < 0) {
     throw std::logic_error("Engine::sleep: negative duration");
@@ -241,6 +256,7 @@ void Engine::suspend(const char* why) {
 }
 
 void Engine::wake_at(double t, ProcId pid) {
+  if (unwinding_) return;  // nothing runs again
   if (t < now_) {
     throw std::logic_error("Engine::wake_at: time in the past");
   }

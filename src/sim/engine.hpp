@@ -103,6 +103,13 @@ class Engine {
   /// Throws DeadlockError if progress stops with processes still blocked.
   void run();
 
+  /// Unwind every started, unfinished process (Fiber::unwind), in pid
+  /// order, after a run that ended in an exception or a deadlock left
+  /// them suspended. Nothing runs again afterwards, so wakes issued by the
+  /// destructors that run meanwhile are dropped. Call while everything
+  /// those destructors touch is still alive.
+  void unwind();
+
   /// Current virtual time, seconds.
   [[nodiscard]] double now() const { return now_; }
 
@@ -205,6 +212,7 @@ class Engine {
   std::uint64_t stream_seq_ = 0;
   ProcId current_ = kNoProc;
   std::size_t live_ = 0;
+  bool unwinding_ = false;
   std::size_t default_stack_bytes_ = kDefaultStackBytes;
   std::uint64_t events_executed_ = 0;
   std::uint64_t callback_events_ = 0;

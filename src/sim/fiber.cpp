@@ -45,6 +45,9 @@ inline void asan_finish_switch([[maybe_unused]] void* saved,
 
 constexpr unsigned char kCanaryByte = 0x5a;
 
+/// Thrown out of yield() into a fiber being unwound; run_body drops it.
+struct Unwind {};
+
 }  // namespace
 
 thread_local Fiber* Fiber::current_ = nullptr;
@@ -173,6 +176,7 @@ void Fiber::yield() {
   if (current_ != this) {
     throw std::logic_error("Fiber::yield called from the wrong context");
   }
+  if (unwinding_) throw Unwind{};
   current_ = nullptr;
   asan_start_switch(&asan_fake_stack_, asan_sched_stack_bottom_,
                     asan_sched_stack_size_);
@@ -180,6 +184,7 @@ void Fiber::yield() {
   asan_finish_switch(asan_fake_stack_, &asan_sched_stack_bottom_,
                      &asan_sched_stack_size_);
   current_ = this;
+  if (unwinding_) throw Unwind{};
 }
 
 #else  // ucontext fallback
@@ -246,6 +251,7 @@ void Fiber::yield() {
   if (current_ != this) {
     throw std::logic_error("Fiber::yield called from the wrong context");
   }
+  if (unwinding_) throw Unwind{};
   current_ = nullptr;
   asan_start_switch(&asan_fake_stack_, asan_sched_stack_bottom_,
                     asan_sched_stack_size_);
@@ -253,6 +259,7 @@ void Fiber::yield() {
   asan_finish_switch(asan_fake_stack_, &asan_sched_stack_bottom_,
                      &asan_sched_stack_size_);
   current_ = this;
+  if (unwinding_) throw Unwind{};
 }
 
 #endif  // PARCOLL_FAST_CONTEXT
@@ -265,11 +272,19 @@ Fiber::~Fiber() {
   }
 }
 
+void Fiber::unwind() {
+  if (!started_ || finished_) return;
+  unwinding_ = true;
+  resume();
+}
+
 void Fiber::run_body() {
   try {
     body_();
   } catch (...) {
-    exception_ = std::current_exception();
+    // An unwound fiber's run has already ended: the sentinel, and anything
+    // its handlers throw while unwinding, has nowhere to go.
+    if (!unwinding_) exception_ = std::current_exception();
   }
   finished_ = true;
   current_ = nullptr;

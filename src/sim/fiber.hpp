@@ -67,6 +67,14 @@ class Fiber {
   /// Switch from inside the fiber back to whoever resumed it.
   void yield();
 
+  /// Abandon a started, unfinished fiber (from the scheduler): resume it
+  /// once so that its pending yield() throws a private sentinel, which
+  /// unwinds its stack, running every destructor on it, out of the body.
+  /// A further yield() while unwinding throws again at once, and whatever
+  /// escapes the body is dropped. Returns with the fiber finished; a no-op
+  /// on a fiber that never started or already finished.
+  void unwind();
+
   /// True once the body has returned. A finished fiber must not be resumed.
   [[nodiscard]] bool finished() const { return finished_; }
 
@@ -121,6 +129,7 @@ class Fiber {
   std::exception_ptr exception_;
   bool started_ = false;
   bool finished_ = false;
+  bool unwinding_ = false;
   // Bookkeeping for the AddressSanitizer fiber-switch annotations (unused in
   // non-sanitized builds): the fiber's saved fake stack and the scheduler
   // stack bounds learned on first entry, needed to switch back legally.

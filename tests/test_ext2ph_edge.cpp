@@ -191,6 +191,52 @@ TEST(Ext2phEdge, FdAlignmentPreservesCorrectness) {
       options);
 }
 
+TEST(Ext2phEdge, UnsortedRosterEndsTheRun) {
+  // The file-bounds build checks the roster once, on the last arriver of
+  // the range gathering; the run ends with its error.
+  mpi::World world(machine::MachineModel::jaguar(4));
+  EXPECT_THROW(world.run([&](mpi::Rank& self) {
+                 const int fs_id = self.world().fs().open("roster.dat", 4,
+                                                          4096);
+                 DirectTarget target(self.world().fs(), fs_id);
+                 const std::vector<fs::Extent> extents{
+                     {static_cast<std::uint64_t>(self.rank()) * 1024, 1024}};
+                 std::vector<std::byte> packed(1024);
+                 Ext2phOptions options;
+                 options.aggregators = make_roster({2, 0});
+                 options.cb_buffer_size = 1024;
+                 ext2ph(self, self.comm_world(), target,
+                        CollRequest{extents, packed.data()}, options, true);
+               }),
+               std::invalid_argument);
+}
+
+TEST(Ext2phEdge, MismatchedFdAlignmentIsAProgramError) {
+  // Every rank must pass the same options. Rank 1 rounds the file domains
+  // up to 8 KiB (so it sends all of its request to aggregator 0) and rank
+  // 0 does not (so [4000, 5000) of its request goes to aggregator 1). The
+  // request lists rank 1 sent stretch aggregator 0's covered range over
+  // all of rank 0's request, so rank 0's first cycle size for aggregator 0
+  // counts bytes its request list never sent there. Aggregator 0 finds
+  // the mismatch and the run ends with a logic_error.
+  mpi::World world(machine::MachineModel::jaguar(2));
+  EXPECT_THROW(world.run([&](mpi::Rank& self) {
+                 const int fs_id = self.world().fs().open("align.dat", 4,
+                                                          4096);
+                 DirectTarget target(self.world().fs(), fs_id);
+                 const std::vector<fs::Extent> extents =
+                     self.rank() == 0
+                         ? std::vector<fs::Extent>{{3000, 2000}}
+                         : std::vector<fs::Extent>{{0, 1000}, {6000, 2000}};
+                 std::vector<std::byte> packed(3000);
+                 auto options = all_aggs(2, 8192);
+                 options.fd_alignment = self.rank() == 1 ? 8192 : 0;
+                 ext2ph(self, self.comm_world(), target,
+                        CollRequest{extents, packed.data()}, options, true);
+               }),
+               std::logic_error);
+}
+
 TEST(Ext2phEdge, SubCommunicatorCollective) {
   // ext2ph on a split communicator: only members participate.
   mpi::World world(machine::MachineModel::jaguar(8));

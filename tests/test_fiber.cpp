@@ -67,6 +67,38 @@ TEST(Fiber, LocalStateSurvivesYields) {
   EXPECT_GT(noise.size(), 0u);
 }
 
+TEST(Fiber, UnwindDestroysTheSuspendedStack) {
+  struct Guard {
+    int* count;
+    ~Guard() { ++*count; }
+  };
+  int destroyed = 0;
+  int caught = 0;
+  bool resumed = false;
+  Fiber fiber([&] {
+    Guard outer{&destroyed};
+    try {
+      Guard inner{&destroyed};
+      Fiber::current()->yield();
+      resumed = true;
+    } catch (...) {
+      // A handler that swallows the unwind and yields again cannot keep
+      // the fiber alive: the second yield throws at once.
+      ++caught;
+      Fiber::current()->yield();
+      resumed = true;
+    }
+  });
+  fiber.resume();
+  EXPECT_EQ(destroyed, 0);
+  fiber.unwind();
+  EXPECT_TRUE(fiber.finished());
+  EXPECT_FALSE(resumed);
+  EXPECT_EQ(caught, 1);
+  EXPECT_EQ(destroyed, 2);
+  fiber.unwind();  // finished: a no-op
+}
+
 TEST(Fiber, ManyFibersInterleave) {
   constexpr int kFibers = 64;
   std::vector<std::unique_ptr<Fiber>> fibers;

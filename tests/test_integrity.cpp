@@ -855,6 +855,93 @@ TEST(IntegrityAgreement, SubgroupErrorStaysInItsSubgroup) {
   EXPECT_GT(at_close[0].offset + at_close[0].length, decayed_at);
 }
 
+/// Four byte-true ranks each write a contiguous 4 KiB block with plain
+/// ext2ph (512 B integrity blocks, Detect). A stored byte of rank 1's block
+/// then decays, and a collective read and close follow: the read's client
+/// audit finds the decay, the call agrees on it and throws, and close's
+/// sweep audits the same block again and throws it file-wide.
+struct DecayedRead {
+  int read_errors = 0;   // ranks that caught the agreed error at the read
+  int close_errors = 0;  // ranks whose close threw it
+  mpiio::FileStats stats;  // the file's stats once closed
+  std::string summary;
+  std::uint64_t faults_detected = 0;  // FaultCounters, all clients
+};
+
+DecayedRead run_decayed_read() {
+  constexpr int kRanks = 4;
+  constexpr std::uint64_t kBytes = 4096;
+  mpi::World world(machine::MachineModel::jaguar(kRanks));
+  mpiio::Hints hints;
+  hints.cb_buffer_size = 1024;
+  hints.integrity.level = fs::IntegrityLevel::Detect;
+  hints.integrity.block = 512;
+  DecayedRead probe;
+  world.run([&](mpi::Rank& self) {
+    const dtype::Datatype memtype = dtype::Datatype::bytes(kBytes);
+    mpiio::FileHandle file(self, self.comm_world(), "decay.dat", hints);
+    file.set_view(static_cast<std::uint64_t>(self.rank()) * kBytes, 1,
+                  memtype);
+    std::vector<std::byte> buffer(kBytes);
+    workloads::fill_buffer_for_extents(buffer.data(), memtype, 1,
+                                       file.view().map(0, kBytes), kSalt);
+    core::write_at_all(file, 0, buffer.data(), 1, memtype);
+    mpi::barrier(self, self.comm_world());
+    if (self.rank() == 1) {
+      fs::ObjectStore& store = self.world().fs().store();
+      std::byte decayed{};
+      store.read(file.fs_id(), kBytes + 100, &decayed, 1);
+      decayed = ~decayed;
+      store.write(file.fs_id(), kBytes + 100, &decayed, 1);
+    }
+    mpi::barrier(self, self.comm_world());
+    try {
+      core::read_at_all(file, 0, buffer.data(), 1, memtype);
+    } catch (const fs::CollectiveIoError&) {
+      ++probe.read_errors;
+    }
+    try {
+      file.close();
+    } catch (const fs::CollectiveIoError&) {
+      ++probe.close_errors;
+    }
+    if (self.rank() == 0) {
+      probe.stats = file.stats();
+      probe.summary = file.stats().summary(file.name());
+    }
+  });
+  probe.faults_detected = world.fault_state().total().corrupt_detected;
+  return probe;
+}
+
+TEST(IntegrityAgreement, ReauditOfAPendingErrorCountsNothingNew) {
+  const DecayedRead probe = run_decayed_read();
+  EXPECT_EQ(probe.read_errors, 4);
+  EXPECT_EQ(probe.close_errors, 4);
+  // The read's audit and close's sweep both re-read the decayed block:
+  // one corruption, one detection, one pending error.
+  EXPECT_EQ(probe.stats.corrupt_detected, 1u);
+  EXPECT_EQ(probe.stats.integrity_errors, 1u);
+  EXPECT_EQ(probe.faults_detected, 1u);
+  EXPECT_NE(probe.summary.find("detected=1 "), std::string::npos)
+      << probe.summary;
+  EXPECT_NE(probe.summary.find("errors=1"), std::string::npos)
+      << probe.summary;
+}
+
+TEST(IntegrityAgreement, CallEndingInTheAgreedErrorIsCounted) {
+  // The read moved its bytes before the agreement threw: the summary
+  // counts them and the call.
+  const DecayedRead probe = run_decayed_read();
+  EXPECT_EQ(probe.read_errors, 4);
+  EXPECT_EQ(probe.stats.bytes_read, 4u * 4096u);
+  EXPECT_EQ(probe.stats.collective_reads, 1u);
+  EXPECT_NE(probe.summary.find("read=16384B"), std::string::npos)
+      << probe.summary;
+  EXPECT_NE(probe.summary.find("coll_r=1 "), std::string::npos)
+      << probe.summary;
+}
+
 TEST(IntegrityEndToEnd, CloseSweepAuditsOnlyTheClosingFile) {
   // Two same-sized files, closed one after the other in one world. A byte
   // of file A decays after A has closed: B's close-time sweep audits B

@@ -270,6 +270,65 @@ TEST(Collectives, AllreduceEqualsThePerRankFoldBitForBit) {
   }
 }
 
+TEST(Collectives, BuildRunsOnceAndEveryMemberSharesItsResult) {
+  constexpr int kRanks = 64;
+  World world = make_world(kRanks);
+  int builds = 0;
+  std::vector<std::shared_ptr<const long>> results(kRanks);
+  world.run([&](Rank& self) {
+    self.busy(TimeCat::Compute, 1e-3 * ((self.rank() * 7) % 5));
+    results[self.rank()] = coll_build<long>(
+        self, self.comm_world(), CollKind::Allgather,
+        detail::to_bytes(static_cast<long>(self.rank())),
+        [&](const CollContribs& all) {
+          ++builds;
+          long sum = 0;
+          for (const auto& contribution : all) {
+            sum += detail::scalar_from<long>(contribution);
+          }
+          return sum;
+        });
+  });
+  EXPECT_EQ(builds, 1);
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(results[r].get(), results[0].get()) << "rank " << r;
+  }
+  EXPECT_EQ(*results[0], kRanks * (kRanks - 1) / 2);
+}
+
+TEST(Collectives, BuildLeavesTheCallsChargeAlone) {
+  // Completion clock and Sync charge of every rank, staggered arrivals,
+  // for one allgather with and without a build.
+  constexpr int kRanks = 64;
+  const auto run = [](bool build) {
+    World world = make_world(kRanks);
+    std::vector<double> done(kRanks);
+    world.run([&](Rank& self) {
+      self.busy(TimeCat::Compute, 1e-3 * ((self.rank() * 7) % 5));
+      const auto contribution = detail::to_bytes(self.rank());
+      if (build) {
+        coll_build<int>(self, self.comm_world(), CollKind::Allgather,
+                        contribution,
+                        [](const CollContribs& all) {
+                          return static_cast<int>(all.size());
+                        });
+      } else {
+        coll_run(self, self.comm_world(), CollKind::Allgather, contribution);
+      }
+      done[self.rank()] = self.now();
+    });
+    std::vector<double> sync;
+    for (const auto& breakdown : world.rank_times()) {
+      sync.push_back(breakdown[TimeCat::Sync]);
+    }
+    return std::pair{done, sync};
+  };
+  const auto plain = run(false);
+  const auto built = run(true);
+  EXPECT_EQ(built.first, plain.first);
+  EXPECT_EQ(built.second, plain.second);
+}
+
 TEST(Collectives, ExscanSumPrefixes) {
   World world = make_world(5);
   std::vector<std::uint64_t> results(5);
@@ -342,6 +401,24 @@ TEST(CommSplit, SplitsByColorOrderedByKey) {
   EXPECT_EQ(sub_rank[4], 0);
   EXPECT_EQ(sub_rank[2], 1);
   EXPECT_EQ(sub_rank[0], 2);
+}
+
+TEST(CommSplit, OneColorSharesOneCommunicator) {
+  // The split's last arriver builds every color's communicator once, so
+  // the members of one color hold the same state (Comm equality) and
+  // members of different colors do not.
+  constexpr int kRanks = 8;
+  World world = make_world(kRanks);
+  std::vector<Comm> subs(kRanks);
+  world.run([&](Rank& self) {
+    subs[self.rank()] =
+        comm_split(self, self.comm_world(), self.rank() % 2, self.rank());
+  });
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_TRUE(subs[r] == subs[r % 2]) << "rank " << r;
+    EXPECT_FALSE(subs[r] == subs[1 - r % 2]) << "rank " << r;
+  }
+  EXPECT_NE(subs[0].context_id(), subs[1].context_id());
 }
 
 TEST(CommSplit, SubcommunicatorsIsolateCollectives) {

@@ -62,6 +62,32 @@ TEST(World, SharedObjectIsCreatedOnceAndShared) {
   for (int r = 1; r < 4; ++r) EXPECT_EQ(seen[r], seen[0]);
 }
 
+TEST(World, TeardownUnwindsRanksLeftSuspendedByAThrow) {
+  // Rank 0 throws while the others wait in a traced barrier: the run ends
+  // with its error, and destroying the World unwinds the waiters' stacks
+  // (closing their call spans), so their locals are destroyed too.
+  struct Guard {
+    int* count;
+    ~Guard() { ++*count; }
+  };
+  int destroyed = 0;
+  {
+    World world(machine::MachineModel::jaguar(4));
+    world.enable_tracing();
+    EXPECT_THROW(world.run([&](Rank& self) {
+                   Guard guard{&destroyed};
+                   if (self.rank() == 0) {
+                     self.busy(TimeCat::Compute, 1.0);
+                     throw std::runtime_error("rank 0 fails");
+                   }
+                   barrier(self, self.comm_world());
+                 }),
+                 std::runtime_error);
+    EXPECT_EQ(destroyed, 1);
+  }
+  EXPECT_EQ(destroyed, 4);
+}
+
 TEST(World, ByteTrueFlagSelectsStoreMode) {
   World real(machine::MachineModel::jaguar(1), true);
   World phantom(machine::MachineModel::jaguar(1), false);
