@@ -95,6 +95,7 @@ class BenchReport {
         .set("bandwidth_mib_s", result.bandwidth_mib())
         .set("elapsed_s", result.elapsed)
         .set("sync_fraction", result.sync_fraction())
+        .set("events", static_cast<double>(result.engine.events_executed))
         .set("result", workloads::run_result_json(result));
     if (result.stats.bb_staged_segments > 0 || result.stats.bb_spills > 0) {
       // Burst-buffer runs carry the write-behind trend signal too.

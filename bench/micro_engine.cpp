@@ -1,6 +1,6 @@
 // micro_engine — DES-engine scaling bench and bit-identity gate.
 //
-// Two jobs in one binary:
+// Three jobs in one binary:
 //
 //  1. Bit-identity gate (always on): re-runs two small byte-true workloads
 //     (tile + IOR) in sequential/program-order mode and compares content
@@ -16,11 +16,18 @@
 //     drift). Reports host events/s, queue depth, stack pool hits, and peak
 //     RSS; --json feeds bench_to_trajectory.
 //
+//  3. Allocation budget: heap allocations per rank-call over a fixed
+//     phantom ParColl IOR, counted by the operator new below (compiled into
+//     this binary only). Deterministic, so the run exits non-zero as soon
+//     as a change puts allocations back on the collective hot path.
+//
 // --smoke keeps the rank counts CI-sized (drops the 100k tier, and runs
 // the ext2ph baseline at 4096 ranks).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -32,10 +39,31 @@
 #include "workloads/tileio.hpp"
 
 namespace {
+/// Heap allocations counted while `g_count_allocs` is set.
+bool g_count_allocs = false;
+std::uint64_t g_allocs = 0;
+}  // namespace
+
+// The counting allocator: every other operator new and delete form of the
+// standard library forwards to these two.
+void* operator new(std::size_t bytes) {
+  if (g_count_allocs) ++g_allocs;
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace {
 
 using namespace parcoll;
 using workloads::RunResult;
 using workloads::RunSpec;
+
+/// Most heap allocations one rank may make per collective call of the
+/// budget run, amortized over the whole simulation (setup, open and close
+/// included). 49 before the collective hot path stopped allocating.
+constexpr double kAllocBudgetPerRankCall = 12.0;
 
 // Golden values captured from the pre-PR engine (binary-heap queue,
 // ucontext fibers, 256 KiB stacks) for the same configs, byte-true,
@@ -354,6 +382,35 @@ int main(int argc, char** argv) {
     report.add("ior-ext2ph", pin.nranks, result, extras);
   }
 
+  bool within_budget = true;
+  {
+    // A steady stream of ParColl calls: 256 ranks write 32 transfers each,
+    // with the parcoll_sim defaults (automatic groups, intranode auto).
+    constexpr int kRanks = 256;
+    RunSpec spec;
+    spec.impl = workloads::Impl::ParColl;
+    spec.parcoll_groups = core::kAutoGroups;
+    spec.intranode = node::IntranodeMode::Auto;
+    spec.byte_true = false;
+    workloads::IorConfig config;
+    config.block_size = 128ull << 20;
+    g_allocs = 0;
+    g_count_allocs = true;
+    const RunResult result = workloads::run_ior(config, kRanks, spec, true);
+    g_count_allocs = false;
+    const double rank_calls =
+        static_cast<double>(result.stats.collective_writes) * kRanks;
+    const double per_call = static_cast<double>(g_allocs) / rank_calls;
+    within_budget = per_call <= kAllocBudgetPerRankCall;
+    std::printf("allocation budget (parcoll IOR, %d ranks, %.0f rank-calls):\n",
+                kRanks, rank_calls);
+    std::printf("  %-22s %8.2f allocs/rank-call  budget %.0f  %s\n",
+                "ior-parcoll", per_call, kAllocBudgetPerRankCall,
+                within_budget ? "PASS" : "OVER BUDGET");
+    report.add("alloc-budget", kRanks, result,
+               {{"allocs_per_rank_call", per_call}});
+  }
+
   if (!identical) {
     std::fprintf(stderr,
                  "micro_engine: bit-identity gate FAILED — engine schedule "
@@ -364,6 +421,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "micro_engine: the plain-ext2ph scale run drifted from its "
                  "pinned events or virtual elapsed\n");
+    return 1;
+  }
+  if (!within_budget) {
+    std::fprintf(stderr,
+                 "micro_engine: the ParColl IOR run made more than %.0f heap "
+                 "allocations per rank-call\n",
+                 kAllocBudgetPerRankCall);
     return 1;
   }
   std::printf("  bit-identity gate: PASS\n");

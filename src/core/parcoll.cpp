@@ -291,8 +291,8 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
     // The exchange is an allgatherv's; its last arriver builds the map.
     const auto map = mpi::coll_build<IntermediateMap>(
         self, plan.subcomm, mpi::CollKind::Allgather,
-        mpi::detail::to_bytes(prep.extents),
-        [](const mpi::CollContribs& all) {
+        mpi::detail::bytes_of(prep.extents),
+        [](mpi::CollContribs all) {
           std::vector<MemberSegments> members;
           members.reserve(all.size());
           std::uint64_t inter_pos = 0;
@@ -309,14 +309,11 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
           return IntermediateMap(std::move(members));
         });
     IntermediateTarget target(physical, map);
-    mpiio::CollRequest request;
-    if (prep.bytes > 0) {
-      const auto sub_me =
-          static_cast<std::size_t>(plan.subcomm.local_rank(self.rank()));
-      request.extents.push_back(
-          fs::Extent{map->inter_start(sub_me), prep.bytes});
-    }
-    request.data = prep.data();
+    const auto sub_me =
+        static_cast<std::size_t>(plan.subcomm.local_rank(self.rank()));
+    const fs::Extent inter{map->inter_start(sub_me), prep.bytes};
+    const mpiio::CollRequest request{
+        std::span(&inter, prep.bytes > 0 ? 1 : 0), prep.data()};
     run_two_phase(self, plan.subcomm, hints, target, request, options,
                   is_write, outcome);
   }

@@ -28,7 +28,12 @@ void place(std::vector<Segment>& out, std::int64_t& lb, std::int64_t& ub,
 
 }  // namespace
 
-Datatype::Datatype() { state_ = std::make_shared<const State>(); }
+Datatype::Datatype() {
+  // Every empty datatype shares one state, so default-constructing one
+  // (a call record's placeholder, say) allocates nothing.
+  static const auto empty = std::make_shared<const State>();
+  state_ = empty;
+}
 
 Datatype Datatype::make(std::vector<Segment> segments, std::int64_t lb,
                         std::int64_t ub) {

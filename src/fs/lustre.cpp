@@ -5,6 +5,7 @@
 
 #include "fs/integrity.hpp"
 #include "obs/metrics.hpp"
+#include "sim/small_vector.hpp"
 
 namespace parcoll::fs {
 
@@ -75,13 +76,26 @@ double LustreSim::submit(int client, int file_id,
   // Per-OST accumulation of pieces into BRW RPCs: Lustre RPCs carry up to
   // max_rpc_size of payload as a (possibly discontiguous) page list, so
   // small strided pieces on the same target coalesce into one request.
+  // Only the OSTs this call touches get one, in first-touch order.
   struct PendingRpc {
+    int ost = 0;
     std::uint64_t lock_lo = 0;
     std::uint64_t lock_hi = 0;
     std::uint64_t bytes = 0;
     std::uint64_t fragments = 0;
   };
-  std::vector<PendingRpc> pending(static_cast<std::size_t>(params_.num_osts));
+  sim::SmallVector<PendingRpc, 8> pending;
+  std::size_t last_used = 0;
+  // Consecutive pieces mostly land on the OST of the one before.
+  const auto pending_of = [&](int ost_index) -> PendingRpc& {
+    if (last_used < pending.size() && pending[last_used].ost == ost_index) {
+      return pending[last_used];
+    }
+    for (last_used = 0; last_used < pending.size(); ++last_used) {
+      if (pending[last_used].ost == ost_index) return pending[last_used];
+    }
+    return pending.emplace_back(PendingRpc{ost_index});
+  };
 
   // The job this client's traffic is accounted to ("" / null = untagged).
   const std::string* job = nullptr;
@@ -112,9 +126,9 @@ double LustreSim::submit(int client, int file_id,
     }
   };
 
-  auto flush = [&](int ost_index) {
-    PendingRpc& rpc = pending[static_cast<std::size_t>(ost_index)];
+  auto flush = [&](PendingRpc& rpc) {
     if (rpc.bytes == 0) return;
+    const int ost_index = rpc.ost;
     // Client CPU to build and issue the RPC.
     engine_.sleep(params_.client_rpc_overhead);
     if (metrics_ != nullptr) {
@@ -181,7 +195,7 @@ double LustreSim::submit(int client, int file_id,
       ++hops;
       ++mine.failovers;
     }
-    rpc = PendingRpc{};
+    rpc = PendingRpc{ost_index};
   };
 
   std::uint64_t data_pos = 0;
@@ -195,12 +209,12 @@ double LustreSim::submit(int client, int file_id,
           const int ost_index =
               (file.ost_start + chunk.stripe_index) % params_.num_osts;
           while (pos < end) {
-            PendingRpc& rpc = pending[static_cast<std::size_t>(ost_index)];
+            PendingRpc& rpc = pending_of(ost_index);
             const std::uint64_t room = params_.max_rpc_size - rpc.bytes;
             const std::uint64_t piece_len =
                 std::min<std::uint64_t>(end - pos, room);
             if (piece_len == 0) {
-              flush(ost_index);
+              flush(rpc);
               continue;
             }
             if (rpc.bytes == 0) {
@@ -236,13 +250,18 @@ double LustreSim::submit(int client, int file_id,
             data_pos += piece_len;
             pos += piece_len;
             if (rpc.bytes == params_.max_rpc_size) {
-              flush(ost_index);
+              flush(rpc);
             }
           }
         });
   }
-  for (int ost = 0; ost < params_.num_osts; ++ost) {
-    flush(ost);
+  // What is left goes out in ascending OST order.
+  std::sort(pending.begin(), pending.end(),
+            [](const PendingRpc& a, const PendingRpc& b) {
+              return a.ost < b.ost;
+            });
+  for (PendingRpc& rpc : pending) {
+    flush(rpc);
   }
   return last_completion;
 }

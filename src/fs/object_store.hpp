@@ -1,7 +1,9 @@
 // Byte storage behind the simulated file system.
 //
 // MemoryStore keeps real file contents so tests can verify, byte for byte,
-// that collective I/O protocols put the right data in the right place.
+// that collective I/O protocols put the right data in the right place. It
+// keeps only the pages something was written to, so a file's memory
+// follows the bytes written, not the highest offset.
 // PhantomStore keeps only bookkeeping (sizes, request counts) so benches can
 // run paper-scale workloads (hundreds of GB of simulated I/O) through the
 // identical code path without allocating the payload.
@@ -9,6 +11,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -48,11 +52,15 @@ class MemoryStore final : public ObjectStore {
   [[nodiscard]] std::uint64_t size(int file_id) const override;
   [[nodiscard]] std::uint64_t content_digest() const override;
 
-  /// Direct access for test assertions.
-  [[nodiscard]] const std::vector<std::byte>& contents(int file_id) const;
+  /// Bytes per page; a page exists once any byte in it was written.
+  static constexpr std::uint64_t kPageBytes = 64 << 10;
 
  private:
-  std::unordered_map<int, std::vector<std::byte>> files_;
+  struct File {
+    std::map<std::uint64_t, std::unique_ptr<std::byte[]>> pages;  // by index
+    std::uint64_t size = 0;  // one past the highest byte written
+  };
+  std::unordered_map<int, File> files_;
 };
 
 class PhantomStore final : public ObjectStore {

@@ -35,6 +35,18 @@ double OstModel::acquire_write_lock(GrantMap& grants, int client,
                                     std::uint64_t offset, std::uint64_t end,
                                     std::uint64_t bytes) {
   double cost = 0.0;
+  // A node taken out of the map, kept to hold the next grant put in, so
+  // reshaping the grants reuses their nodes.
+  GrantMap::node_type spare;
+  const auto put = [&](std::uint64_t start, const Grant& grant) {
+    if (spare.empty()) {
+      grants.emplace(start, grant);
+      return;
+    }
+    spare.key() = start;
+    spare.mapped() = grant;
+    grants.insert(std::move(spare));
+  };
   // Find every grant overlapping [offset, end); trim or remove the foreign
   // ones (each trim/removal is one revocation: the holder flushes and
   // drops the conflicting part of its lock).
@@ -70,9 +82,9 @@ double OstModel::acquire_write_lock(GrantMap& grants, int client,
             static_cast<double>(it->second.dirty) / params_.ost_bandwidth;
     const int other = it->second.client;
     const std::uint64_t left_end = std::min(g_end, offset);
-    it = grants.erase(it);
+    spare = grants.extract(it++);
     if (g_start < left_end) {
-      grants.emplace(g_start, Grant{left_end, other, 0});
+      put(g_start, Grant{left_end, other, 0});
     }
   }
   if (already_covered_by_self) {
@@ -91,7 +103,7 @@ double OstModel::acquire_write_lock(GrantMap& grants, int client,
       new_start = prev->first;
       dirty = std::min<std::uint64_t>(dirty + prev->second.dirty,
                                       params_.lock_dirty_cap);
-      grants.erase(prev);
+      spare = grants.extract(prev);
       next = grants.lower_bound(offset);
     } else {
       new_start = prev->second.end;
@@ -102,12 +114,12 @@ double OstModel::acquire_write_lock(GrantMap& grants, int client,
       new_end = next->second.end;
       dirty = std::min<std::uint64_t>(dirty + next->second.dirty,
                                       params_.lock_dirty_cap);
-      grants.erase(next);
+      spare = grants.extract(next);
     } else {
       new_end = next->first;
     }
   }
-  grants.emplace(new_start, Grant{new_end, client, dirty});
+  put(new_start, Grant{new_end, client, dirty});
   return cost;
 }
 

@@ -5,8 +5,9 @@
 // stripe boundaries yields the per-OST pieces that become RPCs.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <stdexcept>
 #include <vector>
 
 namespace parcoll::fs {
@@ -28,9 +29,26 @@ struct StripeChunk {
 };
 
 /// Invoke `fn` for each stripe-aligned piece of `extent`, in file order.
+template <typename Fn>
 void for_each_stripe_chunk(const Extent& extent, std::uint64_t stripe_size,
-                           int stripe_count,
-                           const std::function<void(const StripeChunk&)>& fn);
+                           int stripe_count, Fn&& fn) {
+  if (stripe_size == 0 || stripe_count <= 0) {
+    throw std::invalid_argument("for_each_stripe_chunk: bad striping");
+  }
+  std::uint64_t pos = extent.offset;
+  const std::uint64_t end = extent.end();
+  while (pos < end) {
+    const std::uint64_t stripe_number = pos / stripe_size;
+    const std::uint64_t stripe_end = (stripe_number + 1) * stripe_size;
+    StripeChunk chunk;
+    chunk.stripe_index = static_cast<int>(
+        stripe_number % static_cast<std::uint64_t>(stripe_count));
+    chunk.file_offset = pos;
+    chunk.length = std::min(end, stripe_end) - pos;
+    fn(chunk);
+    pos += chunk.length;
+  }
+}
 
 /// Convenience: materialize the chunks of an extent.
 [[nodiscard]] std::vector<StripeChunk> stripe_chunks(const Extent& extent,

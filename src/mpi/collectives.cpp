@@ -87,16 +87,27 @@ std::uint64_t CollEngine::derive_context(std::uint64_t parent_ctx,
                            static_cast<std::uint64_t>(color) + 0x1234567ull);
 }
 
+CollGathered::CollGathered(CollContribs all) {
+  std::size_t total = 0;
+  for (const auto& part : all) total += part.size();
+  bytes_.reserve(total);
+  parts_.reserve(all.size());
+  for (const auto& part : all) {
+    const std::size_t at = bytes_.size();
+    bytes_.insert(bytes_.end(), part.begin(), part.end());
+    parts_.emplace_back(bytes_.data() + at, part.size());
+  }
+}
+
 std::shared_ptr<const void> CollEngine::exchange(
     Rank& self, const Comm& comm, CollKind kind,
-    std::vector<std::byte> contribution, const CollBuild* build,
+    std::span<const std::byte> contribution, const CollBuild* build,
     std::uint64_t charge_as) {
   const int me = comm.local_rank(self.rank());
   if (me < 0) {
     throw std::logic_error("collective: caller is not in the communicator");
   }
   const std::uint64_t seq = self.next_coll_seq(comm.context_id());
-  const OpKey key{comm.context_id(), seq};
 
   if (auto* checker = self.world().checker()) {
     // Report before the kind-match throw below, so a mismatch is recorded
@@ -106,71 +117,87 @@ std::shared_ptr<const void> CollEngine::exchange(
                            members_hash(comm));
   }
 
-  auto it = ops_.find(key);
-  if (it == ops_.end()) {
-    Op op;
-    op.kind = kind;
-    op.expected = comm.size();
-    op.contribs.resize(static_cast<std::size_t>(comm.size()));
-    it = ops_.emplace(key, std::move(op)).first;
+  Op*& open = open_[comm.context_id()];
+  Op* op = open;
+  while (op != nullptr && op->seq != seq) op = op->next;
+  Op mine;  // the op itself, when I am the first to arrive
+  if (op == nullptr) {
+    mine.seq = seq;
+    mine.kind = kind;
+    mine.next = open;
+    open = op = &mine;
   }
-  Op& op = it->second;
-  if (op.kind != kind) {
+  if (op->kind != kind) {
     throw std::logic_error("collective: mismatched collective kinds at the "
                            "same sequence point (program error); schedule=" +
                            engine_.schedule_token());
   }
-  const double arrival = engine_.now();
-  op.contribs[static_cast<std::size_t>(me)] = std::move(contribution);
-  op.max_arrival = std::max(op.max_arrival, arrival);
-  ++op.arrived;
+  Arrival arrival;
+  arrival.local = me;
+  arrival.contribution = contribution;
+  arrival.pid = self.pid();
+  arrival.time = engine_.now();
+  (op->first == nullptr ? op->first : op->last->next) = &arrival;
+  op->last = &arrival;
+  op->max_arrival = std::max(op->max_arrival, arrival.time);
 
-  if (op.arrived < op.expected) {
+  if (++op->arrived < comm.size()) {
     // Not everyone is here: block until the last arriver releases us.
-    op.waiter_pids.push_back(self.pid());
     engine_.suspend("collective");
-    // Woken at the completion time.
+    // Woken at the completion time, with the result handed over.
   } else {
-    // Last arriver: compute cost, build the result, release everyone.
+    // Last arriver: close the op, compute the cost, build the result and
+    // hand it to everyone, then release them.
+    Op** link = &open_[comm.context_id()];
+    while (*link != op) link = &(*link)->next;
+    *link = op->next;
     std::uint64_t max_contrib = charge_as;
-    std::uint64_t total = charge_as * static_cast<std::uint64_t>(op.expected);
+    std::uint64_t total =
+        charge_as * static_cast<std::uint64_t>(comm.size());
     if (charge_as == 0) {
-      for (const auto& c : op.contribs) {
-        max_contrib = std::max<std::uint64_t>(max_contrib, c.size());
-        total += c.size();
+      for (const Arrival* a = op->first; a != nullptr; a = a->next) {
+        max_contrib =
+            std::max<std::uint64_t>(max_contrib, a->contribution.size());
+        total += a->contribution.size();
       }
     }
     const double completion =
-        op.max_arrival + coll_cost(net_, kind, op.expected, max_contrib, total);
-    op.result = build != nullptr
-                    ? (*build)(op.contribs)
-                    : std::make_shared<const CollContribs>(
-                          std::move(op.contribs));
-    for (sim::ProcId pid : op.waiter_pids) {
-      engine_.wake_at(completion, pid);
+        op->max_arrival +
+        coll_cost(net_, kind, comm.size(), max_contrib, total);
+    std::shared_ptr<const void> result;
+    if (build != nullptr) {
+      ordered_.resize(static_cast<std::size_t>(comm.size()));
+      for (const Arrival* a = op->first; a != nullptr; a = a->next) {
+        ordered_[static_cast<std::size_t>(a->local)] = a->contribution;
+      }
+      result = (*build)(ordered_);
     }
-    op.waiter_pids.clear();
+    for (Arrival* a = op->first; a != nullptr; a = a->next) {
+      a->result = result;
+      a->max_arrival = op->max_arrival;
+      if (a != &arrival) engine_.wake_at(completion, a->pid);
+    }
     engine_.sleep_until(completion);
   }
 
   // Running again at the completion time: charge the synchronization wait.
-  const double sync_wait = engine_.now() - arrival;
+  const double sync_wait = engine_.now() - arrival.time;
   self.times().add(TimeCat::Sync, sync_wait);
 
-  Op& done = ops_.at(key);
-  auto result = done.result;
   if (auto* metrics = self.world().metrics()) {
     metrics->quantile("mpi.coll.sync_wait_s").observe(sync_wait);
     // How far behind the last arriver this rank showed up: the straggler
     // itself observes lag 0, everyone it kept waiting observes its slack.
     metrics->quantile("mpi.coll.straggler_lag_s")
-        .observe(done.max_arrival - arrival);
-    ++metrics->counter(std::string("mpi.coll.calls.") + to_string(kind));
+        .observe(arrival.max_arrival - arrival.time);
+    static const std::string kCalls[] = {
+        "mpi.coll.calls.barrier",   "mpi.coll.calls.bcast",
+        "mpi.coll.calls.gather",    "mpi.coll.calls.allgather",
+        "mpi.coll.calls.alltoall",  "mpi.coll.calls.allreduce",
+        "mpi.coll.calls.scan"};
+    ++metrics->counter(kCalls[static_cast<std::size_t>(kind)]);
   }
-  if (++done.fetched == done.expected) {
-    ops_.erase(key);
-  }
-  return result;
+  return std::move(arrival.result);
 }
 
 std::shared_ptr<const void> CollEngine::shared_fetch(
@@ -196,12 +223,12 @@ std::shared_ptr<const void> CollEngine::shared_fetch(
 }
 
 void barrier(Rank& self, const Comm& comm) {
-  coll_run(self, comm, CollKind::Barrier, {});
+  coll_exchange(self, comm, CollKind::Barrier, {});
 }
 
 std::shared_ptr<const void> coll_exchange(Rank& self, const Comm& comm,
                                           CollKind kind,
-                                          std::vector<std::byte> contribution,
+                                          std::span<const std::byte> contribution,
                                           const CollBuild* build,
                                           std::uint64_t charge_as) {
   self.maybe_fault_stall();
@@ -214,8 +241,8 @@ std::shared_ptr<const void> coll_exchange(Rank& self, const Comm& comm,
       tracer != nullptr && !tracer->spans().in_call(self.pid())) {
     call_span.emplace(self, obs::SpanKind::Call, to_string(kind));
   }
-  return self.world().colls().exchange(
-      self, comm, kind, std::move(contribution), build, charge_as);
+  return self.world().colls().exchange(self, comm, kind, contribution, build,
+                                      charge_as);
 }
 
 int coll_local_rank(Rank& self, const Comm& comm) {
@@ -259,10 +286,10 @@ Comm comm_split(Rank& self, const Comm& comm, int color, int key) {
   // members of one color share one state; building per caller would cost
   // an O(P) scan per rank plus an O(group) private member table per
   // member, quadratic on wide communicators.
+  const Entry mine{color, key, self.rank()};
   const auto by_color = coll_build<std::map<int, Comm>>(
-      self, comm, CollKind::Allgather,
-      detail::to_bytes(Entry{color, key, self.rank()}),
-      [&](const CollContribs& all) {
+      self, comm, CollKind::Allgather, detail::bytes_of(mine),
+      [&](CollContribs all) {
         std::map<int, std::vector<Entry>> groups;
         for (const auto& bytes : all) {
           const Entry entry = detail::scalar_from<Entry>(bytes);

@@ -12,10 +12,12 @@
 // exchange.
 //
 // Implementation note: every collective is one rendezvous,
-// CollEngine::exchange, and by default every rank receives all of the
-// contributions, which the typed wrappers below slice or reduce locally
-// (data routing fidelity does not affect timing: costs are per-kind). A
-// value shared by several ranks has one home, by its lifetime:
+// CollEngine::exchange. A contribution is a view of the caller's own bytes,
+// read while the caller waits, so nothing is copied to arrive; the last
+// arriver builds the one result every member receives, and the typed
+// wrappers below read their part of it (data routing fidelity does not
+// affect timing: costs are per-kind). A value shared by several ranks has
+// one home, by its lifetime:
 //  - made from a collective's contributions: that collective's build
 //    (coll_build), run once by the last arriver over every contribution
 //    in local-rank order; every member receives the one immutable result;
@@ -32,6 +34,7 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <unordered_map>
 #include <vector>
 
 #include "machine/machine_model.hpp"
@@ -60,27 +63,65 @@ enum class CollKind {
                                CollKind kind, int nranks,
                                std::uint64_t max_contrib, std::uint64_t total);
 
-using CollContribs = std::vector<std::vector<std::byte>>;
+/// Every member's contribution to one collective, in local-rank order:
+/// views of the members' own bytes, valid while the build runs.
+using CollContribs = std::span<const std::span<const std::byte>>;
 
 /// A collective's build step: makes, from every member's contribution in
 /// local-rank order, the one value every member receives.
-using CollBuild =
-    std::function<std::shared_ptr<const void>(const CollContribs&)>;
+using CollBuild = std::function<std::shared_ptr<const void>(CollContribs)>;
+
+/// Every member's contribution, copied once into one buffer: what a
+/// collective without a build of its own (coll_run) hands each member.
+class CollGathered {
+ public:
+  explicit CollGathered(CollContribs all);
+  [[nodiscard]] std::size_t size() const { return parts_.size(); }
+  [[nodiscard]] std::span<const std::byte> operator[](std::size_t i) const {
+    return parts_[i];
+  }
+  [[nodiscard]] auto begin() const { return parts_.begin(); }
+  [[nodiscard]] auto end() const { return parts_.end(); }
+
+ private:
+  std::vector<std::byte> bytes_;
+  std::vector<std::span<const std::byte>> parts_;
+};
+
+/// A member's slice of one shared collective result. It keeps the whole
+/// result alive, so a rank reads its part where the build left it.
+template <typename T>
+class SharedSpan {
+ public:
+  SharedSpan() = default;
+  SharedSpan(std::shared_ptr<const void> owner, std::span<const T> items)
+      : owner_(std::move(owner)), items_(items) {}
+  [[nodiscard]] std::size_t size() const { return items_.size(); }
+  [[nodiscard]] bool empty() const { return items_.empty(); }
+  [[nodiscard]] const T& operator[](std::size_t i) const { return items_[i]; }
+  [[nodiscard]] auto begin() const { return items_.begin(); }
+  [[nodiscard]] auto end() const { return items_.end(); }
+
+ private:
+  std::shared_ptr<const void> owner_;
+  std::span<const T> items_;
+};
 
 class CollEngine {
  public:
   CollEngine(sim::Engine& engine, const machine::NetworkParams& net);
 
   /// Core rendezvous: block until all members of `comm` have contributed,
-  /// then return the call's one shared result. Charges Sync time. Without
-  /// `build` the result is everyone's contributions (a CollContribs ordered
-  /// by local rank); with it, the last arriver runs its build once and
-  /// every member receives what it made. A nonzero `charge_as` bills the
-  /// call as if every member had contributed that many bytes (a sparse
-  /// exchange charged as its dense form).
+  /// then return the call's one shared result. Charges Sync time. The
+  /// contribution is read in place, so it must stay untouched until the
+  /// call returns. With `build`, the last arriver runs it once over every
+  /// contribution and every member receives what it made; without one the
+  /// result is null. A nonzero `charge_as` bills the call as if every
+  /// member had contributed that many bytes (a sparse exchange charged as
+  /// its dense form, or a reduction whose values nobody reads).
   std::shared_ptr<const void> exchange(Rank& self, const Comm& comm,
                                        CollKind kind,
-                                       std::vector<std::byte> contribution,
+                                       std::span<const std::byte> contribution,
                                        const CollBuild* build = nullptr,
                                        std::uint64_t charge_as = 0);
 
@@ -101,15 +142,27 @@ class CollEngine {
       const std::function<std::shared_ptr<const void>()>& build);
 
  private:
-  struct Op {
-    CollKind kind = CollKind::Barrier;
-    int expected = 0;
-    int arrived = 0;
-    int fetched = 0;
-    double max_arrival = 0.0;
-    CollContribs contribs;
-    std::vector<sim::ProcId> waiter_pids;
+  /// One member inside a rendezvous. It lives in that member's frame
+  /// while the member waits; the last arriver hands it the result.
+  struct Arrival {
+    int local = 0;
+    std::span<const std::byte> contribution;
+    sim::ProcId pid = sim::kNoProc;
+    double time = 0.0;
+    Arrival* next = nullptr;  // the next member to arrive
     std::shared_ptr<const void> result;
+    double max_arrival = 0.0;
+  };
+  /// An open rendezvous. It lives in its first arriver's frame, which
+  /// stays suspended until the last member arrives and closes it.
+  struct Op {
+    std::uint64_t seq = 0;
+    CollKind kind = CollKind::Barrier;
+    int arrived = 0;
+    double max_arrival = 0.0;
+    Arrival* first = nullptr;  // in arrival order
+    Arrival* last = nullptr;
+    Op* next = nullptr;  // another open op on the same context
   };
   using OpKey = std::pair<std::uint64_t, std::uint64_t>;  // (ctx, seq)
 
@@ -121,13 +174,33 @@ class CollEngine {
 
   sim::Engine& engine_;
   const machine::NetworkParams& net_;
-  std::map<OpKey, Op> ops_;
+  /// The open ops of each context id. A context's entry stays once made,
+  /// so opening an op on it allocates nothing.
+  std::unordered_map<std::uint64_t, Op*> open_;
+  /// The last arriver's contributions in local-rank order (only read while
+  /// its build runs, which never yields).
+  std::vector<std::span<const std::byte>> ordered_;
   std::map<OpKey, SharedVal> shared_vals_;
 };
 
 // --- Typed wrappers -------------------------------------------------------
 
 namespace detail {
+/// A view of `value`'s bytes: a contribution read in place.
+template <typename T>
+std::span<const std::byte> bytes_of(const T& value) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  return std::as_bytes(std::span<const T>(&value, 1));
+}
+template <typename T>
+std::span<const std::byte> bytes_of(std::span<const T> values) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  return std::as_bytes(values);
+}
+template <typename T>
+std::span<const std::byte> bytes_of(const std::vector<T>& values) {
+  return bytes_of(std::span<const T>(values));
+}
 template <typename T>
 std::vector<std::byte> to_bytes(const T& value) {
   static_assert(std::is_trivially_copyable_v<T>);
@@ -145,7 +218,7 @@ std::vector<std::byte> to_bytes(const std::vector<T>& values) {
   return bytes;
 }
 template <typename T>
-T scalar_from(const std::vector<std::byte>& bytes) {
+T scalar_from(std::span<const std::byte> bytes) {
   static_assert(std::is_trivially_copyable_v<T>);
   if (bytes.size() != sizeof(T)) {
     throw std::logic_error("collective: contribution size mismatch");
@@ -155,7 +228,7 @@ T scalar_from(const std::vector<std::byte>& bytes) {
   return value;
 }
 template <typename T>
-std::vector<T> vector_from(const std::vector<std::byte>& bytes) {
+std::vector<T> vector_from(std::span<const std::byte> bytes) {
   static_assert(std::is_trivially_copyable_v<T>);
   if (bytes.size() % sizeof(T) != 0) {
     throw std::logic_error("collective: contribution not a whole number of T");
@@ -203,13 +276,19 @@ struct PeerValue {
 
 /// Sparse alltoall: `send` lists (destination, value) pairs, strictly
 /// ascending by destination; the result lists (source, value) for every
-/// rank that named me, ascending by source. It runs and is charged as the
-/// dense alltoall of P-entry vectors of T (same kind, completion time and
-/// Sync charges); only what each rank materializes scales with the peers
-/// it touches instead of with P.
+/// rank that named me, ascending by source: my slice of the inboxes the
+/// last arriver lays out once. It runs and is charged as the dense
+/// alltoall of P-entry vectors of T (same kind, completion time and Sync
+/// charges); only what each rank materializes scales with the peers it
+/// touches instead of with P.
 template <typename T>
-std::vector<PeerValue<T>> sparse_alltoall(
-    Rank& self, const Comm& comm, const std::vector<PeerValue<T>>& send);
+SharedSpan<PeerValue<T>> sparse_alltoall(Rank& self, const Comm& comm,
+                                         std::span<const PeerValue<T>> send);
+template <typename T>
+SharedSpan<PeerValue<T>> sparse_alltoall(
+    Rank& self, const Comm& comm, const std::vector<PeerValue<T>>& send) {
+  return sparse_alltoall<T>(self, comm, std::span<const PeerValue<T>>(send));
+}
 
 /// Element-wise reduction of everyone's value with `op`.
 template <typename T, typename BinaryOp>
@@ -275,7 +354,7 @@ Comm comm_dup(Rank& self, const Comm& comm);
 /// call span); the typed front ends below go through it.
 std::shared_ptr<const void> coll_exchange(Rank& self, const Comm& comm,
                                           CollKind kind,
-                                          std::vector<std::byte> contribution,
+                                          std::span<const std::byte> contribution,
                                           const CollBuild* build = nullptr,
                                           std::uint64_t charge_as = 0);
 int coll_local_rank(Rank& self, const Comm& comm);
@@ -283,29 +362,31 @@ std::shared_ptr<const void> coll_shared_fetch(
     Rank& self, const Comm& comm,
     const std::function<std::shared_ptr<const void>()>& build);
 
-/// A collective without a build: every member receives all contributions.
-inline std::shared_ptr<const CollContribs> coll_run(
-    Rank& self, const Comm& comm, CollKind kind,
-    std::vector<std::byte> contribution) {
-  return std::static_pointer_cast<const CollContribs>(
-      coll_exchange(self, comm, kind, std::move(contribution)));
-}
-
 /// A collective with a build: the last arriver runs `build(contribs)`
 /// once, over every contribution in local-rank order, and every member
 /// receives the same immutable R. `charge_as` as in CollEngine::exchange.
 template <typename R, typename Build>
 std::shared_ptr<const R> coll_build(Rank& self, const Comm& comm,
                                     CollKind kind,
-                                    std::vector<std::byte> contribution,
+                                    std::span<const std::byte> contribution,
                                     Build&& build,
                                     std::uint64_t charge_as = 0) {
   const CollBuild erased =
-      [&build](const CollContribs& all) -> std::shared_ptr<const void> {
+      [&build](CollContribs all) -> std::shared_ptr<const void> {
     return std::make_shared<const R>(build(all));
   };
-  return std::static_pointer_cast<const R>(coll_exchange(
-      self, comm, kind, std::move(contribution), &erased, charge_as));
+  return std::static_pointer_cast<const R>(
+      coll_exchange(self, comm, kind, contribution, &erased, charge_as));
+}
+
+/// A collective whose every member receives all contributions, copied
+/// once by the last arriver.
+inline std::shared_ptr<const CollGathered> coll_run(
+    Rank& self, const Comm& comm, CollKind kind,
+    std::span<const std::byte> contribution) {
+  return coll_build<CollGathered>(
+      self, comm, kind, contribution,
+      [](CollContribs all) { return CollGathered(all); });
 }
 
 /// Typed front end to CollEngine::shared_fetch: every member of `comm`
@@ -331,8 +412,8 @@ std::shared_ptr<const std::vector<T>> allgather_shared(Rank& self,
                                                        const Comm& comm,
                                                        const T& value) {
   return coll_build<std::vector<T>>(
-      self, comm, CollKind::Allgather, detail::to_bytes(value),
-      [](const CollContribs& all) {
+      self, comm, CollKind::Allgather, detail::bytes_of(value),
+      [](CollContribs all) {
         std::vector<T> result;
         result.reserve(all.size());
         for (const auto& contribution : all) {
@@ -346,8 +427,8 @@ template <typename T>
 T bcast(Rank& self, const Comm& comm, int root, const T& value) {
   const bool is_root = coll_local_rank(self, comm) == root;
   auto all = coll_run(self, comm, CollKind::Bcast,
-                      is_root ? detail::to_bytes(value)
-                              : std::vector<std::byte>{});
+                      is_root ? detail::bytes_of(value)
+                              : std::span<const std::byte>{});
   return detail::scalar_from<T>((*all)[static_cast<std::size_t>(root)]);
 }
 
@@ -359,7 +440,7 @@ std::vector<T> allgather(Rank& self, const Comm& comm, const T& value) {
 template <typename T>
 std::vector<std::vector<T>> allgatherv(Rank& self, const Comm& comm,
                                        const std::vector<T>& values) {
-  auto all = coll_run(self, comm, CollKind::Allgather, detail::to_bytes(values));
+  auto all = coll_run(self, comm, CollKind::Allgather, detail::bytes_of(values));
   std::vector<std::vector<T>> result;
   result.reserve(all->size());
   for (const auto& contribution : *all) {
@@ -371,7 +452,7 @@ std::vector<std::vector<T>> allgatherv(Rank& self, const Comm& comm,
 template <typename T>
 std::vector<std::vector<T>> gatherv(Rank& self, const Comm& comm, int root,
                                     const std::vector<T>& values) {
-  auto all = coll_run(self, comm, CollKind::Gather, detail::to_bytes(values));
+  auto all = coll_run(self, comm, CollKind::Gather, detail::bytes_of(values));
   std::vector<std::vector<T>> result;
   if (coll_local_rank(self, comm) == root) {
     result.reserve(all->size());
@@ -388,13 +469,13 @@ std::vector<T> alltoall(Rank& self, const Comm& comm,
   if (static_cast<int>(send.size()) != comm.size()) {
     throw std::logic_error("alltoall: send vector must have comm.size() items");
   }
-  auto all = coll_run(self, comm, CollKind::Alltoall, detail::to_bytes(send));
+  auto all = coll_run(self, comm, CollKind::Alltoall, detail::bytes_of(send));
   const auto me = static_cast<std::size_t>(coll_local_rank(self, comm));
   // Extract only my column — deserializing whole rows would cost O(P^2)
   // per rank, which matters at 1024 ranks x dozens of cycles.
   std::vector<T> result(all->size());
   for (std::size_t j = 0; j < all->size(); ++j) {
-    const auto& row = (*all)[j];
+    const auto row = (*all)[j];
     if (row.size() != static_cast<std::size_t>(comm.size()) * sizeof(T)) {
       throw std::logic_error("alltoall: contribution size mismatch");
     }
@@ -404,8 +485,8 @@ std::vector<T> alltoall(Rank& self, const Comm& comm,
 }
 
 template <typename T>
-std::vector<PeerValue<T>> sparse_alltoall(
-    Rank& self, const Comm& comm, const std::vector<PeerValue<T>>& send) {
+SharedSpan<PeerValue<T>> sparse_alltoall(Rank& self, const Comm& comm,
+                                         std::span<const PeerValue<T>> send) {
   for (std::size_t i = 0; i < send.size(); ++i) {
     if (send[i].peer < 0 || send[i].peer >= comm.size() ||
         (i > 0 && send[i].peer <= send[i - 1].peer)) {
@@ -414,28 +495,56 @@ std::vector<PeerValue<T>> sparse_alltoall(
           "ranks");
     }
   }
-  // The last arriver transposes the records into per-destination inboxes
-  // once. Sources are visited in ascending order, so each inbox comes out
-  // ascending by source.
-  using Inboxes = std::vector<std::vector<PeerValue<T>>>;
+  // The last arriver lays every inbox out once, back to back in one
+  // array: count the records per destination, then place each at its
+  // destination's cursor. Sources are visited in ascending order, so each
+  // inbox comes out ascending by source.
+  struct Inboxes {
+    std::vector<PeerValue<T>> records;
+    std::vector<std::size_t> start;  // inbox d is [start[d], start[d + 1])
+  };
+  const auto read = [](std::span<const std::byte> records, std::size_t i) {
+    PeerValue<T> record;
+    std::memcpy(&record, records.data() + i * sizeof record, sizeof record);
+    return record;
+  };
   const auto inboxes = coll_build<Inboxes>(
-      self, comm, CollKind::Alltoall, detail::to_bytes(send),
-      [](const CollContribs& all) {
-        Inboxes boxes(all.size());
-        for (std::size_t source = 0; source < all.size(); ++source) {
-          const auto& records = all[source];
-          for (std::size_t at = 0; at < records.size();
-               at += sizeof(PeerValue<T>)) {
-            PeerValue<T> record;
-            std::memcpy(&record, records.data() + at, sizeof record);
-            boxes.at(static_cast<std::size_t>(record.peer))
-                .push_back({static_cast<int>(source), record.value});
+      self, comm, CollKind::Alltoall, detail::bytes_of(send),
+      [&read](CollContribs all) {
+        Inboxes boxes;
+        boxes.start.assign(all.size() + 1, 0);
+        for (const auto& records : all) {
+          for (std::size_t i = 0; i < records.size() / sizeof(PeerValue<T>);
+               ++i) {
+            ++boxes.start[static_cast<std::size_t>(read(records, i).peer) + 1];
           }
         }
+        for (std::size_t d = 1; d < boxes.start.size(); ++d) {
+          boxes.start[d] += boxes.start[d - 1];
+        }
+        boxes.records.resize(boxes.start.back());
+        for (std::size_t source = 0; source < all.size(); ++source) {
+          const auto& records = all[source];
+          for (std::size_t i = 0; i < records.size() / sizeof(PeerValue<T>);
+               ++i) {
+            const PeerValue<T> record = read(records, i);
+            boxes.records[boxes.start[static_cast<std::size_t>(
+                record.peer)]++] = {static_cast<int>(source), record.value};
+          }
+        }
+        // Each cursor now sits at the next inbox's start: shift them back.
+        for (std::size_t d = all.size(); d-- > 1;) {
+          boxes.start[d] = boxes.start[d - 1];
+        }
+        boxes.start[0] = 0;
         return boxes;
       },
       static_cast<std::uint64_t>(comm.size()) * sizeof(T));
-  return (*inboxes)[static_cast<std::size_t>(coll_local_rank(self, comm))];
+  const auto me = static_cast<std::size_t>(coll_local_rank(self, comm));
+  const std::span<const PeerValue<T>> mine(
+      inboxes->records.data() + inboxes->start[me],
+      inboxes->start[me + 1] - inboxes->start[me]);
+  return SharedSpan<PeerValue<T>>(inboxes, mine);
 }
 
 template <typename T, typename BinaryOp>
@@ -444,8 +553,8 @@ T allreduce(Rank& self, const Comm& comm, const T& value, BinaryOp op) {
   // folding all P values would be quadratic, and one fixed order keeps
   // floating-point results bit-identical on every rank.
   return *coll_build<T>(self, comm, CollKind::Allreduce,
-                        detail::to_bytes(value),
-                        [&op](const CollContribs& all) {
+                        detail::bytes_of(value),
+                        [&op](CollContribs all) {
                           T accum = detail::scalar_from<T>(all[0]);
                           for (std::size_t i = 1; i < all.size(); ++i) {
                             accum = op(accum, detail::scalar_from<T>(all[i]));
@@ -469,7 +578,7 @@ T allreduce_min(Rank& self, const Comm& comm, const T& value) {
 
 template <typename T>
 T exscan_sum(Rank& self, const Comm& comm, const T& value) {
-  auto all = coll_run(self, comm, CollKind::Scan, detail::to_bytes(value));
+  auto all = coll_run(self, comm, CollKind::Scan, detail::bytes_of(value));
   const int me = coll_local_rank(self, comm);
   T accum{};
   for (int i = 0; i < me; ++i) {
@@ -480,7 +589,7 @@ T exscan_sum(Rank& self, const Comm& comm, const T& value) {
 
 template <typename T, typename BinaryOp>
 T scan(Rank& self, const Comm& comm, const T& value, BinaryOp op) {
-  auto all = coll_run(self, comm, CollKind::Scan, detail::to_bytes(value));
+  auto all = coll_run(self, comm, CollKind::Scan, detail::bytes_of(value));
   const int me = coll_local_rank(self, comm);
   T accum = detail::scalar_from<T>((*all)[0]);
   for (int i = 1; i <= me; ++i) {
@@ -491,7 +600,7 @@ T scan(Rank& self, const Comm& comm, const T& value, BinaryOp op) {
 
 template <typename T>
 std::vector<T> gather(Rank& self, const Comm& comm, int root, const T& value) {
-  auto all = coll_run(self, comm, CollKind::Gather, detail::to_bytes(value));
+  auto all = coll_run(self, comm, CollKind::Gather, detail::bytes_of(value));
   std::vector<T> result;
   if (coll_local_rank(self, comm) == root) {
     result.reserve(all->size());
@@ -504,7 +613,7 @@ std::vector<T> gather(Rank& self, const Comm& comm, int root, const T& value) {
 
 template <typename T, typename BinaryOp>
 T reduce(Rank& self, const Comm& comm, int root, const T& value, BinaryOp op) {
-  auto all = coll_run(self, comm, CollKind::Gather, detail::to_bytes(value));
+  auto all = coll_run(self, comm, CollKind::Gather, detail::bytes_of(value));
   T accum{};
   if (coll_local_rank(self, comm) == root) {
     accum = detail::scalar_from<T>((*all)[0]);
@@ -523,8 +632,8 @@ T scatter(Rank& self, const Comm& comm, int root,
     throw std::logic_error("scatter: root must supply comm.size() values");
   }
   auto all = coll_run(self, comm, CollKind::Bcast,
-                      is_root ? detail::to_bytes(values)
-                              : std::vector<std::byte>{});
+                      is_root ? detail::bytes_of(values)
+                              : std::span<const std::byte>{});
   const auto row = detail::vector_from<T>((*all)[static_cast<std::size_t>(root)]);
   return row.at(static_cast<std::size_t>(coll_local_rank(self, comm)));
 }
@@ -553,8 +662,8 @@ std::vector<T> scatterv(Rank& self, const Comm& comm, int root,
       contribution.insert(contribution.end(), bytes.begin(), bytes.end());
     }
   }
-  auto all = coll_run(self, comm, CollKind::Bcast, std::move(contribution));
-  const auto& packed = (*all)[static_cast<std::size_t>(root)];
+  auto all = coll_run(self, comm, CollKind::Bcast, contribution);
+  const auto packed = (*all)[static_cast<std::size_t>(root)];
   const std::size_t header = static_cast<std::size_t>(comm.size()) * 8;
   std::vector<std::uint64_t> lengths(static_cast<std::size_t>(comm.size()));
   std::memcpy(lengths.data(), packed.data(), header);
@@ -584,12 +693,12 @@ std::vector<std::vector<T>> alltoallv(Rank& self, const Comm& comm,
     const auto bytes = detail::to_bytes(row);
     contribution.insert(contribution.end(), bytes.begin(), bytes.end());
   }
-  auto all = coll_run(self, comm, CollKind::Alltoall, std::move(contribution));
+  auto all = coll_run(self, comm, CollKind::Alltoall, contribution);
   const auto me = static_cast<std::size_t>(coll_local_rank(self, comm));
   const std::size_t header = static_cast<std::size_t>(comm.size()) * 8;
   std::vector<std::vector<T>> result(all->size());
   for (std::size_t j = 0; j < all->size(); ++j) {
-    const auto& packed = (*all)[j];
+    const auto packed = (*all)[j];
     std::vector<std::uint64_t> row_lengths(static_cast<std::size_t>(comm.size()));
     std::memcpy(row_lengths.data(), packed.data(), header);
     std::uint64_t skip = 0;

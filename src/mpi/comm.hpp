@@ -7,7 +7,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace parcoll::mpi {
@@ -39,7 +39,8 @@ class Comm {
   struct State {
     std::uint64_t context_id = 0;
     std::vector<int> members;
-    std::unordered_map<int, int> local_of_world;
+    /// (world rank, local rank) of every member, ascending by world rank.
+    std::vector<std::pair<int, int>> by_world;
   };
   std::shared_ptr<const State> state_;
 };

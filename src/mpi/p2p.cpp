@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "mpi/runtime.hpp"
 
@@ -21,17 +22,35 @@ P2PEngine::P2PEngine(sim::Engine& engine, net::Network& network,
                      const machine::Topology& topology)
     : engine_(engine), network_(network), topology_(topology) {}
 
-void P2PEngine::finish(sim::Engine& engine,
-                       const std::shared_ptr<detail::ReqState>& state) {
-  if (state->complete) {
+void detail::release(ReqState* state) {
+  if (--state->refs > 0) return;
+  P2PEngine& owner = *state->engine;
+  state->next_free = owner.free_;
+  owner.free_ = state;
+}
+
+detail::ReqState* P2PEngine::acquire() {
+  detail::ReqState* state = free_;
+  if (state != nullptr) {
+    free_ = state->next_free;
+  } else {
+    state = &states_.emplace_back();
+  }
+  *state = detail::ReqState{};
+  state->engine = this;
+  state->refs = 1;
+  return state;
+}
+
+void P2PEngine::finish(detail::ReqState* state) {
+  if (state == nullptr || state->complete) {
     return;  // eager sends are already locally complete
   }
   state->complete = true;
-  state->complete_time = engine.now();
-  for (sim::ProcId pid : state->waiters) {
-    engine.wake(pid);
+  if (state->waiter != sim::kNoProc) {
+    engine_.wake(std::exchange(state->waiter, sim::kNoProc));
   }
-  state->waiters.clear();
+  detail::release(state);
 }
 
 void P2PEngine::complete_pair(const PendingSend& send,
@@ -43,18 +62,15 @@ void P2PEngine::complete_pair(const PendingSend& send,
   }
   recv.state->transferred = send.bytes;
   recv.state->matched_source = send.src_local;
-  recv.state->matched_tag = send.tag;
-  auto send_state = send.state;
-  auto recv_state = recv.state;
-  auto data = send.data;
-  void* buffer = recv.buffer;
-  const std::uint64_t bytes = send.bytes;
-  engine_.post(delivered, [this, send_state, recv_state, data, buffer, bytes] {
-    if (data != nullptr && buffer != nullptr && bytes > 0) {
-      std::memcpy(buffer, data->data(), bytes);
-    }
-    finish(engine_, send_state);
-    finish(engine_, recv_state);
+  // The bytes move now; the receiver may look at them only once its
+  // request completes, at the delivery time.
+  if (send.payload() != nullptr && recv.buffer != nullptr && send.bytes > 0) {
+    std::memcpy(recv.buffer, send.payload(), send.bytes);
+  }
+  engine_.post(delivered, [this, send_state = send.state,
+                           recv_state = recv.state] {
+    finish(send_state);
+    finish(recv_state);
   });
 }
 
@@ -63,27 +79,27 @@ Request P2PEngine::isend(Rank& self, const Comm& comm, int dst, int tag,
   if (dst < 0 || dst >= comm.size()) {
     throw std::out_of_range("isend: bad destination rank");
   }
-  self.busy(cat, network_.params().cpu_msg_overhead);
-
-  auto state = std::make_shared<detail::ReqState>();
-  PendingSend send;
-  send.src_local = comm.local_rank(self.rank());
-  send.tag = tag;
-  send.bytes = bytes;
-  if (data != nullptr && bytes > 0) {
-    const auto* begin = static_cast<const std::byte*>(data);
-    send.data = std::make_shared<std::vector<std::byte>>(begin, begin + bytes);
-  }
-  send.src_node = self.node();
-  send.state = state;
-  if (send.src_local < 0) {
+  const int src_local = comm.local_rank(self.rank());
+  if (src_local < 0) {
     throw std::logic_error("isend: sender is not a member of the communicator");
   }
-  if (bytes <= network_.params().eager_threshold) {
-    // Eager protocol: the payload is buffered (copied above), so the send
-    // is locally complete; the wire transfer still happens at match time.
+  self.busy(cat, network_.params().cpu_msg_overhead);
+
+  detail::ReqState* state = acquire();
+  PendingSend send;
+  send.src_local = src_local;
+  send.tag = tag;
+  send.bytes = bytes;
+  send.data = static_cast<const std::byte*>(data);
+  send.src_node = self.node();
+  const bool eager = bytes <= network_.params().eager_threshold;
+  if (eager) {
+    // Eager protocol: the send is locally complete at once; the wire
+    // transfer still happens at match time.
     state->complete = true;
-    state->complete_time = engine_.now();
+  } else {
+    send.state = state;
+    ++state->refs;
   }
 
   const Key key{comm.context_id(), comm.world_rank(dst)};
@@ -93,12 +109,19 @@ Request P2PEngine::isend(Rank& self, const Comm& comm, int dst, int tag,
     for (auto it = queue.begin(); it != queue.end(); ++it) {
       if (src_matches(it->src_local, send.src_local) &&
           tag_matches(it->tag, send.tag)) {
-        PendingRecv recv = std::move(*it);
+        PendingRecv recv = *it;
         queue.erase(it);
         complete_pair(send, recv);
         return Request(state);
       }
     }
+  }
+  if (eager && send.data != nullptr && bytes > 0) {
+    // The sender may reuse its buffer at once: keep a copy until a
+    // receive matches.
+    send.buffered.resize(bytes);
+    std::memcpy(send.buffered.data(), send.data, bytes);
+    send.data = nullptr;
   }
   unexpected_[key].push_back(std::move(send));
   return Request(state);
@@ -109,9 +132,14 @@ Request P2PEngine::irecv(Rank& self, const Comm& comm, int src, int tag,
   if (src != kAnySource && (src < 0 || src >= comm.size())) {
     throw std::out_of_range("irecv: bad source rank");
   }
+  if (comm.local_rank(self.rank()) < 0) {
+    throw std::logic_error(
+        "irecv: receiver is not a member of the communicator");
+  }
   self.busy(cat, network_.params().cpu_msg_overhead);
 
-  auto state = std::make_shared<detail::ReqState>();
+  detail::ReqState* state = acquire();
+  ++state->refs;  // the engine's, until the receive completes
   PendingRecv recv;
   recv.src_local = src;
   recv.tag = tag;
@@ -127,14 +155,14 @@ Request P2PEngine::irecv(Rank& self, const Comm& comm, int src, int tag,
     for (auto it = queue.begin(); it != queue.end(); ++it) {
       if (src_matches(recv.src_local, it->src_local) &&
           tag_matches(recv.tag, it->tag)) {
-        PendingSend send = std::move(*it);
+        const PendingSend send = std::move(*it);
         queue.erase(it);
         complete_pair(send, recv);
         return Request(state);
       }
     }
   }
-  posted_[key].push_back(std::move(recv));
+  posted_[key].push_back(recv);
   return Request(state);
 }
 
@@ -142,11 +170,15 @@ void P2PEngine::wait(Rank& self, Request& request, TimeCat cat) {
   if (!request.valid()) {
     throw std::logic_error("wait: invalid request");
   }
-  if (request.state_->complete) {
+  detail::ReqState& state = *request.state_;
+  if (state.complete) {
     return;
   }
+  if (state.waiter != sim::kNoProc) {
+    throw std::logic_error("wait: another fiber already waits on the request");
+  }
   const double blocked_at = engine_.now();
-  request.state_->waiters.push_back(self.pid());
+  state.waiter = self.pid();
   engine_.suspend("p2p wait");
   self.times().add(cat, engine_.now() - blocked_at);
 }

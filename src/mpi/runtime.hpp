@@ -150,9 +150,8 @@ class World {
   /// Named shared objects: comm-wide state that all ranks of a collective
   /// operation need to share (e.g. an open file's common info). The first
   /// caller's factory creates the object; later callers get the same one.
-  template <typename T>
-  std::shared_ptr<T> shared_object(const std::string& key,
-                                   const std::function<std::shared_ptr<T>()>& make) {
+  template <typename T, typename Make>
+  std::shared_ptr<T> shared_object(const std::string& key, Make&& make) {
     auto it = objects_.find(key);
     if (it == objects_.end()) {
       it = objects_.emplace(key, make()).first;

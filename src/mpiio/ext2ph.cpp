@@ -10,6 +10,7 @@
 #include "mpi/p2p.hpp"
 #include "mpi/trace.hpp"
 #include "obs/metrics.hpp"
+#include "sim/small_vector.hpp"
 
 namespace parcoll::mpiio {
 
@@ -17,6 +18,11 @@ namespace {
 
 constexpr int kTagReq = 1000;   // request-dissemination offset lists
 constexpr int kTagData = 2000;  // + cycle index: exchange-phase payloads
+
+/// Inline capacity of the per-call peer lists: the aggregators a rank
+/// touches, the sources an aggregator hears from, their pieces. Longer
+/// lists spill to the heap for that call only.
+constexpr std::size_t kFew = 8;
 
 /// A sub-extent of one rank's request, remembering where its bytes sit in
 /// that rank's packed data stream.
@@ -26,40 +32,34 @@ struct Piece {
   std::uint64_t stream_pos = 0;
 };
 
-/// Clip monotone `extents` to [lo, hi); `prefix[i]` is the stream offset of
-/// extents[i].
-std::vector<Piece> clip_stream(const std::vector<fs::Extent>& extents,
-                               const std::vector<std::uint64_t>& prefix,
-                               std::uint64_t lo, std::uint64_t hi) {
-  std::vector<Piece> pieces;
+/// Call `fn(begin, end, index)` for each nonempty piece of monotone
+/// `extents` clipped to [lo, hi), where `index` is the piece's extent.
+template <typename Fn>
+void for_each_clipped(std::span<const fs::Extent> extents, std::uint64_t lo,
+                      std::uint64_t hi, Fn&& fn) {
   // First extent whose end is beyond lo.
-  auto it = std::partition_point(
+  const auto first = std::partition_point(
       extents.begin(), extents.end(),
       [lo](const fs::Extent& e) { return e.end() <= lo; });
-  for (; it != extents.end() && it->offset < hi; ++it) {
-    const std::uint64_t begin = std::max(it->offset, lo);
-    const std::uint64_t end = std::min(it->end(), hi);
-    if (begin >= end) continue;
-    const auto index = static_cast<std::size_t>(it - extents.begin());
-    pieces.push_back(Piece{begin, end - begin,
-                           prefix[index] + (begin - it->offset)});
+  for (auto i = static_cast<std::size_t>(first - extents.begin());
+       i < extents.size() && extents[i].offset < hi; ++i) {
+    const std::uint64_t begin = std::max(extents[i].offset, lo);
+    const std::uint64_t end = std::min(extents[i].end(), hi);
+    if (begin < end) fn(begin, end, i);
   }
-  return pieces;
 }
 
-/// Clip plain extents (aggregator's stored request lists) to [lo, hi).
-std::vector<fs::Extent> clip_extents(const std::vector<fs::Extent>& extents,
-                                     std::uint64_t lo, std::uint64_t hi) {
-  std::vector<fs::Extent> out;
-  auto it = std::partition_point(
-      extents.begin(), extents.end(),
-      [lo](const fs::Extent& e) { return e.end() <= lo; });
-  for (; it != extents.end() && it->offset < hi; ++it) {
-    const std::uint64_t begin = std::max(it->offset, lo);
-    const std::uint64_t end = std::min(it->end(), hi);
-    if (begin < end) out.push_back(fs::Extent{begin, end - begin});
-  }
-  return out;
+/// Call `fn(piece)` for each piece of my request inside [lo, hi), in
+/// stream order; `prefix[i]` is the stream offset of extents[i].
+template <typename Fn>
+void for_each_piece(std::span<const fs::Extent> extents,
+                    std::span<const std::uint64_t> prefix, std::uint64_t lo,
+                    std::uint64_t hi, Fn&& fn) {
+  for_each_clipped(extents, lo, hi,
+                   [&](std::uint64_t begin, std::uint64_t end, std::size_t i) {
+                     fn(Piece{begin, end - begin,
+                              prefix[i] + (begin - extents[i].offset)});
+                   });
 }
 
 /// Trivially copyable covered-range record for the st_loc/end_loc Allgather.
@@ -76,15 +76,18 @@ struct CoveredRanges {
   std::uint64_t ntimes = 0;
 };
 
-/// One source's request pieces inside my file domain (aggregator side).
+/// One source's request pieces inside my file domain (aggregator side):
+/// `count` extents from `first` on in Plan::received.
 struct SourceExtents {
   int source = 0;  // local rank
-  std::vector<fs::Extent> extents;
+  std::size_t first = 0;
+  std::size_t count = 0;
 };
 
 /// A cycle's sizes as the sparse Alltoall carries them: (aggregator, bytes)
 /// on the way out, (source, bytes) on the way in.
-using CycleSizes = std::vector<mpi::PeerValue<std::uint32_t>>;
+using SizeOut = sim::SmallVector<mpi::PeerValue<std::uint32_t>, kFew>;
+using SizeIn = mpi::SharedSpan<mpi::PeerValue<std::uint32_t>>;
 
 /// Everything both directions of the protocol share: the result of phases
 /// 1-3 (range gathering, file-domain partitioning, request dissemination).
@@ -102,10 +105,16 @@ struct Plan {
   /// rank, so all of them share one copy (a private naggs-sized vector per
   /// rank is quadratic when every process aggregates on a wide comm).
   std::shared_ptr<const CoveredRanges> covered;
-  std::vector<std::uint64_t> prefix;  // stream prefix of my extents
-  /// Aggregator side: every source with pieces in my domain, ascending.
-  std::vector<SourceExtents> others;
+  sim::SmallVector<std::uint64_t, kFew> prefix;  // stream prefix of my extents
+  /// Aggregator side: every source with pieces in my domain, ascending,
+  /// and those pieces back to back.
+  sim::SmallVector<SourceExtents, kFew> others;
+  sim::SmallVector<fs::Extent, kFew> received;
 
+  [[nodiscard]] std::span<const fs::Extent> extents_of(
+      const SourceExtents& from) const {
+    return {received.data() + from.first, from.count};
+  }
   /// Cycle `t`'s collective-buffer window of aggregator `a`: the next
   /// cb_buffer_size bytes of its covered range (empty once exhausted).
   [[nodiscard]] CoveredLoc window(int a, std::uint64_t t) const {
@@ -154,8 +163,8 @@ Plan make_plan(mpi::Rank& self, const mpi::Comm& comm,
   // Exchange bytes identical to a plain allgather; the last arriver folds
   // the P ranges once and every rank reads the two shared scalars.
   const auto bounds = mpi::coll_build<RankRange>(
-      self, comm, mpi::CollKind::Allgather, mpi::detail::to_bytes(mine),
-      [&](const mpi::CollContribs& all) {
+      self, comm, mpi::CollKind::Allgather, mpi::detail::bytes_of(mine),
+      [&](mpi::CollContribs all) {
         // Every member passes the same roster, so the build checks it once.
         if (!std::is_sorted(aggregators.begin(), aggregators.end())) {
           throw std::invalid_argument("ext2ph: aggregator list must be sorted");
@@ -203,39 +212,50 @@ Plan make_plan(mpi::Rank& self, const mpi::Comm& comm,
   // Phase 3: request dissemination. Tell each aggregator which pieces of
   // my request fall inside its file domain (Alltoall of counts, then
   // point-to-point offset lists). Only the aggregators I touch get a
-  // count, and only the sources that touch me send one.
-  std::vector<mpi::PeerValue<std::uint32_t>> counts;
-  std::vector<std::vector<fs::Extent>> outgoing;  // parallel to counts
+  // count, and only the sources that touch me send one. The lists go out
+  // back to back from one buffer, in the order of `counts`.
+  SizeOut counts;
+  sim::SmallVector<fs::Extent, kFew> lists;
   if (!request.extents.empty()) {
     const int a_lo = plan.agg_of(mine.st, naggs);
     const int a_hi = plan.agg_of(mine.end - 1, naggs);
     for (int a = a_lo; a <= a_hi; ++a) {
-      auto pieces = clip_extents(request.extents, plan.fd_start(a),
-                                 plan.fd_end(a));
-      if (!pieces.empty()) {
-        counts.push_back({aggregators[static_cast<std::size_t>(a)],
-                          static_cast<std::uint32_t>(pieces.size())});
-        outgoing.push_back(std::move(pieces));
+      std::uint32_t n = 0;
+      for_each_clipped(request.extents, plan.fd_start(a), plan.fd_end(a),
+                       [&](std::uint64_t begin, std::uint64_t end,
+                           std::size_t) {
+                         lists.push_back(fs::Extent{begin, end - begin});
+                         ++n;
+                       });
+      if (n > 0) {
+        counts.push_back({aggregators[static_cast<std::size_t>(a)], n});
       }
     }
   }
-  const auto incoming_counts = mpi::sparse_alltoall(self, comm, counts);
+  const auto incoming_counts = mpi::sparse_alltoall<std::uint32_t>(
+      self, comm, std::span<const mpi::PeerValue<std::uint32_t>>(counts));
 
-  std::vector<mpi::Request> requests;
+  sim::SmallVector<mpi::Request, 2 * kFew> requests;
   auto& p2p = self.world().p2p();
   if (plan.my_agg_index >= 0) {
-    plan.others.reserve(incoming_counts.size());
+    std::size_t total = 0;
     for (const auto& [source, n] : incoming_counts) {
-      plan.others.push_back({source, std::vector<fs::Extent>(n)});
-      auto& list = plan.others.back().extents;
-      requests.push_back(p2p.irecv(self, comm, source, kTagReq, list.data(),
-                                   list.size() * sizeof(fs::Extent)));
+      plan.others.push_back({source, total, n});
+      total += n;
+    }
+    plan.received.resize(total);
+    requests.reserve(plan.others.size() + counts.size());
+    for (const SourceExtents& from : plan.others) {
+      requests.push_back(p2p.irecv(self, comm, from.source, kTagReq,
+                                   plan.received.data() + from.first,
+                                   from.count * sizeof(fs::Extent)));
     }
   }
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    requests.push_back(p2p.isend(self, comm, counts[i].peer, kTagReq,
-                                 outgoing[i].data(),
-                                 outgoing[i].size() * sizeof(fs::Extent)));
+  const fs::Extent* list = lists.data();
+  for (const auto& [agg_rank, n] : counts) {
+    requests.push_back(p2p.isend(self, comm, agg_rank, kTagReq, list,
+                                 n * sizeof(fs::Extent)));
+    list += n;
   }
   p2p.waitall(self, requests);
 
@@ -243,12 +263,13 @@ Plan make_plan(mpi::Rank& self, const mpi::Comm& comm,
   // lists; Allgather so every rank can compute every aggregator's windows.
   CoveredLoc my_loc{std::numeric_limits<std::uint64_t>::max(), 0};
   for (const SourceExtents& from : plan.others) {
-    my_loc.st = std::min(my_loc.st, from.extents.front().offset);
-    my_loc.end = std::max(my_loc.end, from.extents.back().end());
+    const auto extents = plan.extents_of(from);
+    my_loc.st = std::min(my_loc.st, extents.front().offset);
+    my_loc.end = std::max(my_loc.end, extents.back().end());
   }
   plan.covered = mpi::coll_build<CoveredRanges>(
-      self, comm, mpi::CollKind::Allgather, mpi::detail::to_bytes(my_loc),
-      [&](const mpi::CollContribs& all) {
+      self, comm, mpi::CollKind::Allgather, mpi::detail::bytes_of(my_loc),
+      [&](mpi::CollContribs all) {
         CoveredRanges covered;
         covered.locs.reserve(aggregators.size());
         for (int agg_rank : aggregators) {
@@ -276,7 +297,7 @@ struct WindowWork {
     std::size_t slot;         // the source's index in Cycle::sources
     std::uint64_t msg_pos;    // byte position within that source's message
   };
-  std::vector<Entry> entries;  // sorted by offset
+  sim::SmallVector<Entry, kFew> entries;  // sorted by offset
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
   std::uint64_t total = 0;
@@ -285,12 +306,12 @@ struct WindowWork {
   [[nodiscard]] bool has_holes() const { return total != hi - lo; }
 };
 
-WindowWork gather_window_work(const Plan& plan, const CycleSizes& sources,
+WindowWork gather_window_work(const Plan& plan, const SizeIn& sources,
                               std::uint64_t win_lo, std::uint64_t win_hi) {
   WindowWork work;
   // Both lists ascend by source, so each lookup resumes where the last
   // one stopped.
-  auto from = plan.others.begin();
+  const SourceExtents* from = plan.others.begin();
   for (std::size_t slot = 0; slot < sources.size(); ++slot) {
     const auto [source, bytes] = sources[slot];
     from = std::lower_bound(from, plan.others.end(), source,
@@ -299,12 +320,13 @@ WindowWork gather_window_work(const Plan& plan, const CycleSizes& sources,
                             });
     std::uint64_t msg_pos = 0;
     if (from != plan.others.end() && from->source == source) {
-      for (const fs::Extent& piece :
-           clip_extents(from->extents, win_lo, win_hi)) {
-        work.entries.push_back(
-            WindowWork::Entry{piece.offset, piece.length, slot, msg_pos});
-        msg_pos += piece.length;
-      }
+      for_each_clipped(
+          plan.extents_of(*from), win_lo, win_hi,
+          [&](std::uint64_t begin, std::uint64_t end, std::size_t) {
+            work.entries.push_back(
+                WindowWork::Entry{begin, end - begin, slot, msg_pos});
+            msg_pos += end - begin;
+          });
     }
     if (msg_pos != bytes) {
       throw std::logic_error(
@@ -325,22 +347,23 @@ WindowWork gather_window_work(const Plan& plan, const CycleSizes& sources,
   return work;
 }
 
-/// This rank's share of one aggregator's window in one cycle: the pieces
-/// of its request inside the window, in stream order, and their total.
+/// This rank's share of one aggregator's window in one cycle: the window,
+/// whose pieces of this rank's request are clipped again where they are
+/// packed or unpacked, and their total.
 struct Share {
   int agg_rank = 0;
   std::uint64_t bytes = 0;
-  std::vector<Piece> pieces;
+  CoveredLoc window;
 };
 
 /// One cycle after the Alltoall of sizes, as both directions see it.
 struct Cycle {
   int tag = kTagData;
-  std::vector<Share> shares;  // one per aggregator whose window I touch
+  sim::SmallVector<Share, kFew> shares;  // one per window I touch
   /// Aggregator side: every source with bytes in my window, ascending (a
   /// source's index here is its dense slot; empty on other ranks), and the
   /// window's merged entries.
-  CycleSizes sources;
+  SizeIn sources;
   WindowWork work;
 };
 
@@ -349,15 +372,16 @@ struct Cycle {
 /// landed the aggregator fills its window's holes from the file
 /// (read-modify-write), assembles the window and writes it.
 void write_cycle(mpi::Rank& self, const mpi::Comm& comm, IoTarget& target,
-                 const CollRequest& request, const Cycle& cycle,
-                 std::vector<std::byte>& window_buffer,
+                 const CollRequest& request, const Plan& plan,
+                 const Cycle& cycle, std::vector<std::byte>& window_buffer,
                  Ext2phOutcome& outcome) {
   auto& p2p = self.world().p2p();
   // Whether to materialize exchange/window buffers (world property) and
   // whether this rank's outgoing payload is real.
   const bool byte_true = self.world().byte_true();
   const bool have_data = request.data != nullptr;
-  std::vector<mpi::Request> requests;
+  sim::SmallVector<mpi::Request, 2 * kFew> requests;
+  requests.reserve(cycle.sources.size() + cycle.shares.size());
   std::vector<std::vector<std::byte>> recv_buffers(
       byte_true ? cycle.sources.size() : 0);
   for (std::size_t slot = 0; slot < cycle.sources.size(); ++slot) {
@@ -369,22 +393,25 @@ void write_cycle(mpi::Rank& self, const mpi::Comm& comm, IoTarget& target,
     }
     requests.push_back(p2p.irecv(self, comm, source, cycle.tag, into, n));
   }
-  std::vector<std::vector<std::byte>> send_buffers(cycle.shares.size());
+  std::vector<std::vector<std::byte>> send_buffers(
+      have_data ? cycle.shares.size() : 0);
   for (std::size_t i = 0; i < cycle.shares.size(); ++i) {
     const Share& share = cycle.shares[i];
-    auto& buffer = send_buffers[i];
     if (have_data) {
+      auto& buffer = send_buffers[i];
       buffer.resize(share.bytes);
       std::uint64_t pos = 0;
-      for (const Piece& piece : share.pieces) {
-        std::memcpy(buffer.data() + pos, request.data + piece.stream_pos,
-                    piece.length);
-        pos += piece.length;
-      }
+      for_each_piece(request.extents, plan.prefix, share.window.st,
+                     share.window.end, [&](const Piece& piece) {
+                       std::memcpy(buffer.data() + pos,
+                                   request.data + piece.stream_pos,
+                                   piece.length);
+                       pos += piece.length;
+                     });
     }
     self.touch_bytes(static_cast<double>(share.bytes));  // gather cost
     requests.push_back(p2p.isend(self, comm, share.agg_rank, cycle.tag,
-                                 have_data ? buffer.data() : nullptr,
+                                 have_data ? send_buffers[i].data() : nullptr,
                                  share.bytes));
   }
   p2p.waitall(self, requests);
@@ -417,22 +444,28 @@ void write_cycle(mpi::Rank& self, const mpi::Comm& comm, IoTarget& target,
 /// requester its slices, and once all have landed every rank unpacks its
 /// shares into its stream.
 void read_cycle(mpi::Rank& self, const mpi::Comm& comm, IoTarget& target,
-                const CollRequest& request, const Cycle& cycle,
-                std::vector<std::byte>& window_buffer) {
+                const CollRequest& request, const Plan& plan,
+                const Cycle& cycle, std::vector<std::byte>& window_buffer) {
   auto& p2p = self.world().p2p();
   const bool byte_true = self.world().byte_true();
   const bool want_data = request.data != nullptr;
-  std::vector<mpi::Request> requests;
-  std::vector<std::vector<std::byte>> recv_buffers(cycle.shares.size());
+  sim::SmallVector<mpi::Request, 2 * kFew> requests;
+  requests.reserve(cycle.shares.size() + cycle.sources.size());
+  std::vector<std::vector<std::byte>> recv_buffers(
+      want_data ? cycle.shares.size() : 0);
   for (std::size_t i = 0; i < cycle.shares.size(); ++i) {
     const Share& share = cycle.shares[i];
-    auto& buffer = recv_buffers[i];
-    if (want_data) buffer.resize(share.bytes);
-    requests.push_back(p2p.irecv(self, comm, share.agg_rank, cycle.tag,
-                                 want_data ? buffer.data() : nullptr,
-                                 share.bytes));
+    std::byte* into = nullptr;
+    if (want_data) {
+      recv_buffers[i].resize(share.bytes);
+      into = recv_buffers[i].data();
+    }
+    requests.push_back(
+        p2p.irecv(self, comm, share.agg_rank, cycle.tag, into, share.bytes));
   }
 
+  // One reply per requester, pieces in offset order: a requester's reply
+  // holds exactly the bytes it announced in the sizes Alltoall.
   std::vector<std::vector<std::byte>> reply_buffers;
   const WindowWork& work = cycle.work;
   if (!work.empty()) {
@@ -440,38 +473,38 @@ void read_cycle(mpi::Rank& self, const mpi::Comm& comm, IoTarget& target,
     window_buffer.assign(byte_true ? span.length : 0, std::byte{0});
     target.read(self, std::span(&span, 1),
                 byte_true ? window_buffer.data() : nullptr);
-    // Build one reply per requester, pieces in offset order.
-    std::vector<std::uint64_t> reply_size(cycle.sources.size(), 0);
-    for (const auto& entry : work.entries) {
-      reply_size[entry.slot] += entry.length;
-    }
     if (byte_true) {
       reply_buffers.resize(cycle.sources.size());
       for (const auto& entry : work.entries) {
         auto& reply = reply_buffers[entry.slot];
-        if (reply.capacity() == 0) reply.reserve(reply_size[entry.slot]);
+        if (reply.capacity() == 0) {
+          reply.reserve(cycle.sources[entry.slot].value);
+        }
         const auto* begin = window_buffer.data() + (entry.offset - work.lo);
         reply.insert(reply.end(), begin, begin + entry.length);
       }
     }
     self.touch_bytes(static_cast<double>(work.total));
-    for (std::size_t slot = 0; slot < reply_size.size(); ++slot) {
-      if (reply_size[slot] == 0) continue;
+    for (std::size_t slot = 0; slot < cycle.sources.size(); ++slot) {
+      const auto [source, bytes] = cycle.sources[slot];
+      if (bytes == 0) continue;
       requests.push_back(p2p.isend(
-          self, comm, cycle.sources[slot].peer, cycle.tag,
-          byte_true ? reply_buffers[slot].data() : nullptr, reply_size[slot]));
+          self, comm, source, cycle.tag,
+          byte_true ? reply_buffers[slot].data() : nullptr, bytes));
     }
   }
   p2p.waitall(self, requests);
 
   if (!want_data) return;
   for (std::size_t i = 0; i < cycle.shares.size(); ++i) {
+    const Share& share = cycle.shares[i];
     std::uint64_t pos = 0;
-    for (const Piece& piece : cycle.shares[i].pieces) {
-      std::memcpy(request.data + piece.stream_pos, recv_buffers[i].data() + pos,
-                  piece.length);
-      pos += piece.length;
-    }
+    for_each_piece(request.extents, plan.prefix, share.window.st,
+                   share.window.end, [&](const Piece& piece) {
+                     std::memcpy(request.data + piece.stream_pos,
+                                 recv_buffers[i].data() + pos, piece.length);
+                     pos += piece.length;
+                   });
     self.touch_bytes(static_cast<double>(pos));
   }
 }
@@ -574,24 +607,25 @@ Ext2phOutcome ext2ph(mpi::Rank& self, const mpi::Comm& comm, IoTarget& target,
     Cycle cycle;
     cycle.tag = kTagData + static_cast<int>(t);
     // My pieces for each aggregator's current window, and their sizes.
-    CycleSizes sizes;
+    SizeOut sizes;
     for (int a = a_lo; a <= a_hi; ++a) {
       const CoveredLoc window = plan.window(a, t);
       if (window.st >= window.end) continue;
       Share share;
-      share.pieces =
-          clip_stream(request.extents, plan.prefix, window.st, window.end);
-      if (share.pieces.empty()) continue;
-      for (const Piece& piece : share.pieces) share.bytes += piece.length;
+      share.window = window;
+      for_each_piece(request.extents, plan.prefix, window.st, window.end,
+                     [&](const Piece& piece) { share.bytes += piece.length; });
+      if (share.bytes == 0) continue;
       share.agg_rank = (*options.aggregators)[static_cast<std::size_t>(a)];
       sizes.push_back(
           {share.agg_rank, static_cast<std::uint32_t>(share.bytes)});
-      cycle.shares.push_back(std::move(share));
+      cycle.shares.push_back(share);
     }
 
     // Per-cycle coordination: the Alltoall of cycle sizes. This is the
     // synchronization the paper's collective wall is made of.
-    cycle.sources = mpi::sparse_alltoall(self, comm, sizes);
+    cycle.sources = mpi::sparse_alltoall<std::uint32_t>(
+        self, comm, std::span<const mpi::PeerValue<std::uint32_t>>(sizes));
 
     // The aggregator's own window: what each source has in it, merged.
     // Pure CPU, so doing it before a write's exchange moves no clock.
@@ -604,9 +638,10 @@ Ext2phOutcome ext2ph(mpi::Rank& self, const mpi::Comm& comm, IoTarget& target,
     }
 
     if (is_write) {
-      write_cycle(self, comm, target, request, cycle, window_buffer, outcome);
+      write_cycle(self, comm, target, request, plan, cycle, window_buffer,
+                  outcome);
     } else {
-      read_cycle(self, comm, target, request, cycle, window_buffer);
+      read_cycle(self, comm, target, request, plan, cycle, window_buffer);
     }
     ++outcome.cycles;
     if (auto* metrics = self.world().metrics()) {
@@ -616,12 +651,13 @@ Ext2phOutcome ext2ph(mpi::Rank& self, const mpi::Comm& comm, IoTarget& target,
 
   if (is_write) {
     // Trailing status agreement (ROMIO reduces error codes). Every status
-    // here is 0, so the reduction is charged but nobody folds P of them.
+    // here is 0, so the reduction is charged as one int per rank but
+    // nobody sends or folds one.
     mpi::SpanGuard finalize_span(self, obs::SpanKind::Stage, "finalize",
                                  /*group=*/-1,
                                  static_cast<std::int64_t>(plan.ntimes));
-    mpi::coll_run(self, comm, mpi::CollKind::Allreduce,
-                  mpi::detail::to_bytes(0));
+    mpi::coll_exchange(self, comm, mpi::CollKind::Allreduce, {},
+                       /*build=*/nullptr, sizeof(int));
   }
   return outcome;
 }

@@ -73,9 +73,10 @@ class DirectTarget final : public IoTarget {
 };
 
 /// One rank's contribution to a collective call: its file extents (target
-/// space, monotone, coalesced) and the matching packed data stream.
+/// space, monotone, coalesced) and the matching packed data stream. Both
+/// are views of the caller's request, which outlives the call.
 struct CollRequest {
-  std::vector<fs::Extent> extents;
+  std::span<const fs::Extent> extents;
   std::byte* data = nullptr;  // write: source; read: destination; may be null
 
   [[nodiscard]] std::uint64_t total_bytes() const {

@@ -15,6 +15,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "mpi/collectives.hpp"
@@ -35,21 +37,31 @@ std::vector<T> hier_allgather(mpi::Rank& self, const NodeComm& nc,
   // Stage 1: node members deposit their values at the leader.
   auto node_vals =
       mpi::gather(self, nc.node_comm(), nc.leader_node_local, value);
-  std::vector<T> result(static_cast<std::size_t>(nc.parent().size()));
+  std::shared_ptr<const std::vector<T>> assembled;
   if (nc.i_lead()) {
-    // Stage 2: leaders exchange whole node vectors.
-    auto per_node = mpi::allgatherv(self, nc.leader_comm(), node_vals);
-    for (std::size_t n = 0; n < per_node.size(); ++n) {
-      for (std::size_t i = 0; i < per_node[n].size(); ++i) {
-        result[static_cast<std::size_t>(nc.layout->node_members[n][i])] =
-            per_node[n][i];
-      }
-    }
+    // Stage 2: leaders exchange whole node vectors (an allgatherv); the
+    // last arriver places every node's values by parent rank once.
+    const auto& layout = *nc.layout;
+    const int parent_size = nc.parent().size();
+    assembled = mpi::coll_build<std::vector<T>>(
+        self, nc.leader_comm(), mpi::CollKind::Allgather,
+        mpi::detail::bytes_of(node_vals),
+        [&layout, parent_size](mpi::CollContribs per_node) {
+          std::vector<T> result(static_cast<std::size_t>(parent_size));
+          for (std::size_t n = 0; n < per_node.size(); ++n) {
+            const auto values = mpi::detail::vector_from<T>(per_node[n]);
+            for (std::size_t i = 0; i < values.size(); ++i) {
+              result[static_cast<std::size_t>(layout.node_members[n][i])] =
+                  values[i];
+            }
+          }
+          return result;
+        });
   }
   // Stage 3: the leader rebroadcasts the assembled vector within the node.
-  auto all = mpi::coll_run(
-      self, nc.node_comm(), mpi::CollKind::Bcast,
-      nc.i_lead() ? mpi::detail::to_bytes(result) : std::vector<std::byte>{});
+  auto all = mpi::coll_run(self, nc.node_comm(), mpi::CollKind::Bcast,
+                           nc.i_lead() ? mpi::detail::bytes_of(*assembled)
+                                       : std::span<const std::byte>{});
   return mpi::detail::vector_from<T>(
       (*all)[static_cast<std::size_t>(nc.leader_node_local)]);
 }

@@ -176,7 +176,8 @@ std::vector<MemberReq> gather_member_requests(
   std::vector<MemberReq> members(n);
   for (std::size_t m = 0; m < n; ++m) {
     if (static_cast<int>(m) == nodes.leader_node_local) {
-      members[m].extents = own_request.extents;
+      members[m].extents.assign(own_request.extents.begin(),
+                                own_request.extents.end());
       members[m].data = own_request.data;
       continue;
     }

@@ -1,5 +1,6 @@
 #include "workloads/pattern.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "dtype/pack.hpp"
@@ -64,19 +65,24 @@ bool check_buffer_for_extents(const void* buffer,
   return check_stream(stream.data(), extents, salt);
 }
 
-bool verify_store(const fs::MemoryStore& store, int file_id,
+bool verify_store(fs::MemoryStore& store, int file_id,
                   std::span<const fs::Extent> extents, std::uint64_t salt) {
   std::uint64_t total = 0;
   for (const fs::Extent& extent : extents) total += extent.length;
   if (total == 0) return true;  // nothing to check, file may not even exist
-  const auto& contents = store.contents(file_id);
+  std::vector<std::byte> chunk;
   for (const fs::Extent& extent : extents) {
-    if (extent.end() > contents.size()) return false;
-    for (std::uint64_t i = 0; i < extent.length; ++i) {
-      if (contents[extent.offset + i] !=
-          pattern_byte(salt, extent.offset + i)) {
-        return false;
+    if (extent.end() > store.size(file_id)) return false;
+    // Read the extent a page at a time, so the check holds one page.
+    for (std::uint64_t pos = extent.offset; pos < extent.end();) {
+      const std::uint64_t n =
+          std::min(extent.end() - pos, fs::MemoryStore::kPageBytes);
+      chunk.resize(n);
+      store.read(file_id, pos, chunk.data(), n);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        if (chunk[i] != pattern_byte(salt, pos + i)) return false;
       }
+      pos += n;
     }
   }
   return true;

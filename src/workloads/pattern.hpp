@@ -46,7 +46,7 @@ void fill_buffer_for_extents(void* buffer, const dtype::Datatype& memtype,
                                             std::uint64_t salt);
 
 /// Audit the stored file bytes over `extents` against the pattern.
-[[nodiscard]] bool verify_store(const fs::MemoryStore& store, int file_id,
+[[nodiscard]] bool verify_store(fs::MemoryStore& store, int file_id,
                                 std::span<const fs::Extent> extents,
                                 std::uint64_t salt);
 

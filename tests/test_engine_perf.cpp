@@ -12,6 +12,7 @@
 #include "sim/callback.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/small_vector.hpp"
 #include "workloads/ior.hpp"
 #include "workloads/tileio.hpp"
 
@@ -318,6 +319,43 @@ TEST(SmallCallback, OversizedCaptureTakesHeapPathAndRuns) {
   EXPECT_EQ(result, 42);
   EXPECT_EQ(small_result, 7);
   EXPECT_EQ(engine.stats().callback_events, 2u);
+}
+
+TEST(SmallVector, SpillsToTheHeapAndMovesWithoutLeaks) {
+  // Elements that count themselves, so every construct has its destroy.
+  static int live = 0;
+  struct Counted {
+    int value = 0;
+    Counted() { ++live; }
+    explicit Counted(int v) : value(v) { ++live; }
+    Counted(Counted&& other) noexcept : value(other.value) { ++live; }
+    Counted& operator=(Counted&&) noexcept = default;
+    ~Counted() { --live; }
+  };
+  {
+    sim::SmallVector<Counted, 4> inline_only;
+    for (int i = 0; i < 3; ++i) inline_only.emplace_back(i);
+    sim::SmallVector<Counted, 4> spilled;
+    for (int i = 0; i < 11; ++i) spilled.emplace_back(i);
+    EXPECT_EQ(live, 14);
+
+    sim::SmallVector<Counted, 4> moved_inline(std::move(inline_only));
+    sim::SmallVector<Counted, 4> moved_heap(std::move(spilled));
+    EXPECT_TRUE(inline_only.empty());
+    EXPECT_TRUE(spilled.empty());
+    EXPECT_EQ(live, 14);
+    ASSERT_EQ(moved_heap.size(), 11u);
+    for (int i = 0; i < 11; ++i) EXPECT_EQ(moved_heap[i].value, i);
+    EXPECT_EQ(moved_inline.back().value, 2);
+
+    moved_heap = std::move(moved_inline);
+    EXPECT_EQ(live, 3);
+    moved_heap.resize(6);
+    EXPECT_EQ(moved_heap[5].value, 0);
+    moved_heap.resize(1);
+    EXPECT_EQ(live, 1);
+  }
+  EXPECT_EQ(live, 0);
 }
 
 }  // namespace

@@ -160,7 +160,8 @@ TEST(Ext2ph, RmwPreservesPreexistingBytes) {
       auto* store = dynamic_cast<fs::MemoryStore*>(&fs.store());
       ok = ok && store != nullptr;
       if (store) {
-        const auto& bytes = store->contents(fs_id);
+        std::vector<std::byte> bytes(8192);
+        store->read(fs_id, 0, bytes.data(), bytes.size());
         for (std::uint64_t pos = 0; pos < 8192; ++pos) {
           const bool in_b = (pos >= 512 && pos < 768) ||
                             (pos >= 2560 && pos < 2816);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "fs/lustre.hpp"
 #include "fs/object_store.hpp"
@@ -75,6 +76,42 @@ TEST(MemoryStore, UnknownFileReadsZeros) {
   store.read(99, 0, out, 4);
   EXPECT_EQ(out[0], std::byte{0});
   EXPECT_EQ(store.size(99), 0u);
+}
+
+TEST(MemoryStore, SparseFileKeepsItsDenseDigest) {
+  // Bytes far apart, one straddling a page boundary: the store keeps only
+  // the pages they touch, and its digest is FNV-1a over the dense file.
+  MemoryStore store;
+  const char a[] = "abc";
+  const char b[] = "straddle";
+  const std::uint64_t far = 3 * MemoryStore::kPageBytes + 17;
+  const std::uint64_t edge = 5 * MemoryStore::kPageBytes - 3;
+  store.write(2, far, reinterpret_cast<const std::byte*>(a), 3);
+  store.write(2, edge, reinterpret_cast<const std::byte*>(b), 8);
+  store.write(7, 40, nullptr, 10);  // phantom: grows the file, no bytes
+  EXPECT_EQ(store.size(2), edge + 8);
+  EXPECT_EQ(store.size(7), 50u);
+
+  std::vector<std::byte> dense(store.size(2));
+  store.read(2, 0, dense.data(), dense.size());
+  EXPECT_EQ(dense[far + 1], std::byte{'b'});
+  EXPECT_EQ(dense[edge + 7], std::byte{'e'});
+  EXPECT_EQ(dense[far + 3], std::byte{0});
+
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix_byte = [&h](std::uint64_t byte) {
+    h = (h ^ byte) * 1099511628211ull;
+  };
+  const auto mix = [&](std::uint64_t value) {
+    for (int shift = 0; shift < 64; shift += 8) mix_byte((value >> shift) & 0xff);
+  };
+  mix(2);
+  mix(dense.size());
+  for (std::byte byte : dense) mix_byte(static_cast<std::uint64_t>(byte));
+  mix(7);
+  mix(50);
+  for (int i = 0; i < 50; ++i) mix_byte(0);
+  EXPECT_EQ(store.content_digest(), h);
 }
 
 TEST(PhantomStore, TracksBookkeepingOnly) {

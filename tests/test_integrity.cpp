@@ -158,7 +158,9 @@ TEST(IntegrityManager, DetectRecordsUnrecoverableError) {
   EXPECT_EQ(error.offset, 64u);
   EXPECT_EQ(error.length, 64u);
   // The corrupted store byte was left untouched at Detect level.
-  EXPECT_EQ(store.contents(1)[70], tampered[70]);
+  std::byte stored{};
+  store.read(1, 70, &stored, 1);
+  EXPECT_EQ(stored, tampered[70]);
 }
 
 TEST(IntegrityManager, RepairHealsStoreFromReplica) {

@@ -144,7 +144,8 @@ TEST(Collectives, SparseAlltoallDeliversTheDenseNonzeros) {
       world.run([&](Rank& self) {
         const auto [row, send] = sparse_row(seed, self.rank(), nranks);
         dense[self.rank()] = alltoall(self, self.comm_world(), row);
-        sparse[self.rank()] = sparse_alltoall(self, self.comm_world(), send);
+        const auto inbox = sparse_alltoall(self, self.comm_world(), send);
+        sparse[self.rank()].assign(inbox.begin(), inbox.end());
       });
       for (int r = 0; r < nranks; ++r) {
         std::vector<std::pair<int, std::uint32_t>> want;

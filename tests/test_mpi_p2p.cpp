@@ -207,6 +207,42 @@ TEST(P2P, WaitChargesP2PTime) {
   EXPECT_GT(t1[TimeCat::Compute], 0.9);
 }
 
+TEST(P2P, IrecvByNonMemberThrows) {
+  // Rank 2 posts a receive on a communicator of ranks 0 and 1: a program
+  // error, reported at once rather than as a deadlock.
+  World world = make_world(4);
+  const Comm pair(777, {0, 1});
+  EXPECT_THROW(world.run([&](Rank& self) {
+                 if (self.rank() == 2) {
+                   int value = 0;
+                   self.world().p2p().recv(self, pair, 0, 0, &value,
+                                           sizeof(value));
+                 }
+               }),
+               std::logic_error);
+}
+
+TEST(P2P, IsendByNonMemberThrowsBeforeChargingTime) {
+  World world = make_world(4);
+  const Comm pair(777, {0, 1});
+  bool threw = false;
+  double clock_moved = -1.0;
+  world.run([&](Rank& self) {
+    if (self.rank() != 2) return;
+    const int value = 1;
+    const double before = self.now();
+    try {
+      self.world().p2p().isend(self, pair, 0, 0, &value, sizeof(value));
+    } catch (const std::logic_error&) {
+      threw = true;
+    }
+    clock_moved = self.now() - before;
+  });
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(clock_moved, 0.0);
+  EXPECT_EQ(world.rank_times()[2][TimeCat::P2P], 0.0);
+}
+
 TEST(P2P, UnmatchedRecvDeadlocks) {
   World world = make_world(2);
   EXPECT_THROW(world.run([&](Rank& self) {

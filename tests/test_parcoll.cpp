@@ -252,7 +252,8 @@ TEST(Parcoll, UniformResultAcrossGroupCountsMatchesBaselineBytes) {
       if (self.rank() == 0) {
         auto* store =
             dynamic_cast<fs::MemoryStore*>(&self.world().fs().store());
-        snapshot = store->contents(file.fs_id());
+        snapshot.resize(store->size(file.fs_id()));
+        store->read(file.fs_id(), 0, snapshot.data(), snapshot.size());
       }
       file.close();
     });

@@ -221,7 +221,8 @@ TEST(RandomPatternEquivalence, ParcollFileEqualsBaselineFile) {
       if (self.rank() == 0) {
         auto* store =
             dynamic_cast<fs::MemoryStore*>(&self.world().fs().store());
-        contents = store->contents(file.fs_id());
+        contents.resize(store->size(file.fs_id()));
+        store->read(file.fs_id(), 0, contents.data(), contents.size());
       }
       file.close();
     });

@@ -141,7 +141,8 @@ TEST(Sieve, StridedWritePreservesUntouchedBytes) {
                    /*sieve_buffer_size=*/1024);
     auto* store = dynamic_cast<fs::MemoryStore*>(&fs.store());
     ASSERT_NE(store, nullptr);
-    const auto& bytes = store->contents(file.fs_id());
+    std::vector<std::byte> bytes(4096);
+    store->read(file.fs_id(), 0, bytes.data(), bytes.size());
     for (std::uint64_t pos = 0; pos < 4096; ++pos) {
       const bool written = (pos / 256) % 2 == 0 && pos < 3840;
       const std::byte expected = workloads::pattern_byte(written ? 2 : 1, pos);

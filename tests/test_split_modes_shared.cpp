@@ -247,7 +247,8 @@ TEST(SharedPointer, ClaimsAreDisjointAndCoverTheFile) {
       // Every 64-byte slot is uniform (one writer) and each rank appears
       // exactly 3 times.
       auto* store = dynamic_cast<fs::MemoryStore*>(&self.world().fs().store());
-      const auto& bytes = store->contents(file.fs_id());
+      std::vector<std::byte> bytes(24 * 64);
+      store->read(file.fs_id(), 0, bytes.data(), bytes.size());
       std::vector<int> counts(8, 0);
       for (int slot = 0; slot < 24; ++slot) {
         const auto value = static_cast<unsigned char>(bytes[slot * 64]);

@@ -23,8 +23,11 @@
 // any deterministic perf key worsened by more than PCT percent. Only
 // virtual-time metrics are gated (bandwidth, elapsed, durability, latency
 // quantiles) — host-wall throughput (events_per_s, wall_s, ...) varies
-// machine to machine and is reported but never gated. Points or keys the
-// baseline lacks are skipped, so new benches and new keys land cleanly.
+// machine to machine and is reported but never gated. One host-cost proxy
+// is gated exactly: `events`, the number of events a simulated run
+// executed, repeats bit for bit, so any increase fails the check whatever
+// PCT says, and a decrease is only reported. Points or keys the baseline
+// lacks are skipped, so new benches and new keys land cleanly.
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -85,7 +88,9 @@ JsonValue fold_bench(const JsonValue& doc) {
             // micro_engine rows: DES engine scaling trend signal.
             "events_per_s", "wall_s", "peak_queue_depth",
             "stacks_allocated", "stacks_reused", "peak_rss_mib",
-            "speedup_vs_seed", "bit_identical"}) {
+            "speedup_vs_seed", "bit_identical", "allocs_per_rank_call",
+            // every simulated run: the schedule's size (gated exactly).
+            "events"}) {
         const JsonValue* value = point.find(key);
         if (value != nullptr) row.set(key, *value);
       }
@@ -167,6 +172,21 @@ int check_regression(const JsonValue& fresh, const JsonValue& baseline_run,
         ++skipped;
         continue;
       }
+      if (const JsonValue* fresh_events = point.find("events"),
+          *base_events = base_point->find("events");
+          fresh_events != nullptr && base_events != nullptr) {
+        const double now = fresh_events->as_double();
+        const double base = base_events->as_double();
+        ++compared;
+        if (now != base) {
+          const bool worse = now > base;
+          regressions += worse ? 1 : 0;
+          std::printf("  %s %s %s[n=%g] events: %.0f -> %.0f\n",
+                      worse ? "REGRESSION" : "fewer events:", name.c_str(),
+                      series->as_string().c_str(), nprocs->as_double(), base,
+                      now);
+        }
+      }
       for (const GatedKey& gated : kGatedKeys) {
         const JsonValue* fresh_value = point.find(gated.key);
         const JsonValue* base_value = base_point->find(gated.key);
@@ -191,7 +211,7 @@ int check_regression(const JsonValue& fresh, const JsonValue& baseline_run,
     }
   }
   std::printf("  %d value(s) compared, %d point(s) without baseline, "
-              "%d regression(s) beyond %.2f%%\n",
+              "%d regression(s) (events exact, the rest beyond %.2f%%)\n",
               compared, skipped, regressions, pct);
   return regressions;
 }
