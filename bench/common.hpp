@@ -96,6 +96,10 @@ class BenchReport {
         .set("elapsed_s", result.elapsed)
         .set("sync_fraction", result.sync_fraction())
         .set("events", static_cast<double>(result.engine.events_executed))
+        .set("peak_queue_depth",
+             static_cast<double>(result.engine.peak_queue_depth))
+        .set("stacks_allocated",
+             static_cast<double>(result.engine.stacks_allocated))
         .set("result", workloads::run_result_json(result));
     if (result.stats.bb_staged_segments > 0 || result.stats.bb_spills > 0) {
       // Burst-buffer runs carry the write-behind trend signal too.

@@ -105,17 +105,23 @@ double LustreSim::submit(int client, int file_id,
     job = &(*jobs_)[static_cast<std::size_t>(client)];
   }
 
-  // Records completion of one served RPC: end-to-end latency from issue to
-  // service completion (including any retry/backoff time the caller
-  // burned), plus the cumulative per-OST service clock the wall report and
-  // sampler read.
-  auto note_served = [&](int ost_index, std::uint64_t bytes, double issue,
-                         double done) {
-    if (metrics_ == nullptr) return;
+  // Records one served RPC against the OST that accepted it (after a
+  // failover, not the one it was sent to): the backlog it found there (how
+  // long it queued behind already-accepted work, a seconds-denominated
+  // queue depth), its size, its end-to-end latency from issue to service
+  // completion (including any retry/backoff time the caller burned), and
+  // that OST's cumulative service clock, which the wall report and sampler
+  // read.
+  auto note_served = [&](int ost_index, std::uint64_t bytes, double backlog,
+                         double issue, double done) {
+    const auto ost = static_cast<std::size_t>(ost_index);
+    metrics_->quantile("fs.ost.queue_wait_s").observe(backlog);
+    metrics_->gauge_max("fs.ost.queue_depth_s", ost, backlog);
+    ++metrics_->counter("fs.ost.rpcs", ost);
+    metrics_->counter("fs.ost.bytes", ost) += bytes;
     const double latency = done - issue;
     metrics_->quantile("fs.rpc.latency_s").observe(latency);
-    metrics_->gauge("fs.ost.service_s", static_cast<std::size_t>(ost_index)) =
-        osts_[static_cast<std::size_t>(ost_index)].service_seconds();
+    metrics_->gauge("fs.ost.service_s", ost) = osts_[ost].service_seconds();
     if (job != nullptr) {
       metrics_->quantile(obs::MetricsRegistry::job_key("fs.rpc.latency_s",
                                                        *job))
@@ -131,19 +137,6 @@ double LustreSim::submit(int client, int file_id,
     const int ost_index = rpc.ost;
     // Client CPU to build and issue the RPC.
     engine_.sleep(params_.client_rpc_overhead);
-    if (metrics_ != nullptr) {
-      // OST backlog at issue time: how long this RPC will queue behind
-      // already-accepted work (a seconds-denominated queue depth).
-      const double backlog = std::max(
-          0.0, osts_[static_cast<std::size_t>(ost_index)].busy_until() -
-                   engine_.now());
-      metrics_->quantile("fs.ost.queue_wait_s").observe(backlog);
-      metrics_->gauge_max("fs.ost.queue_depth_s",
-                          static_cast<std::size_t>(ost_index), backlog);
-      ++metrics_->counter("fs.ost.rpcs", static_cast<std::size_t>(ost_index));
-      metrics_->counter("fs.ost.bytes", static_cast<std::size_t>(ost_index)) +=
-          rpc.bytes;
-    }
     const double issue = engine_.now();
     // Without a fault plan the first serve succeeds. Degraded mode: detect
     // a swallowed RPC after the timeout, resend with capped exponential
@@ -159,13 +152,16 @@ double LustreSim::submit(int client, int file_id,
       // After a full lap over the OSTs, force service so pathological
       // plans (every target down forever) cannot hang the simulation.
       const bool force = hops >= params_.num_osts;
+      OstModel& ost = osts_[static_cast<std::size_t>(target)];
+      const double backlog = std::max(0.0, ost.busy_until() - engine_.now());
       const ServeOutcome outcome =
-          osts_[static_cast<std::size_t>(target)].serve(
-              engine_.now(), file_id, client, rpc.lock_lo, rpc.lock_hi,
-              rpc.bytes, is_write, rpc.fragments, force);
+          ost.serve(engine_.now(), file_id, client, rpc.lock_lo, rpc.lock_hi,
+                    rpc.bytes, is_write, rpc.fragments, force);
       if (outcome.ok) {
         last_completion = std::max(last_completion, outcome.done);
-        note_served(target, rpc.bytes, issue, outcome.done);
+        if (metrics_ != nullptr) {
+          note_served(target, rpc.bytes, backlog, issue, outcome.done);
+        }
         break;
       }
       const double wait =

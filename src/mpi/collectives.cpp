@@ -7,7 +7,6 @@
 #include <tuple>
 
 #include "check/invariants.hpp"
-#include "mpi/p2p.hpp"
 #include "mpi/runtime.hpp"
 #include "mpi/trace.hpp"
 #include "obs/metrics.hpp"
@@ -42,7 +41,6 @@ const char* to_string(CollKind kind) {
     case CollKind::Allgather: return "allgather";
     case CollKind::Alltoall:  return "alltoall";
     case CollKind::Allreduce: return "allreduce";
-    case CollKind::Scan:      return "scan";
   }
   return "?";
 }
@@ -72,8 +70,6 @@ double coll_cost(const machine::NetworkParams& net, CollKind kind, int nranks,
     case CollKind::Allreduce:
       return 2.0 * hops * lat +
              2.0 * static_cast<double>(max_contrib) / bw;
-    case CollKind::Scan:
-      return hops * lat + static_cast<double>(max_contrib) / bw;
   }
   return 0.0;
 }
@@ -193,8 +189,7 @@ std::shared_ptr<const void> CollEngine::exchange(
     static const std::string kCalls[] = {
         "mpi.coll.calls.barrier",   "mpi.coll.calls.bcast",
         "mpi.coll.calls.gather",    "mpi.coll.calls.allgather",
-        "mpi.coll.calls.alltoall",  "mpi.coll.calls.allreduce",
-        "mpi.coll.calls.scan"};
+        "mpi.coll.calls.alltoall",  "mpi.coll.calls.allreduce"};
     ++metrics->counter(kCalls[static_cast<std::size_t>(kind)]);
   }
   return std::move(arrival.result);
@@ -259,19 +254,6 @@ std::shared_ptr<const void> coll_shared_fetch(
   return self.world().colls().shared_fetch(self, comm, build);
 }
 
-std::uint64_t sendrecv(Rank& self, const Comm& comm, int dst, int send_tag,
-                       const void* send_data, std::uint64_t send_bytes,
-                       int src, int recv_tag, void* recv_buffer,
-                       std::uint64_t recv_capacity) {
-  auto& p2p = self.world().p2p();
-  Request requests[2] = {
-      p2p.irecv(self, comm, src, recv_tag, recv_buffer, recv_capacity),
-      p2p.isend(self, comm, dst, send_tag, send_data, send_bytes),
-  };
-  p2p.waitall(self, requests);
-  return requests[0].transferred();
-}
-
 Comm comm_split(Rank& self, const Comm& comm, int color, int key) {
   struct Entry {
     int color;
@@ -315,10 +297,6 @@ Comm comm_split(Rank& self, const Comm& comm, int color, int key) {
         return comms;
       });
   return by_color->at(color);
-}
-
-Comm comm_dup(Rank& self, const Comm& comm) {
-  return comm_split(self, comm, /*color=*/0, comm.local_rank(self.rank()));
 }
 
 }  // namespace parcoll::mpi

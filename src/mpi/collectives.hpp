@@ -48,11 +48,10 @@ class Rank;
 enum class CollKind {
   Barrier,
   Bcast,
-  Gather,     // rootward concatenation (gather/gatherv)
-  Allgather,  // includes allgatherv
+  Gather,     // rootward concatenation
+  Allgather,  // includes allgatherv-shaped exchanges
   Alltoall,
   Allreduce,
-  Scan,       // scan/exscan
 };
 
 [[nodiscard]] const char* to_string(CollKind kind);
@@ -202,22 +201,6 @@ std::span<const std::byte> bytes_of(const std::vector<T>& values) {
   return bytes_of(std::span<const T>(values));
 }
 template <typename T>
-std::vector<std::byte> to_bytes(const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  std::vector<std::byte> bytes(sizeof(T));
-  std::memcpy(bytes.data(), &value, sizeof(T));
-  return bytes;
-}
-template <typename T>
-std::vector<std::byte> to_bytes(const std::vector<T>& values) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  std::vector<std::byte> bytes(values.size() * sizeof(T));
-  if (!values.empty()) {
-    std::memcpy(bytes.data(), values.data(), bytes.size());
-  }
-  return bytes;
-}
-template <typename T>
 T scalar_from(std::span<const std::byte> bytes) {
   static_assert(std::is_trivially_copyable_v<T>);
   if (bytes.size() != sizeof(T)) {
@@ -250,16 +233,6 @@ T bcast(Rank& self, const Comm& comm, int root, const T& value);
 /// Everyone receives [rank0's value, rank1's value, ...].
 template <typename T>
 std::vector<T> allgather(Rank& self, const Comm& comm, const T& value);
-
-/// Variable-length allgather; result[i] is rank i's vector.
-template <typename T>
-std::vector<std::vector<T>> allgatherv(Rank& self, const Comm& comm,
-                                       const std::vector<T>& values);
-
-/// Root receives all vectors (result[i] = rank i's); others get empties.
-template <typename T>
-std::vector<std::vector<T>> gatherv(Rank& self, const Comm& comm, int root,
-                                    const std::vector<T>& values);
 
 /// `send` has one element per rank; result[j] = what rank j sent to me.
 template <typename T>
@@ -298,55 +271,14 @@ template <typename T>
 T allreduce_sum(Rank& self, const Comm& comm, const T& value);
 template <typename T>
 T allreduce_max(Rank& self, const Comm& comm, const T& value);
-template <typename T>
-T allreduce_min(Rank& self, const Comm& comm, const T& value);
-
-/// Exclusive prefix sum: rank r receives sum of values of ranks < r (0 at
-/// rank 0).
-template <typename T>
-T exscan_sum(Rank& self, const Comm& comm, const T& value);
-
-/// Inclusive prefix reduction with `op`.
-template <typename T, typename BinaryOp>
-T scan(Rank& self, const Comm& comm, const T& value, BinaryOp op);
 
 /// Root receives [rank0's value, ...]; others get an empty vector.
 template <typename T>
 std::vector<T> gather(Rank& self, const Comm& comm, int root, const T& value);
 
-/// Rootward reduction: root receives the element-wise reduction, others T{}.
-template <typename T, typename BinaryOp>
-T reduce(Rank& self, const Comm& comm, int root, const T& value, BinaryOp op);
-
-/// Root supplies one value per rank; everyone receives theirs.
-template <typename T>
-T scatter(Rank& self, const Comm& comm, int root, const std::vector<T>& values);
-
-/// Root supplies one vector per rank; everyone receives theirs.
-template <typename T>
-std::vector<T> scatterv(Rank& self, const Comm& comm, int root,
-                        const std::vector<std::vector<T>>& values);
-
-/// Variable-length personalized exchange: send[j] goes to rank j; the
-/// result's j-th entry is what rank j sent to me.
-template <typename T>
-std::vector<std::vector<T>> alltoallv(Rank& self, const Comm& comm,
-                                      const std::vector<std::vector<T>>& send);
-
-/// Combined send+recv (deadlock-free pairwise exchange).
-/// Returns the bytes received.
-std::uint64_t sendrecv(Rank& self, const Comm& comm, int dst, int send_tag,
-                       const void* send_data, std::uint64_t send_bytes,
-                       int src, int recv_tag, void* recv_buffer,
-                       std::uint64_t recv_capacity);
-
 /// Split `comm` by color; members with the same color form a new
 /// communicator ordered by (key, world rank). Collective over `comm`.
 Comm comm_split(Rank& self, const Comm& comm, int color, int key);
-
-/// Duplicate `comm`: same members and ordering, fresh context id (its
-/// point-to-point and collective traffic is isolated). Collective.
-Comm comm_dup(Rank& self, const Comm& comm);
 
 // --- template definitions -------------------------------------------------
 
@@ -435,32 +367,6 @@ T bcast(Rank& self, const Comm& comm, int root, const T& value) {
 template <typename T>
 std::vector<T> allgather(Rank& self, const Comm& comm, const T& value) {
   return *allgather_shared(self, comm, value);
-}
-
-template <typename T>
-std::vector<std::vector<T>> allgatherv(Rank& self, const Comm& comm,
-                                       const std::vector<T>& values) {
-  auto all = coll_run(self, comm, CollKind::Allgather, detail::bytes_of(values));
-  std::vector<std::vector<T>> result;
-  result.reserve(all->size());
-  for (const auto& contribution : *all) {
-    result.push_back(detail::vector_from<T>(contribution));
-  }
-  return result;
-}
-
-template <typename T>
-std::vector<std::vector<T>> gatherv(Rank& self, const Comm& comm, int root,
-                                    const std::vector<T>& values) {
-  auto all = coll_run(self, comm, CollKind::Gather, detail::bytes_of(values));
-  std::vector<std::vector<T>> result;
-  if (coll_local_rank(self, comm) == root) {
-    result.reserve(all->size());
-    for (const auto& contribution : *all) {
-      result.push_back(detail::vector_from<T>(contribution));
-    }
-  }
-  return result;
 }
 
 template <typename T>
@@ -571,32 +477,6 @@ template <typename T>
 T allreduce_max(Rank& self, const Comm& comm, const T& value) {
   return allreduce(self, comm, value, [](T a, T b) { return a < b ? b : a; });
 }
-template <typename T>
-T allreduce_min(Rank& self, const Comm& comm, const T& value) {
-  return allreduce(self, comm, value, [](T a, T b) { return b < a ? b : a; });
-}
-
-template <typename T>
-T exscan_sum(Rank& self, const Comm& comm, const T& value) {
-  auto all = coll_run(self, comm, CollKind::Scan, detail::bytes_of(value));
-  const int me = coll_local_rank(self, comm);
-  T accum{};
-  for (int i = 0; i < me; ++i) {
-    accum = accum + detail::scalar_from<T>((*all)[static_cast<std::size_t>(i)]);
-  }
-  return accum;
-}
-
-template <typename T, typename BinaryOp>
-T scan(Rank& self, const Comm& comm, const T& value, BinaryOp op) {
-  auto all = coll_run(self, comm, CollKind::Scan, detail::bytes_of(value));
-  const int me = coll_local_rank(self, comm);
-  T accum = detail::scalar_from<T>((*all)[0]);
-  for (int i = 1; i <= me; ++i) {
-    accum = op(accum, detail::scalar_from<T>((*all)[static_cast<std::size_t>(i)]));
-  }
-  return accum;
-}
 
 template <typename T>
 std::vector<T> gather(Rank& self, const Comm& comm, int root, const T& value) {
@@ -606,108 +486,6 @@ std::vector<T> gather(Rank& self, const Comm& comm, int root, const T& value) {
     result.reserve(all->size());
     for (const auto& contribution : *all) {
       result.push_back(detail::scalar_from<T>(contribution));
-    }
-  }
-  return result;
-}
-
-template <typename T, typename BinaryOp>
-T reduce(Rank& self, const Comm& comm, int root, const T& value, BinaryOp op) {
-  auto all = coll_run(self, comm, CollKind::Gather, detail::bytes_of(value));
-  T accum{};
-  if (coll_local_rank(self, comm) == root) {
-    accum = detail::scalar_from<T>((*all)[0]);
-    for (std::size_t i = 1; i < all->size(); ++i) {
-      accum = op(accum, detail::scalar_from<T>((*all)[i]));
-    }
-  }
-  return accum;
-}
-
-template <typename T>
-T scatter(Rank& self, const Comm& comm, int root,
-          const std::vector<T>& values) {
-  const bool is_root = coll_local_rank(self, comm) == root;
-  if (is_root && static_cast<int>(values.size()) != comm.size()) {
-    throw std::logic_error("scatter: root must supply comm.size() values");
-  }
-  auto all = coll_run(self, comm, CollKind::Bcast,
-                      is_root ? detail::bytes_of(values)
-                              : std::span<const std::byte>{});
-  const auto row = detail::vector_from<T>((*all)[static_cast<std::size_t>(root)]);
-  return row.at(static_cast<std::size_t>(coll_local_rank(self, comm)));
-}
-
-template <typename T>
-std::vector<T> scatterv(Rank& self, const Comm& comm, int root,
-                        const std::vector<std::vector<T>>& values) {
-  const bool is_root = coll_local_rank(self, comm) == root;
-  // Marshal as: per-rank uint64 lengths, then concatenated payloads.
-  std::vector<std::byte> contribution;
-  if (is_root) {
-    if (static_cast<int>(values.size()) != comm.size()) {
-      throw std::logic_error("scatterv: root must supply comm.size() vectors");
-    }
-    std::vector<std::uint64_t> lengths;
-    lengths.reserve(values.size());
-    std::size_t payload = 0;
-    for (const auto& row : values) {
-      lengths.push_back(row.size());
-      payload += row.size() * sizeof(T);
-    }
-    contribution = detail::to_bytes(lengths);
-    contribution.reserve(contribution.size() + payload);
-    for (const auto& row : values) {
-      const auto bytes = detail::to_bytes(row);
-      contribution.insert(contribution.end(), bytes.begin(), bytes.end());
-    }
-  }
-  auto all = coll_run(self, comm, CollKind::Bcast, contribution);
-  const auto packed = (*all)[static_cast<std::size_t>(root)];
-  const std::size_t header = static_cast<std::size_t>(comm.size()) * 8;
-  std::vector<std::uint64_t> lengths(static_cast<std::size_t>(comm.size()));
-  std::memcpy(lengths.data(), packed.data(), header);
-  std::uint64_t skip = 0;
-  const auto me = static_cast<std::size_t>(coll_local_rank(self, comm));
-  for (std::size_t i = 0; i < me; ++i) skip += lengths[i];
-  std::vector<T> mine(lengths[me]);
-  if (!mine.empty()) {
-    std::memcpy(mine.data(), packed.data() + header + skip * sizeof(T),
-                lengths[me] * sizeof(T));
-  }
-  return mine;
-}
-
-template <typename T>
-std::vector<std::vector<T>> alltoallv(Rank& self, const Comm& comm,
-                                      const std::vector<std::vector<T>>& send) {
-  if (static_cast<int>(send.size()) != comm.size()) {
-    throw std::logic_error("alltoallv: send must have comm.size() vectors");
-  }
-  // Marshal like scatterv: per-destination lengths header plus payloads.
-  std::vector<std::uint64_t> lengths;
-  lengths.reserve(send.size());
-  for (const auto& row : send) lengths.push_back(row.size());
-  std::vector<std::byte> contribution = detail::to_bytes(lengths);
-  for (const auto& row : send) {
-    const auto bytes = detail::to_bytes(row);
-    contribution.insert(contribution.end(), bytes.begin(), bytes.end());
-  }
-  auto all = coll_run(self, comm, CollKind::Alltoall, contribution);
-  const auto me = static_cast<std::size_t>(coll_local_rank(self, comm));
-  const std::size_t header = static_cast<std::size_t>(comm.size()) * 8;
-  std::vector<std::vector<T>> result(all->size());
-  for (std::size_t j = 0; j < all->size(); ++j) {
-    const auto packed = (*all)[j];
-    std::vector<std::uint64_t> row_lengths(static_cast<std::size_t>(comm.size()));
-    std::memcpy(row_lengths.data(), packed.data(), header);
-    std::uint64_t skip = 0;
-    for (std::size_t i = 0; i < me; ++i) skip += row_lengths[i];
-    result[j].resize(row_lengths[me]);
-    if (row_lengths[me] > 0) {
-      std::memcpy(result[j].data(),
-                  packed.data() + header + skip * sizeof(T),
-                  row_lengths[me] * sizeof(T));
     }
   }
   return result;

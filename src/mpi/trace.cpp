@@ -4,43 +4,31 @@
 #include <array>
 #include <ostream>
 #include <sstream>
+#include <vector>
 
 #include "mpi/runtime.hpp"
 
 namespace parcoll::mpi {
 
-const std::vector<TraceEvent>& Tracer::events() const {
-  if (dirty_) {
-    events_.clear();
-    for (const obs::Span& span : store_.spans()) {
-      if (span.kind == obs::SpanKind::Phase) {
-        events_.push_back(
-            TraceEvent{span.rank, span.cat, span.begin, span.end});
-      }
-    }
-    dirty_ = false;
-  }
-  return events_;
-}
-
 void Tracer::write_csv(std::ostream& os) const {
   os << "rank,category,begin,end\n";
-  for (const TraceEvent& event : events()) {
-    os << event.rank << ',' << to_string(event.cat) << ',' << event.begin
-       << ',' << event.end << '\n';
+  for (const obs::Span& span : store_.spans()) {
+    if (span.kind != obs::SpanKind::Phase) continue;
+    os << span.rank << ',' << to_string(span.cat) << ',' << span.begin << ','
+       << span.end << '\n';
   }
 }
 
 std::string Tracer::gantt(int width, int max_ranks) const {
-  const std::vector<TraceEvent>& evs = events();
-  if (evs.empty() || width <= 0) {
-    return "(no trace events)\n";
-  }
   double horizon = 0;
   int nranks = 0;
-  for (const TraceEvent& event : evs) {
-    horizon = std::max(horizon, event.end);
-    nranks = std::max(nranks, event.rank + 1);
+  for (const obs::Span& span : store_.spans()) {
+    if (span.kind != obs::SpanKind::Phase) continue;
+    horizon = std::max(horizon, span.end);
+    nranks = std::max(nranks, span.rank + 1);
+  }
+  if (nranks == 0 || width <= 0) {
+    return "(no trace events)\n";
   }
   const int rows = std::min(nranks, max_ranks);
   const double bin = horizon / width;
@@ -48,16 +36,16 @@ std::string Tracer::gantt(int width, int max_ranks) const {
   // Per (row, bin): time per category; pick the dominant one.
   std::vector<std::array<double, kNumTimeCats>> cells(
       static_cast<std::size_t>(rows * width));
-  for (const TraceEvent& event : evs) {
-    if (event.rank >= rows) continue;
-    const int first = std::min(width - 1, static_cast<int>(event.begin / bin));
-    const int last = std::min(width - 1, static_cast<int>(event.end / bin));
+  for (const obs::Span& span : store_.spans()) {
+    if (span.kind != obs::SpanKind::Phase || span.rank >= rows) continue;
+    const int first = std::min(width - 1, static_cast<int>(span.begin / bin));
+    const int last = std::min(width - 1, static_cast<int>(span.end / bin));
     for (int b = first; b <= last; ++b) {
-      const double lo = std::max(event.begin, b * bin);
-      const double hi = std::min(event.end, (b + 1) * bin);
+      const double lo = std::max(span.begin, b * bin);
+      const double hi = std::min(span.end, (b + 1) * bin);
       if (hi > lo) {
-        cells[static_cast<std::size_t>(event.rank * width + b)]
-             [static_cast<std::size_t>(event.cat)] += hi - lo;
+        cells[static_cast<std::size_t>(span.rank * width + b)]
+             [static_cast<std::size_t>(span.cat)] += hi - lo;
       }
     }
   }

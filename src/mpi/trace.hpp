@@ -3,18 +3,16 @@
 // When enabled on a World, every charge to a rank's TimeAccount records a
 // Phase leaf in a hierarchical span store (obs::SpanStore): collective
 // calls, ParColl subgroups, and exchange/I-O cycles open enclosing spans,
-// so each interval knows *which cycle of which call* produced it. The
-// original flat TraceEvent list, the CSV export, and the text Gantt chart
-// survive as views over the Phase leaves — which still make the collective
-// wall visible: synchronization intervals piling up behind the slowest
-// rank of each cycle. The span tree additionally feeds the Chrome-trace
-// exporter and the wall-report analysis (src/obs/).
+// so each interval knows *which cycle of which call* produced it. The CSV
+// export and the text Gantt chart read the Phase leaves — which still make
+// the collective wall visible: synchronization intervals piling up behind
+// the slowest rank of each cycle. The span tree additionally feeds the
+// Chrome-trace exporter and the wall-report analysis (src/obs/).
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "mpi/timecat.hpp"
 #include "obs/span.hpp"
@@ -22,13 +20,6 @@
 namespace parcoll::mpi {
 
 class Rank;
-
-struct TraceEvent {
-  int rank = 0;
-  TimeCat cat = TimeCat::Compute;
-  double begin = 0;
-  double end = 0;
-};
 
 class Tracer {
  public:
@@ -40,7 +31,6 @@ class Tracer {
   void record(std::uint64_t stream, int rank, TimeCat cat, double begin,
               double end) {
     store_.leaf(stream, rank, cat, begin, end);
-    dirty_ = true;
   }
   void record(int rank, TimeCat cat, double begin, double end) {
     record(static_cast<std::uint64_t>(rank), rank, cat, begin, end);
@@ -50,17 +40,10 @@ class Tracer {
   [[nodiscard]] const obs::SpanStore& spans() const { return store_; }
   [[nodiscard]] obs::SpanStore& spans() { return store_; }
 
-  /// Flat view of the Phase leaves, in recording order — the historical
-  /// TraceEvent interface. Rebuilt lazily after new recordings.
-  [[nodiscard]] const std::vector<TraceEvent>& events() const;
+  void clear() { store_.clear(); }
 
-  void clear() {
-    store_.clear();
-    events_.clear();
-    dirty_ = false;
-  }
-
-  /// CSV: rank,category,begin,end (header included).
+  /// CSV of the Phase leaves in recording order: rank,category,begin,end
+  /// (header included).
   void write_csv(std::ostream& os) const;
 
   /// Text Gantt chart: one row per rank (up to `max_ranks`), `width` time
@@ -71,8 +54,6 @@ class Tracer {
 
  private:
   obs::SpanStore store_;
-  mutable std::vector<TraceEvent> events_;
-  mutable bool dirty_ = false;
 };
 
 /// RAII structural span: opens a Call/Subgroup/Stage span on construction

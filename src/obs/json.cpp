@@ -1,5 +1,6 @@
 #include "obs/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -97,20 +98,28 @@ void append_double(std::string& out, double v) {
     out += "null";  // JSON has no NaN/Inf
     return;
   }
+  // The shortest %g form that reads back as v. std::to_chars finds the
+  // fewest significant digits that can; %g at that precision rounds to the
+  // nearest number of that length, which reads back too, except beside a
+  // power of two, where the shortest digits need not be the nearest ones
+  // and %g needs one digit more.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Trim to the shortest representation that round-trips.
-  for (int precision = 1; precision < 17; ++precision) {
-    char shorter[32];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", precision, v);
+  const char* const shortest =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::scientific)
+          .ptr;
+  int precision = 0;
+  for (const char* c = buf; c != shortest && *c != 'e'; ++c) {
+    precision += *c >= '0' && *c <= '9' ? 1 : 0;
+  }
+  for (;; ++precision) {
+    const int length = std::snprintf(buf, sizeof buf, "%.*g", precision, v);
     double back = 0;
-    std::sscanf(shorter, "%lf", &back);
-    if (back == v) {
-      out += shorter;
+    std::from_chars(buf, buf + length, back);
+    if (back == v || precision >= 17) {
+      out.append(buf, static_cast<std::size_t>(length));
       return;
     }
   }
-  out += buf;
 }
 
 }  // namespace

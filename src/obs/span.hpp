@@ -5,8 +5,7 @@
 // opens a Subgroup span per subgroup membership; the ext2ph engine opens a
 // Stage span per plan/exchange-cycle/finalize step; every TimeAccount
 // charge lands as a Phase leaf under whatever span is open on that rank.
-// The flat per-rank TraceEvent list of the original profiler is now just a
-// projection of the Phase leaves (see mpi::Tracer).
+// The per-rank CSV and Gantt views read the Phase leaves (see mpi::Tracer).
 //
 // Identifiers are 1-based; parent 0 means "root" (no enclosing span).
 // Spans never affect simulated time: opening/closing reads the clock, it

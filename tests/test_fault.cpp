@@ -24,6 +24,7 @@
 #include "fs/ost.hpp"
 #include "mpi/collectives.hpp"
 #include "mpiio/file.hpp"
+#include "obs/metrics.hpp"
 #include "workloads/ior.hpp"
 #include "workloads/pattern.hpp"
 
@@ -507,6 +508,43 @@ TEST(FaultRecovery, IndependentCallsFoldFaultsIntoFileStats) {
     EXPECT_EQ(run.stats.fault_retries, run.faults.retries) << name;
     EXPECT_EQ(run.stats.fault_drops, run.faults.drops) << name;
     EXPECT_EQ(run.stats.fault_failovers, run.faults.failovers) << name;
+  }
+}
+
+/// Per-OST metrics credit the OST that served each RPC. Rank r writes one
+/// 4 MiB stripe, so OST r gets it; OST 3 is down for the whole run, so its
+/// stripe fails over to OST 4, and the registry's per-OST RPC and byte
+/// counts must still match what every OST served.
+TEST(FaultRecovery, PerOstMetricsCreditTheServingOst) {
+  constexpr int kRanks = 8;
+  constexpr std::uint64_t kStripe = 4ull << 20;
+  mpi::World world(machine::MachineModel::jaguar(kRanks));
+  const obs::MetricsRegistry& metrics = world.enable_metrics();
+  world.set_fault(fault::FaultPlan::parse(
+      "seed=7;ost-outage=3:0:1000;timeout=0.005;backoff=0.001:0.01;"
+      "max-retries=1"));
+  world.run([&](mpi::Rank& self) {
+    mpiio::FileHandle file(self, self.comm_world(), "per_ost.dat");
+    std::vector<std::byte> data(kStripe);
+    core::write_at_all(file, static_cast<std::uint64_t>(self.rank()) * kStripe,
+                       data.data(), 1, dtype::Datatype::bytes(kStripe));
+    file.close();
+  });
+  const auto counter = [&](const char* name, int ost) -> std::uint64_t {
+    const auto it =
+        metrics.counters().find(obs::MetricsRegistry::indexed(name, ost));
+    return it == metrics.counters().end() ? 0 : it->second;
+  };
+  const fs::LustreSim& lustre = world.fs();
+  EXPECT_GT(world.fault_state().total().failovers, 0u);
+  EXPECT_EQ(lustre.ost(3).rpcs_served(), 0u);
+  EXPECT_GT(lustre.ost(4).rpcs_served(), 0u);
+  for (int i = 0; i < lustre.num_osts(); ++i) {
+    const auto ost = static_cast<std::size_t>(i);
+    EXPECT_EQ(counter("fs.ost.rpcs", i), lustre.ost(ost).rpcs_served())
+        << "OST " << i;
+    EXPECT_EQ(counter("fs.ost.bytes", i), lustre.ost(ost).bytes_served())
+        << "OST " << i;
   }
 }
 

@@ -55,21 +55,6 @@ TEST(Collectives, AllgatherDeliversEveryValue) {
   }
 }
 
-TEST(Collectives, AllgathervVariableLengths) {
-  World world = make_world(3);
-  std::vector<std::vector<std::vector<int>>> results(3);
-  world.run([&](Rank& self) {
-    std::vector<int> mine(static_cast<std::size_t>(self.rank()), self.rank());
-    results[self.rank()] = allgatherv(self, self.comm_world(), mine);
-  });
-  for (int r = 0; r < 3; ++r) {
-    ASSERT_EQ(results[r].size(), 3u);
-    EXPECT_TRUE(results[r][0].empty());
-    EXPECT_EQ(results[r][1], (std::vector<int>{1}));
-    EXPECT_EQ(results[r][2], (std::vector<int>{2, 2}));
-  }
-}
-
 TEST(Collectives, BcastFromNonzeroRoot) {
   World world = make_world(4);
   std::vector<int> results(4, -1);
@@ -80,15 +65,17 @@ TEST(Collectives, BcastFromNonzeroRoot) {
   EXPECT_EQ(results, (std::vector<int>{777, 777, 777, 777}));
 }
 
-TEST(Collectives, GathervOnlyRootReceives) {
-  World world = make_world(3);
-  std::vector<std::size_t> sizes(3, 99);
+TEST(Collectives, GatherOnlyRootReceives) {
+  World world = make_world(4);
+  std::vector<std::size_t> sizes(4, 99);
+  std::vector<int> at_root;
   world.run([&](Rank& self) {
-    std::vector<int> mine{self.rank()};
-    const auto gathered = gatherv(self, self.comm_world(), 1, mine);
+    const auto gathered = gather(self, self.comm_world(), 2, self.rank() * 3);
     sizes[self.rank()] = gathered.size();
+    if (self.rank() == 2) at_root = gathered;
   });
-  EXPECT_EQ(sizes, (std::vector<std::size_t>{0, 3, 0}));
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{0, 0, 4, 0}));
+  EXPECT_EQ(at_root, (std::vector<int>{0, 3, 6, 9}));
 }
 
 TEST(Collectives, AlltoallPersonalizedExchange) {
@@ -202,11 +189,12 @@ TEST(Collectives, SparseAlltoallRejectsUnorderedDestinations) {
 TEST(Collectives, AllreduceSumMaxMin) {
   World world = make_world(6);
   std::vector<std::array<long, 3>> results(6);
+  const auto min_of = [](long a, long b) { return b < a ? b : a; };
   world.run([&](Rank& self) {
     const long value = self.rank() + 1;
     results[self.rank()] = {allreduce_sum(self, self.comm_world(), value),
                             allreduce_max(self, self.comm_world(), value),
-                            allreduce_min(self, self.comm_world(), value)};
+                            allreduce(self, self.comm_world(), value, min_of)};
   });
   for (const auto& [sum, max, min] : results) {
     EXPECT_EQ(sum, 21);
@@ -245,6 +233,7 @@ TEST(Collectives, AllreduceEqualsThePerRankFoldBitForBit) {
   ASSERT_NE(std::bit_cast<std::uint64_t>(forward[0]),
             std::bit_cast<std::uint64_t>(backward[0]));
 
+  const auto min_of = [](double a, double b) { return b < a ? b : a; };
   World world = make_world(kRanks);
   std::vector<std::array<double, 3>> over_world(kRanks);
   std::vector<std::array<double, 3>> over_split(kRanks);
@@ -253,11 +242,11 @@ TEST(Collectives, AllreduceEqualsThePerRankFoldBitForBit) {
     const Comm& all = self.comm_world();
     over_world[self.rank()] = {allreduce_sum(self, all, mine),
                                allreduce_max(self, all, mine),
-                               allreduce_min(self, all, mine)};
+                               allreduce(self, all, mine, min_of)};
     const Comm reversed = comm_split(self, all, 0, kRanks - self.rank());
     over_split[self.rank()] = {allreduce_sum(self, reversed, mine),
                                allreduce_max(self, reversed, mine),
-                               allreduce_min(self, reversed, mine)};
+                               allreduce(self, reversed, mine, min_of)};
   });
   for (int r = 0; r < kRanks; ++r) {
     for (std::size_t k = 0; k < 3; ++k) {
@@ -278,9 +267,9 @@ TEST(Collectives, BuildRunsOnceAndEveryMemberSharesItsResult) {
   std::vector<std::shared_ptr<const long>> results(kRanks);
   world.run([&](Rank& self) {
     self.busy(TimeCat::Compute, 1e-3 * ((self.rank() * 7) % 5));
+    const long mine = self.rank();
     results[self.rank()] = coll_build<long>(
-        self, self.comm_world(), CollKind::Allgather,
-        detail::to_bytes(static_cast<long>(self.rank())),
+        self, self.comm_world(), CollKind::Allgather, detail::bytes_of(mine),
         [&](const CollContribs& all) {
           ++builds;
           long sum = 0;
@@ -306,7 +295,8 @@ TEST(Collectives, BuildLeavesTheCallsChargeAlone) {
     std::vector<double> done(kRanks);
     world.run([&](Rank& self) {
       self.busy(TimeCat::Compute, 1e-3 * ((self.rank() * 7) % 5));
-      const auto contribution = detail::to_bytes(self.rank());
+      const int mine = self.rank();
+      const auto contribution = detail::bytes_of(mine);
       if (build) {
         coll_build<int>(self, self.comm_world(), CollKind::Allgather,
                         contribution,
@@ -328,16 +318,6 @@ TEST(Collectives, BuildLeavesTheCallsChargeAlone) {
   const auto built = run(true);
   EXPECT_EQ(built.first, plain.first);
   EXPECT_EQ(built.second, plain.second);
-}
-
-TEST(Collectives, ExscanSumPrefixes) {
-  World world = make_world(5);
-  std::vector<std::uint64_t> results(5);
-  world.run([&](Rank& self) {
-    results[self.rank()] =
-        exscan_sum(self, self.comm_world(), std::uint64_t{10});
-  });
-  EXPECT_EQ(results, (std::vector<std::uint64_t>{0, 10, 20, 30, 40}));
 }
 
 TEST(Collectives, BackToBackCollectivesKeepSequence) {
@@ -380,7 +360,7 @@ TEST(CollectiveCost, SingleRankIsFree) {
   const machine::NetworkParams net;
   for (CollKind kind : {CollKind::Barrier, CollKind::Bcast, CollKind::Gather,
                         CollKind::Allgather, CollKind::Alltoall,
-                        CollKind::Allreduce, CollKind::Scan}) {
+                        CollKind::Allreduce}) {
     EXPECT_DOUBLE_EQ(coll_cost(net, kind, 1, 1000, 1000), 0.0);
   }
 }
@@ -446,6 +426,39 @@ TEST(CommSplit, NestedSplitWorks) {
     sizes[self.rank()] = quarter.size();
   });
   EXPECT_EQ(sizes, std::vector<int>(8, 2));
+}
+
+TEST(CommSplit, OneColorCopyIsolatesTraffic) {
+  // One color keyed by local rank copies the communicator: same members
+  // and order, a fresh context id.
+  World world = make_world(4);
+  world.run([&](Rank& self) {
+    const Comm copy = comm_split(self, self.comm_world(), 0, self.rank());
+    EXPECT_EQ(copy.size(), 4);
+    EXPECT_EQ(copy.local_rank(self.rank()), self.rank());
+    EXPECT_NE(copy.context_id(), self.comm_world().context_id());
+    // Collectives on the two communicators interleave freely.
+    const auto a = allgather(self, copy, self.rank());
+    const auto b = allgather(self, self.comm_world(), self.rank() * 2);
+    EXPECT_EQ(a[2], 2);
+    EXPECT_EQ(b[2], 4);
+  });
+}
+
+TEST(CommSplit, CollectivesComposeAcrossSubcommunicators) {
+  World world = make_world(8);
+  std::vector<int> results(8);
+  world.run([&](Rank& self) {
+    const Comm half =
+        comm_split(self, self.comm_world(), self.rank() % 2, self.rank());
+    // Broadcast within the half, then reduce the results globally.
+    const int mine = bcast(self, half, 0, 10 + half.local_rank(self.rank()));
+    results[self.rank()] = allreduce_sum(self, self.comm_world(), mine);
+  });
+  // Both halves broadcast their root's 10: global sum = 8 * 10.
+  for (int r = 0; r < 8; ++r) {
+    EXPECT_EQ(results[r], 80);
+  }
 }
 
 TEST(Collectives, SmallerGroupsSynchronizeCheaper) {

@@ -146,7 +146,8 @@ TEST(NodeComm, BuiltOncePerCommunicator) {
     again[r] = view.layout.get();
     node_index[r] = view.my_node_index;
     spread[r] = node_comm_of(self, node::LeaderPolicy::Spread).layout.get();
-    const mpi::Comm copy = mpi::comm_dup(self, self.comm_world());
+    const mpi::Comm copy = mpi::comm_split(
+        self, self.comm_world(), 0, self.comm_world().local_rank(self.rank()));
     dup[r] = node::make_node_comm(self, copy, self.world().model().topology,
                                   node::LeaderPolicy::Lowest)
                  .layout.get();

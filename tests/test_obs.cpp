@@ -77,6 +77,26 @@ TEST(Json, NonFiniteDoublesSerializeAsNull) {
   EXPECT_EQ(doc.dump(), "{\"inf\":null}");
 }
 
+TEST(Json, DoublesDumpAsTheShortestGFormThatReadsBack) {
+  const auto dumped = [](double v) { return JsonValue(v).dump(); };
+  EXPECT_EQ(dumped(0.0), "0");
+  EXPECT_EQ(dumped(-0.0), "-0");
+  EXPECT_EQ(dumped(0.1), "0.1");
+  EXPECT_EQ(dumped(1.0 / 3.0), "0.3333333333333333");
+  EXPECT_EQ(dumped(1e-05), "1e-05");
+  EXPECT_EQ(dumped(1e+05), "1e+05");
+  EXPECT_EQ(dumped(123456.0), "123456");
+  EXPECT_EQ(dumped(1e16), "1e+16");
+  EXPECT_EQ(dumped(1e17), "1e+17");
+  EXPECT_EQ(dumped(123456789012345678.0), "1.2345678901234568e+17");
+  EXPECT_EQ(dumped(5e-324), "5e-324");
+  EXPECT_EQ(dumped(std::numeric_limits<double>::max()),
+            "1.7976931348623157e+308");
+  // A power of two whose 16 shortest digits are not its nearest 16: %g
+  // needs the 17th.
+  EXPECT_EQ(dumped(std::ldexp(1.0, -1017)), "7.1202363472230444e-307");
+}
+
 TEST(Json, SetOverwritesExistingKey) {
   JsonValue doc = JsonValue::object();
   doc.set("k", 1).set("k", 2);

@@ -23,11 +23,13 @@
 // any deterministic perf key worsened by more than PCT percent. Only
 // virtual-time metrics are gated (bandwidth, elapsed, durability, latency
 // quantiles) — host-wall throughput (events_per_s, wall_s, ...) varies
-// machine to machine and is reported but never gated. One host-cost proxy
-// is gated exactly: `events`, the number of events a simulated run
-// executed, repeats bit for bit, so any increase fails the check whatever
-// PCT says, and a decrease is only reported. Points or keys the baseline
-// lacks are skipped, so new benches and new keys land cleanly.
+// machine to machine and is reported but never gated. Three host-cost
+// proxies are gated exactly: `events` (the events a run executed),
+// `peak_queue_depth` (the deepest the event queue grew) and
+// `stacks_allocated` (fiber stacks the pool had to allocate) repeat bit
+// for bit, so any increase fails the check whatever PCT says, and a
+// decrease is only reported. Points or keys the baseline lacks are
+// skipped, so new benches and new keys land cleanly.
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -86,11 +88,11 @@ JsonValue fold_bench(const JsonValue& doc) {
             "schedules", "distinct_schedules", "invariant_checks",
             "schedules_per_s", "violations",
             // micro_engine rows: DES engine scaling trend signal.
-            "events_per_s", "wall_s", "peak_queue_depth",
-            "stacks_allocated", "stacks_reused", "peak_rss_mib",
+            "events_per_s", "wall_s", "stacks_reused", "peak_rss_mib",
             "speedup_vs_seed", "bit_identical", "allocs_per_rank_call",
-            // every simulated run: the schedule's size (gated exactly).
-            "events"}) {
+            // every simulated run: the schedule's size and the engine's
+            // footprint (gated exactly).
+            "events", "peak_queue_depth", "stacks_allocated"}) {
         const JsonValue* value = point.find(key);
         if (value != nullptr) row.set(key, *value);
       }
@@ -116,6 +118,11 @@ constexpr GatedKey kGatedKeys[] = {
     {"durable_elapsed_s", false}, {"rpc_p99_s", false},
     {"cycle_p99_s", false},
 };
+
+/// Host-cost counts a run repeats bit for bit: any increase is a
+/// regression whatever the percentage gate, and a decrease is reported.
+constexpr const char* kExactKeys[] = {"events", "peak_queue_depth",
+                                      "stacks_allocated"};
 
 const JsonValue* find_bench(const JsonValue& run, const std::string& name) {
   const JsonValue* benches = run.find("benches");
@@ -172,19 +179,20 @@ int check_regression(const JsonValue& fresh, const JsonValue& baseline_run,
         ++skipped;
         continue;
       }
-      if (const JsonValue* fresh_events = point.find("events"),
-          *base_events = base_point->find("events");
-          fresh_events != nullptr && base_events != nullptr) {
-        const double now = fresh_events->as_double();
-        const double base = base_events->as_double();
+      for (const char* key : kExactKeys) {
+        const JsonValue* fresh_value = point.find(key);
+        const JsonValue* base_value = base_point->find(key);
+        if (fresh_value == nullptr || base_value == nullptr) continue;
+        const double now = fresh_value->as_double();
+        const double base = base_value->as_double();
         ++compared;
         if (now != base) {
           const bool worse = now > base;
           regressions += worse ? 1 : 0;
-          std::printf("  %s %s %s[n=%g] events: %.0f -> %.0f\n",
-                      worse ? "REGRESSION" : "fewer events:", name.c_str(),
-                      series->as_string().c_str(), nprocs->as_double(), base,
-                      now);
+          std::printf("  %s %s %s[n=%g] %s: %.0f -> %.0f\n",
+                      worse ? "REGRESSION" : "lower:", name.c_str(),
+                      series->as_string().c_str(), nprocs->as_double(), key,
+                      base, now);
         }
       }
       for (const GatedKey& gated : kGatedKeys) {
@@ -211,7 +219,7 @@ int check_regression(const JsonValue& fresh, const JsonValue& baseline_run,
     }
   }
   std::printf("  %d value(s) compared, %d point(s) without baseline, "
-              "%d regression(s) (events exact, the rest beyond %.2f%%)\n",
+              "%d regression(s) (counts exact, the rest beyond %.2f%%)\n",
               compared, skipped, regressions, pct);
   return regressions;
 }

@@ -477,8 +477,12 @@ int main(int argc, char** argv) {
     if (!trace_path.empty()) {
       std::ofstream os(trace_path);
       result.trace->write_csv(os);
-      std::printf("trace     : %zu intervals -> %s\n",
-                  result.trace->events().size(), trace_path.c_str());
+      std::size_t intervals = 0;
+      for (const obs::Span& span : result.trace->spans().spans()) {
+        intervals += span.kind == obs::SpanKind::Phase ? 1 : 0;
+      }
+      std::printf("trace     : %zu intervals -> %s\n", intervals,
+                  trace_path.c_str());
     }
     if (!trace_json_path.empty()) {
       std::ofstream os(trace_json_path);
