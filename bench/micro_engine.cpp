@@ -10,6 +10,7 @@
 //     matter — and the bench exits non-zero so CI fails.
 //
 //  2. Engine scaling: a synthetic sleep-storm at 1k/10k/100k ranks, a
+//     10k-rank lockstep phase whose wakes all share one time per round, a
 //     spawn-churn phase that exercises the fiber stack pool, a ParColl IOR
 //     run at scale, and the plain-ext2ph baseline at 10k ranks, whose
 //     event count and virtual elapsed are pinned too (exit non-zero on
@@ -21,8 +22,8 @@
 //     this binary only). Deterministic, so the run exits non-zero as soon
 //     as a change puts allocations back on the collective hot path.
 //
-// --smoke keeps the rank counts CI-sized (drops the 100k tier, and runs
-// the ext2ph baseline at 4096 ranks).
+// --smoke keeps the rank counts CI-sized (drops the 100k tier, runs the
+// lockstep phase for 10 rounds, and the ext2ph baseline at 4096 ranks).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -220,6 +221,24 @@ sim::EngineStats sleep_storm(int nranks, int rounds) {
   return engine.stats();
 }
 
+/// Lockstep: every rank sleeps the same duration each round, so each
+/// round's wakes share one time, as the members of a collective do when
+/// its last arriver wakes them. Each push lands at the time of the push
+/// before it: the run queue's append path. (The storm's random times are
+/// the other extreme, where every event starts a run of its own.)
+sim::EngineStats lockstep(int nranks, int rounds) {
+  sim::Engine engine;
+  for (int i = 0; i < nranks; ++i) {
+    engine.spawn([&engine, rounds] {
+      for (int k = 0; k < rounds; ++k) {
+        engine.sleep(1e-6);
+      }
+    });
+  }
+  engine.run();
+  return engine.stats();
+}
+
 /// Spawn churn: `total` short-lived fibers with at most `width` alive at a
 /// time. Steady state must serve stacks from the pool, not the allocator.
 sim::EngineStats spawn_churn(int total, int width) {
@@ -257,7 +276,7 @@ int main(int argc, char** argv) {
   bench::BenchReport report("micro_engine", argc, argv);
 
   bench::header("micro_engine",
-                "DES engine scaling: binary-heap queue, arena events, pooled "
+                "DES engine scaling: run queue, arena events, pooled "
                 "small-stack fibers");
 
   std::printf("bit-identity gate (sequential mode vs pre-PR pins):\n");
@@ -295,6 +314,18 @@ int main(int argc, char** argv) {
     std::printf("  speedup at 10k ranks vs pre-PR engine: %.1fx "
                 "(pinned baseline %.0f ev/s)\n",
                 events_per_s_10k / kSeedEventsPerSec10k, kSeedEventsPerSec10k);
+  }
+
+  {
+    const int nranks = 10000;
+    const int rounds = smoke ? 10 : 50;
+    const sim::EngineStats stats = lockstep(nranks, rounds);
+    std::printf("lockstep (%d sleeps/rank, one wake time per round):\n",
+                rounds);
+    print_engine_row("lockstep-10k", nranks, stats);
+    std::vector<std::pair<std::string, double>> extras = engine_extras(stats);
+    extras.emplace_back("events", (double)stats.events_executed);
+    report.add_host("lockstep-10k", nranks, extras);
   }
 
   {

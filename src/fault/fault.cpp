@@ -1,6 +1,7 @@
 #include "fault/fault.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -46,6 +47,11 @@ double to_double(const std::string& value, const std::string& key) {
     std::size_t used = 0;
     const double parsed = std::stod(value, &used);
     if (used != value.size()) bad("trailing characters in " + key);
+    // stod reads "nan" and "inf"; no field means either, and both would
+    // reach the virtual clock.
+    if (!std::isfinite(parsed)) {
+      bad("non-finite number for " + key + ": " + value);
+    }
     return parsed;
   } catch (const std::invalid_argument&) {
     bad("bad number for " + key + ": " + value);
@@ -202,6 +208,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       if (plan.rpc_delay_prob < 0 || plan.rpc_delay_prob > 1) {
         bad("rpc-delay probability out of range");
       }
+      if (plan.rpc_delay_seconds < 0) bad("rpc-delay seconds must be >= 0");
     } else if (key == "rpc-corrupt") {
       plan.rpc_corrupt_prob = to_double(value, key);
       if (plan.rpc_corrupt_prob < 0 || plan.rpc_corrupt_prob > 1) {

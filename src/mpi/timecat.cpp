@@ -4,11 +4,8 @@
 
 namespace parcoll::mpi {
 
-void TimeAccount::add(TimeCat cat, double dt) {
-  breakdown_.seconds[static_cast<std::size_t>(cat)] += dt;
-  if (tracer_ != nullptr && now_ != nullptr) {
-    tracer_->record(stream_, rank_, cat, *now_ - dt, *now_);
-  }
+void TimeAccount::trace(TimeCat cat, double dt) {
+  tracer_->record(stream_, rank_, cat, *now_ - dt, *now_);
 }
 
 const char* to_string(TimeCat cat) {

@@ -63,12 +63,19 @@ class TimeAccount {
     attach_tracer(tracer, now, rank, static_cast<std::uint64_t>(rank));
   }
 
-  void add(TimeCat cat, double dt);
+  /// Charge `dt` seconds to `cat`. Inline: every blocking call charges,
+  /// so only the traced path leaves the caller.
+  void add(TimeCat cat, double dt) {
+    breakdown_.seconds[static_cast<std::size_t>(cat)] += dt;
+    if (tracer_ != nullptr && now_ != nullptr) trace(cat, dt);
+  }
 
   void reset() { breakdown_ = TimeBreakdown{}; }
   [[nodiscard]] const TimeBreakdown& breakdown() const { return breakdown_; }
 
  private:
+  void trace(TimeCat cat, double dt);
+
   TimeBreakdown breakdown_;
   Tracer* tracer_ = nullptr;
   const double* now_ = nullptr;

@@ -1,5 +1,6 @@
 #include "mpiio/hints.hpp"
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -16,6 +17,15 @@ std::vector<int> parse_int_list(const std::string& value) {
     }
   }
   return out;
+}
+/// stod, refusing "nan" and "inf", which pass every range check below.
+double parse_finite(const std::string& key, const std::string& value) {
+  const double parsed = std::stod(value);
+  if (!std::isfinite(parsed)) {
+    throw std::invalid_argument("Hints::set: " + key +
+                                " must be finite (got " + value + ")");
+  }
+  return parsed;
 }
 std::string format_int_list(const std::vector<int>& values) {
   std::string out;
@@ -104,14 +114,14 @@ void Hints::set(const std::string& key, const std::string& value) {
   } else if (key == "bb_drain") {
     bb.policy = bb::parse_drain_policy(value);
   } else if (key == "bb_hi_watermark") {
-    bb.hi_watermark = std::stod(value);
+    bb.hi_watermark = parse_finite(key, value);
     if (bb.hi_watermark < 0 || bb.hi_watermark > 1) {
       throw std::invalid_argument(
           "Hints::set: bb_hi_watermark must be a capacity fraction in "
           "[0, 1] (got " + value + ")");
     }
   } else if (key == "bb_lo_watermark") {
-    bb.lo_watermark = std::stod(value);
+    bb.lo_watermark = parse_finite(key, value);
     if (bb.lo_watermark < 0 || bb.lo_watermark > 1) {
       throw std::invalid_argument(
           "Hints::set: bb_lo_watermark must be a capacity fraction in "
@@ -138,7 +148,7 @@ void Hints::set(const std::string& key, const std::string& value) {
       throw std::invalid_argument("Hints::set: bad scrub value: " + value);
     }
   } else if (key == "bb_deadline") {
-    bb.drain_deadline = std::stod(value);
+    bb.drain_deadline = parse_finite(key, value);
     if (bb.drain_deadline <= 0) {
       throw std::invalid_argument(
           "Hints::set: bb_deadline must be positive (got " + value + ")");

@@ -16,8 +16,9 @@ inline constexpr int kTimelineVersion = 1;
 
 TimeSeriesSampler::TimeSeriesSampler(double interval, std::size_t max_samples)
     : interval_(interval), max_samples_(std::max<std::size_t>(max_samples, 8)) {
-  if (interval <= 0.0) {
-    throw std::invalid_argument("TimeSeriesSampler: interval must be > 0");
+  if (!std::isfinite(interval) || interval <= 0.0) {
+    throw std::invalid_argument(
+        "TimeSeriesSampler: interval must be finite and > 0");
   }
 }
 

@@ -58,8 +58,9 @@ class TimeSeriesSampler {
  public:
   using ProbeId = std::size_t;
 
-  /// `interval` is the virtual-time spacing of ticks (> 0); `max_samples`
-  /// caps retained samples per series before decimation kicks in.
+  /// `interval` is the virtual-time spacing of ticks (finite, > 0);
+  /// `max_samples` caps retained samples per series before decimation
+  /// kicks in.
   explicit TimeSeriesSampler(double interval, std::size_t max_samples = 4096);
 
   /// Register a probe. Probes registered after sampling started get zero

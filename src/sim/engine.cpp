@@ -1,11 +1,24 @@
 #include "sim/engine.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 namespace parcoll::sim {
+
+namespace {
+
+/// The run queue compares times for equality and order, so a NaN would
+/// land anywhere in it without notice, and an infinity never comes due.
+void require_finite(double t, const char* where) {
+  if (!std::isfinite(t)) {
+    throw std::logic_error(std::string(where) + ": non-finite time");
+  }
+}
+
+}  // namespace
 
 ProcId Engine::spawn(std::function<void()> body, std::size_t stack_bytes) {
   if (stack_bytes == 0) {
@@ -60,6 +73,7 @@ void Engine::schedule_resume(double t, ProcId pid) {
 }
 
 void Engine::post(double t, SmallCallback fn) {
+  require_finite(t, "Engine::post");
   if (t < now_) {
     throw std::logic_error("Engine::post: time in the past");
   }
@@ -170,9 +184,8 @@ void Engine::run() {
           __builtin_prefetch(static_cast<const char*>(np.resume_sp) + 64);
         }
       }
-      // One more ahead, from the heap root's children: by the time that
-      // fiber restores, the deeper prefetch has had two event bodies of
-      // latency to land.
+      // One more ahead: by the time that fiber restores, the deeper
+      // prefetch has had two event bodies of latency to land.
       if (const int second = queue_.second_pid_hint(); second >= 0) {
         const Process& sp = procs_[static_cast<std::size_t>(second)];
         __builtin_prefetch(sp.fiber.get());
@@ -235,6 +248,7 @@ void Engine::sleep_until(double t) {
   if (pid == kNoProc) {
     throw std::logic_error("Engine::sleep_until outside a process");
   }
+  require_finite(t, "Engine::sleep_until");
   if (t <= now_) {
     return;  // nothing to wait for; keep running
   }
@@ -257,6 +271,7 @@ void Engine::suspend(const char* why) {
 
 void Engine::wake_at(double t, ProcId pid) {
   if (unwinding_) return;  // nothing runs again
+  require_finite(t, "Engine::wake_at");
   if (t < now_) {
     throw std::logic_error("Engine::wake_at: time in the past");
   }

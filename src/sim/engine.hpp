@@ -7,10 +7,10 @@
 // above (they reserve busy time and put the caller to sleep until the
 // reservation completes), so the engine itself stays tiny.
 //
-// Hot-path layout (see docs/PERFORMANCE.md): events are 24-byte PODs in a
-// binary min-heap (sim/event_queue.hpp), posted callbacks live in a freelist
-// arena, and rank fibers draw small pooled stacks (sim/stack_pool.hpp)
-// instead of a fresh 256 KiB allocation each.
+// Hot-path layout (see docs/PERFORMANCE.md): events are 24-byte PODs queued
+// as same-time runs (sim/event_queue.hpp), posted callbacks live in a
+// freelist arena, and rank fibers draw small pooled stacks
+// (sim/stack_pool.hpp) instead of a fresh 256 KiB allocation each.
 //
 // Determinism: events with equal timestamps are ordered by a monotone
 // sequence number, so a given program produces an identical schedule on
@@ -137,10 +137,10 @@ class Engine {
 
   // --- Calls below are only valid from inside a process fiber. ---
 
-  /// Advance this process's virtual time by `seconds` (>= 0).
+  /// Advance this process's virtual time by `seconds` (finite, >= 0).
   void sleep(double seconds);
 
-  /// Sleep until absolute virtual time `t` (no-op if t <= now()).
+  /// Sleep until absolute virtual time `t` (finite; no-op if t <= now()).
   void sleep_until(double t);
 
   /// Block until another process (or event) calls wake() on us.
@@ -150,14 +150,15 @@ class Engine {
 
   // --- Calls below are valid from anywhere. ---
 
-  /// Make a blocked process runnable again at virtual time `t` (>= now).
-  /// It is an error to wake a process that is not suspended.
+  /// Make a blocked process runnable again at virtual time `t` (finite,
+  /// >= now). It is an error to wake a process that is not suspended.
   void wake_at(double t, ProcId pid);
 
   /// Make a blocked process runnable at the current virtual time.
   void wake(ProcId pid) { wake_at(now_, pid); }
 
-  /// Run `fn` on the scheduler context at virtual time `t` (>= now).
+  /// Run `fn` on the scheduler context at virtual time `t` (finite,
+  /// >= now).
   void post(double t, SmallCallback fn);
 
   /// Monotone counter; used by models that need a deterministic

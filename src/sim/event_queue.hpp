@@ -1,19 +1,26 @@
-// Binary-heap event queue and the callback arena.
+// Run queue of engine events, and the callback arena.
 //
-// Events are 24-byte PODs kept in one vector as a binary min-heap on
-// (time, seq), so each sift moves little data. Posted callbacks live in a
-// freelist arena of SmallCallback slots, so the dominant wake/sleep events
-// carry nothing but {time, seq, pid}.
+// The simulator's events come in bursts: a collective's last arriver wakes
+// every member at one completion time, and the members then advance in
+// lockstep, so most pushes land at the timestamp of the push just before
+// them. The queue keeps such pushes together as a *run*: consecutive
+// pushes that share one timestamp, chained in push order, which is also
+// seq order. The newest run stays open, outside the heap, and a push at
+// its time appends to it in O(1), pops in between or not. Closed runs sit
+// in a binary min-heap keyed by the (time, seq) of their head event.
+// Popping the head of a closed run puts its next event at the root, where
+// inside a burst the sift moves nothing.
 //
-// A plain heap fits the simulator's traffic: there is about one pending
-// event per live fiber, and a collective's last arriver wakes every other
-// member at one completion time, so events arrive in same-time bursts that
-// no time-bucketing scheme can spread out. Every pop returns precisely the
-// (time, seq)-minimal event, so schedules, digests, and SchedulePolicy
-// choice points follow the engine's total order exactly.
+// Every pop returns precisely the (time, seq)-minimal event: each run is
+// sorted, and the heap and the open run compare their heads. A push whose
+// seq is below the open run's last one (a choice-point loser that the
+// engine re-pushes with its original seq) starts a new run. So schedules,
+// digests, and SchedulePolicy choice points follow the engine's total
+// order exactly. Run nodes come from a pool with a freelist, and posted
+// callbacks from a freelist arena of SmallCallback slots, so steady-state
+// queueing allocates nothing.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -69,50 +76,168 @@ class EventQueue {
   /// popped event — the choice-point path — keeps its original seq, and
   /// with it its exact place in the total order).
   void push(const QueuedEvent& event) {
-    heap_.push_back(event);
-    std::push_heap(heap_.begin(), heap_.end(), later);
-    if (heap_.size() > peak_depth_) peak_depth_ = heap_.size();
+    if (!open_live_) {
+      open_ = Node{event, kNil};
+      open_tail_ = kNil;
+      open_live_ = true;
+    } else if (event.time == open_.event.time && event.seq > open_last_seq_) {
+      const std::uint32_t node = take_node(event);
+      (open_tail_ == kNil ? open_.next : pool_[open_tail_].next) = node;
+      open_tail_ = node;
+    } else {
+      close_open_run();
+      open_ = Node{event, kNil};
+      open_tail_ = kNil;
+    }
+    open_last_seq_ = event.seq;
+    if (++size_ > peak_depth_) peak_depth_ = size_;
   }
 
   /// Remove and return the (time, seq)-minimal event.
   QueuedEvent pop() {
-    std::pop_heap(heap_.begin(), heap_.end(), later);
-    const QueuedEvent event = heap_.back();
-    heap_.pop_back();
+    --size_;
+    if (open_is_min()) {
+      const QueuedEvent event = open_.event;
+      if (open_.next == kNil) {
+        open_live_ = false;
+      } else {
+        const std::uint32_t next = open_.next;
+        open_ = pool_[next];
+        give_node(next);
+        if (open_.next == kNil) open_tail_ = kNil;
+      }
+      return event;
+    }
+    const QueuedEvent event = heap_[0].event;
+    const std::uint32_t next = heap_[0].next;
+    if (next != kNil) {
+      // The run's next event replaces its head; inside a burst it is still
+      // the minimum, so the sift stops at once.
+      sift_down(pool_[next]);
+      give_node(next);
+    } else {
+      const Node last = heap_.back();
+      heap_.pop_back();
+      if (!heap_.empty()) sift_down(last);
+    }
     return event;
   }
 
   /// The (time, seq)-minimal event without removing it (queue must be
   /// non-empty). The engine uses this to prefetch the next fiber's state
   /// while the current event executes.
-  [[nodiscard]] QueuedEvent peek() const { return heap_.front(); }
+  [[nodiscard]] QueuedEvent peek() const {
+    return open_is_min() ? open_.event : heap_[0].event;
+  }
 
-  /// Pid of the event after the minimal one — the lesser of the root's two
-  /// children — or -1 when there is none (or it is a callback). Prefetch
-  /// hint only; never consulted for ordering.
+  /// Pid of the event after the minimal one, or -1 when there is none (or
+  /// it is a callback). Prefetch hint only; never consulted for ordering.
   [[nodiscard]] int second_pid_hint() const {
-    if (heap_.size() < 2) return -1;
-    if (heap_.size() == 2) return heap_[1].pid;
-    return later(heap_[1], heap_[2]) ? heap_[2].pid : heap_[1].pid;
+    if (size_ < 2) return -1;
+    // The second event is the least head once the minimum is gone: the
+    // minimum's successor in its run, the other side's head, and, when the
+    // minimum tops the heap, the root's two children.
+    const QueuedEvent* second = nullptr;
+    const auto consider = [&second](const QueuedEvent& candidate) {
+      if (second == nullptr || before(candidate, *second)) second = &candidate;
+    };
+    if (open_is_min()) {
+      if (open_.next != kNil) consider(pool_[open_.next].event);
+      if (!heap_.empty()) consider(heap_[0].event);
+    } else {
+      if (heap_[0].next != kNil) consider(pool_[heap_[0].next].event);
+      if (open_live_) consider(open_.event);
+      if (heap_.size() > 1) consider(heap_[1].event);
+      if (heap_.size() > 2) consider(heap_[2].event);
+    }
+    return second->pid;
   }
 
   /// Timestamp of the minimal event (queue must be non-empty).
-  [[nodiscard]] double min_time() const { return heap_.front().time; }
+  [[nodiscard]] double min_time() const { return peek().time; }
 
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
   /// Most events ever pending at once.
   [[nodiscard]] std::size_t peak_depth() const { return peak_depth_; }
 
  private:
-  /// Heap comparator: `true` when `a` runs later than `b`, so the std heap
-  /// algorithms (max-heap by default) keep the earliest event on top.
-  static bool later(const QueuedEvent& a, const QueuedEvent& b) {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+
+  /// A run's event and the pool index of the run's next event (kNil at
+  /// the run's tail). The heap holds closed runs' heads, `open_` the open
+  /// run's head, and the pool every other event.
+  struct Node {
+    QueuedEvent event;
+    std::uint32_t next;
+  };
+
+  /// (time, seq) order, compared without branches: the sifts' outcomes
+  /// are data-dependent, so a branch per comparison mispredicts.
+  static bool before(const QueuedEvent& a, const QueuedEvent& b) {
+    return (a.time < b.time) | ((a.time == b.time) & (a.seq < b.seq));
   }
 
-  std::vector<QueuedEvent> heap_;
+  /// True when the open run's head is the minimal event.
+  [[nodiscard]] bool open_is_min() const {
+    return open_live_ &&
+           (heap_.empty() || before(open_.event, heap_[0].event));
+  }
+
+  std::uint32_t take_node(const QueuedEvent& event) {
+    std::uint32_t node = free_;
+    if (node == kNil) {
+      node = static_cast<std::uint32_t>(pool_.size());
+      pool_.push_back(Node{event, kNil});
+    } else {
+      free_ = pool_[node].next;
+      pool_[node] = Node{event, kNil};
+    }
+    return node;
+  }
+
+  void give_node(std::uint32_t node) {
+    pool_[node].next = free_;
+    free_ = node;
+  }
+
+  /// Move the open run into the heap, keyed by its head.
+  void close_open_run() {
+    heap_.push_back(open_);
+    std::size_t hole = heap_.size() - 1;
+    while (hole > 0) {
+      const std::size_t parent = (hole - 1) / 2;
+      if (!before(open_.event, heap_[parent].event)) break;
+      heap_[hole] = heap_[parent];
+      hole = parent;
+    }
+    heap_[hole] = open_;
+  }
+
+  /// Fill the root with `moving` and restore heap order below it. The
+  /// lesser child is picked by adding a comparison, not by branching.
+  void sift_down(const Node moving) {
+    const std::size_t n = heap_.size();
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+      if (child + 1 < n) {
+        child += before(heap_[child + 1].event, heap_[child].event);
+      }
+      if (!before(heap_[child].event, moving.event)) break;
+      heap_[hole] = heap_[child];
+      hole = child;
+    }
+    heap_[hole] = moving;
+  }
+
+  std::vector<Node> heap_;  // closed runs' heads, min-heap on (time, seq)
+  std::vector<Node> pool_;  // every run's events after its head, chained
+  std::uint32_t free_ = kNil;  // pool freelist, chained through next
+  Node open_{};                // the open run's head, when open_live_
+  bool open_live_ = false;
+  std::uint32_t open_tail_ = kNil;  // pool index of its last event, or kNil
+  std::uint64_t open_last_seq_ = 0;
+  std::size_t size_ = 0;
   std::size_t peak_depth_ = 0;
 };
 

@@ -101,15 +101,27 @@ TEST(BbHints, RejectsImpossibleValuesWithClearMessages) {
           << error.what();
     }
   }
-  // Deadlines must be strictly positive.
-  for (const char* bad : {"0", "-0.5"}) {
+  // Deadlines must be strictly positive and finite.
+  for (const char* bad : {"0", "-0.5", "nan", "inf", "-nan"}) {
     EXPECT_THROW(hints.set("bb_deadline", bad), std::invalid_argument)
         << "bb_deadline accepted " << bad;
   }
-  // Watermarks are fractions of the arena: [0, 1] at set time.
-  for (const char* bad : {"-0.1", "1.5"}) {
-    EXPECT_THROW(hints.set("bb_hi_watermark", bad), std::invalid_argument);
-    EXPECT_THROW(hints.set("bb_lo_watermark", bad), std::invalid_argument);
+  // Watermarks are fractions of the arena: [0, 1] at set time. A NaN
+  // passes both range tests, so it needs its own check.
+  for (const char* bad : {"-0.1", "1.5", "nan", "inf", "-inf"}) {
+    EXPECT_THROW(hints.set("bb_hi_watermark", bad), std::invalid_argument)
+        << "bb_hi_watermark accepted " << bad;
+    EXPECT_THROW(hints.set("bb_lo_watermark", bad), std::invalid_argument)
+        << "bb_lo_watermark accepted " << bad;
+  }
+  try {
+    hints.set("bb_deadline", "nan");
+    FAIL() << "bb_deadline accepted nan";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("bb_deadline"), std::string::npos)
+        << error.what();
+    EXPECT_NE(std::string(error.what()).find("finite"), std::string::npos)
+        << error.what();
   }
   // Equal watermarks leave no hysteresis band: rejected like inversion.
   mpiio::Hints equal;

@@ -1,11 +1,14 @@
 // Engine scaling layer: event queue order exactness, golden
 // bit-identity pins, stack-pool reuse under churn, WaitQueue FIFO at
-// depth, deadlock message stability, and stack-size knob validation.
+// depth, deadlock message stability, stack-size knob validation, and
+// rejection of non-finite event times.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -29,44 +32,153 @@ bool ordered_before(const QueuedEvent& a, const QueuedEvent& b) {
   return a.seq < b.seq;
 }
 
-/// Drive the event queue and a sorted reference through the same
-/// push/pop trace; every pop must return the exact (time, seq) minimum.
+struct OrderedBefore {
+  bool operator()(const QueuedEvent& a, const QueuedEvent& b) const {
+    return ordered_before(a, b);
+  }
+};
+
+/// The event queue and a sorted reference, driven through the same
+/// operations. After every push and pop the queue's whole view must match
+/// the reference: the minimum (peek, min_time), size, peak depth and the
+/// prefetch hint, which names the second event's pid (-1 for a callback or
+/// when there is none).
+class QueueHarness {
+ public:
+  void push(const QueuedEvent& event) {
+    queue_.push(event);
+    reference_.insert(event);
+    peak_ = std::max(peak_, reference_.size());
+    check();
+  }
+
+  QueuedEvent pop() {
+    const QueuedEvent want = *reference_.begin();
+    reference_.erase(reference_.begin());
+    const QueuedEvent got = queue_.pop();
+    EXPECT_EQ(got.time, want.time) << "pop " << pops_;
+    EXPECT_EQ(got.seq, want.seq) << "pop " << pops_;
+    EXPECT_EQ(got.pid, want.pid) << "pop " << pops_;
+    EXPECT_EQ(got.cb, want.cb) << "pop " << pops_;
+    ++pops_;
+    check();
+    return got;
+  }
+
+  /// Engine::pop_next under an exploring policy: pop every event tied at
+  /// the minimal time, run the `chosen`-th, re-push the others with their
+  /// original seqs.
+  QueuedEvent choice_point(std::uint64_t chosen) {
+    std::vector<QueuedEvent> ties{pop()};
+    while (!empty() && queue_.min_time() == ties.front().time) {
+      ties.push_back(pop());
+    }
+    const std::size_t pick = chosen % ties.size();
+    for (std::size_t i = 0; i < ties.size(); ++i) {
+      if (i != pick) push(ties[i]);
+    }
+    return ties[pick];
+  }
+
+  [[nodiscard]] bool empty() const { return reference_.empty(); }
+  [[nodiscard]] std::size_t size() const { return reference_.size(); }
+  [[nodiscard]] double min_time() const { return reference_.begin()->time; }
+
+ private:
+  void check() const {
+    ASSERT_EQ(queue_.size(), reference_.size()) << "after " << pops_ << " pops";
+    EXPECT_EQ(queue_.empty(), reference_.empty());
+    EXPECT_EQ(queue_.peak_depth(), peak_);
+    if (reference_.empty()) {
+      EXPECT_EQ(queue_.second_pid_hint(), -1);
+      return;
+    }
+    const QueuedEvent& first = *reference_.begin();
+    const QueuedEvent peeked = queue_.peek();
+    EXPECT_EQ(peeked.time, first.time) << "after " << pops_ << " pops";
+    EXPECT_EQ(peeked.seq, first.seq) << "after " << pops_ << " pops";
+    EXPECT_EQ(peeked.pid, first.pid);
+    EXPECT_EQ(queue_.min_time(), first.time);
+    const auto second = std::next(reference_.begin());
+    EXPECT_EQ(queue_.second_pid_hint(),
+              second == reference_.end() ? -1 : second->pid)
+        << "after " << pops_ << " pops";
+  }
+
+  EventQueue queue_;
+  std::set<QueuedEvent, OrderedBefore> reference_;
+  std::size_t peak_ = 0;
+  std::uint64_t pops_ = 0;
+};
+
+/// Feed `pushes` in order, interleaved with random pops, then drain.
 void check_against_reference(const std::vector<QueuedEvent>& pushes,
                              std::mt19937_64& rng) {
-  EventQueue queue;
-  std::vector<QueuedEvent> reference;  // kept sorted descending
+  QueueHarness harness;
   std::size_t fed = 0;
-  std::uint64_t popped = 0;
-  while (fed < pushes.size() || !queue.empty()) {
+  while (fed < pushes.size() || !harness.empty()) {
     const bool can_push = fed < pushes.size();
-    const bool do_push = can_push && (queue.empty() || (rng() & 1) != 0);
-    if (do_push) {
-      queue.push(pushes[fed]);
-      reference.push_back(pushes[fed]);
-      std::push_heap(reference.begin(), reference.end(),
-                     [](const QueuedEvent& a, const QueuedEvent& b) {
-                       return !ordered_before(a, b);
-                     });
-      ++fed;
+    if (can_push && (harness.empty() || (rng() & 1) != 0)) {
+      harness.push(pushes[fed++]);
     } else {
-      ASSERT_FALSE(reference.empty());
-      std::pop_heap(reference.begin(), reference.end(),
-                    [](const QueuedEvent& a, const QueuedEvent& b) {
-                      return !ordered_before(a, b);
-                    });
-      const QueuedEvent want = reference.back();
-      reference.pop_back();
-      const QueuedEvent peeked = queue.peek();
-      const QueuedEvent got = queue.pop();
-      ASSERT_EQ(got.time, want.time) << "after " << popped << " pops";
-      ASSERT_EQ(got.seq, want.seq) << "after " << popped << " pops";
-      EXPECT_EQ(peeked.time, got.time);
-      EXPECT_EQ(peeked.seq, got.seq);
-      ++popped;
+      harness.pop();
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+/// The ior-* shape: a collective's last arriver wakes k members at one
+/// time, and each member, once it runs, pushes its own time plus the
+/// phase's shared dt, so the next burst builds while this one drains.
+/// Mixed in: posted callbacks, members that block instead, choice points
+/// that re-push the losers, and re-pushes of just-popped events with
+/// their old seqs while the open run still has later events at that time.
+void run_lockstep(std::mt19937_64& rng, int bursts) {
+  QueueHarness harness;
+  std::uint64_t seq = 0;
+  double now = 0.0;
+  for (int burst = 0; burst < bursts; ++burst) {
+    const int k = 1 + static_cast<int>(rng() % 48);
+    const double dt = 1e-4 * static_cast<double>(1 + rng() % 7);
+    const double wake = harness.empty() ? now : harness.min_time();
+    for (int member = 0; member < k; ++member) {
+      harness.push({wake, seq++, member, sim::kNoCallback});
+      if (rng() % 16 == 0) {
+        harness.push({wake, seq++, sim::kNoProc,
+                      static_cast<std::uint32_t>(member)});
+      }
+    }
+    // Drain about one burst's worth, each pop pushing its successor.
+    for (int step = 0; step < k && !harness.empty(); ++step) {
+      const std::uint64_t op = rng() % 16;
+      QueuedEvent ran;
+      if (op == 0) {
+        ran = harness.choice_point(rng());
+      } else if (op == 1 && harness.size() >= 2) {
+        // Pop a few, re-push a random subset in seq order: old seqs, often
+        // at the open run's time and below its last seq.
+        std::vector<QueuedEvent> taken;
+        const std::size_t most = std::min<std::size_t>(4, harness.size());
+        const std::size_t count = 1 + rng() % most;
+        for (std::size_t i = 0; i < count; ++i) taken.push_back(harness.pop());
+        ran = taken.front();
+        for (std::size_t i = 1; i < taken.size(); ++i) {
+          if ((rng() & 1) != 0) harness.push(taken[i]);
+        }
+      } else {
+        ran = harness.pop();
+      }
+      now = ran.time;
+      if (ran.pid >= 0 && rng() % 8 != 0) {
+        harness.push({ran.time + dt, seq++, ran.pid, sim::kNoCallback});
+      }
+      if (::testing::Test::HasFailure()) return;
     }
   }
-  EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.size(), 0u);
+  while (!harness.empty()) {
+    harness.pop();
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 TEST(EventQueue, MatchesReferenceOrderAcrossRegimes) {
@@ -95,6 +207,14 @@ TEST(EventQueue, MatchesReferenceOrderAcrossRegimes) {
   }
   std::shuffle(pushes.begin(), pushes.end(), rng);
   check_against_reference(pushes, rng);
+  if (HasFailure()) return;
+  // The same multiset in push order: runs of equal times stay open across
+  // pops and grow by appending.
+  std::sort(pushes.begin(), pushes.end(), OrderedBefore());
+  check_against_reference(pushes, rng);
+  if (HasFailure()) return;
+  // Lockstep bursts with pops between the pushes.
+  run_lockstep(rng, 400);
 }
 
 TEST(EventQueue, RepushWithOriginalSeqKeepsPlaceInOrder) {
@@ -120,6 +240,23 @@ TEST(EventQueue, RepushWithOriginalSeqKeepsPlaceInOrder) {
     EXPECT_EQ(got.seq, expect);
     ++expect;
   }
+
+  // Re-pushed while the burst is still open: seqs 1 and 2 come back below
+  // the open run's last seq (9), then a fresh push at the same time
+  // follows. Each must re-emerge in seq order, ahead of the unpopped tail.
+  QueueHarness harness;
+  for (std::uint64_t s = 0; s < 10; ++s) {
+    harness.push({t, s, static_cast<int>(s), sim::kNoCallback});
+  }
+  std::vector<QueuedEvent> popped;
+  for (int i = 0; i < 3; ++i) popped.push_back(harness.pop());
+  harness.push(popped[1]);
+  harness.push(popped[2]);
+  harness.push({t, 10, 10, sim::kNoCallback});
+  std::vector<std::uint64_t> order;
+  while (!harness.empty()) order.push_back(harness.pop().seq);
+  const std::vector<std::uint64_t> want = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  EXPECT_EQ(order, want);
 }
 
 TEST(EventQueue, FarFuturePostsPopInOrder) {
@@ -297,6 +434,34 @@ TEST(StackKnobs, ExplicitStackBytesRunsIdentically) {
   EXPECT_EQ(big.elapsed, base.elapsed);
   EXPECT_EQ(big.schedule_token, base.schedule_token);
   EXPECT_EQ(big.engine.default_stack_bytes, 128u * 1024u);
+}
+
+TEST(EngineTimes, NonFiniteTimesThrowLogicError) {
+  // The run queue needs a total order on time: a NaN would land anywhere
+  // in it, and an infinity never comes due. Every call that queues an
+  // event refuses both up front, as it refuses a time in the past.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Engine engine;
+  int ran = 0;
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_THROW(engine.post(bad, [&ran] { ++ran; }), std::logic_error)
+        << bad;
+  }
+  const sim::ProcId sleeper =
+      engine.spawn([&engine] { engine.suspend("woken below"); });
+  engine.spawn([&engine, sleeper, nan, inf] {
+    for (const double bad : {nan, inf, -inf}) {
+      EXPECT_THROW(engine.sleep(bad), std::logic_error) << bad;
+      EXPECT_THROW(engine.sleep_until(bad), std::logic_error) << bad;
+      EXPECT_THROW(engine.wake_at(bad, sleeper), std::logic_error) << bad;
+    }
+    engine.wake_at(engine.now() + 1.0, sleeper);
+  });
+  engine.run();
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(engine.now(), 1.0);
+  EXPECT_EQ(engine.stats().events_executed, 3u);
 }
 
 TEST(SmallCallback, OversizedCaptureTakesHeapPathAndRuns) {

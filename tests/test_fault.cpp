@@ -173,6 +173,21 @@ TEST(FaultPlan, ParseRejectsMalformedSpecs) {
   EXPECT_THROW(fault::FaultPlan::parse("rank-stall=1:0:0"),
                std::invalid_argument);
   EXPECT_THROW(fault::FaultPlan::parse("rpc-drop=abc"), std::invalid_argument);
+  // Numbers that would reach the virtual clock as nonsense: an RPC that
+  // finishes before it starts, and non-finite times in any field.
+  for (const char* spec :
+       {"seed=1;rpc-delay=1:-1", "seed=1;rpc-delay=1:nan",
+        "seed=1;rpc-delay=1:inf", "rpc-delay=nan:0.01",
+        "rank-stall=0:0:inf", "rank-stall=0:nan:1", "timeout=nan",
+        "timeout=inf", "ost-outage=0:0:nan", "ost-outage=0:-inf:1",
+        "ost-degrade=0:0:1:inf", "media-corrupt=0:nan", "rpc-drop=nan",
+        "backoff=0:inf", "agg-stall-threshold=NaN", "max-retries=inf",
+        "ost-outage=inf:0:1"}) {
+    EXPECT_THROW(fault::FaultPlan::parse(spec), std::invalid_argument)
+        << spec;
+  }
+  // A zero delay is a legal (if useless) plan.
+  EXPECT_NO_THROW(fault::FaultPlan::parse("rpc-delay=1:0"));
 }
 
 TEST(FaultPlan, WindowsQueryAsHalfOpenIntervals) {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -189,6 +190,19 @@ TEST(Sampler, DecimationBoundsMemoryDeterministically) {
                        static_cast<double>(snap->stride));
     }
   }
+}
+
+TEST(Sampler, RejectsNonPositiveAndNonFiniteIntervals) {
+  // Each tick posts the next one an interval later, so a NaN or infinite
+  // interval would put a time on the engine's clock that never comes due.
+  for (const double bad :
+       {0.0, -1e-3, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(obs::TimeSeriesSampler sampler(bad), std::invalid_argument)
+        << bad;
+  }
+  EXPECT_NO_THROW(obs::TimeSeriesSampler sampler(1e-9));
 }
 
 // ------------------------------------------------------------ job tags --

@@ -13,6 +13,7 @@
 //               --trace trace.csv --gantt
 //   parcoll_sim --workload ior --nprocs 64 --impl parcoll
 //               --fault "seed=7;ost-outage=3:0.05:0.4;rpc-drop=0.02"
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -284,8 +285,8 @@ int main(int argc, char** argv) {
       json_path = next();
     } else if (arg == "--sample-interval") {
       spec.sample_interval = std::stod(next());
-      if (spec.sample_interval < 0) {
-        std::fprintf(stderr, "--sample-interval must be >= 0\n");
+      if (!std::isfinite(spec.sample_interval) || spec.sample_interval < 0) {
+        std::fprintf(stderr, "--sample-interval must be finite and >= 0\n");
         return 2;
       }
     } else if (arg == "--timeline") {
