@@ -10,7 +10,7 @@
 #include <numeric>
 #include <vector>
 
-#include "core/aggregator_dist.hpp"
+#include "mpiio/aggregator_dist.hpp"
 #include "bench/common.hpp"
 
 int main(int argc, char** argv) {
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
     const auto result =
-        core::distribute_aggregators(topo, comm, c.nodes, groups, 2);
+        mpiio::distribute_aggregators(topo, comm, c.nodes, groups, 2);
     for (std::size_t g = 0; g < result.size(); ++g) {
       std::printf("    SubGroup %zu aggregators: ", g + 1);
       for (int local : result[g]) {

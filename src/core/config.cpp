@@ -1,29 +1,8 @@
 #include "core/config.hpp"
 
 #include <sstream>
-#include <stdexcept>
-#include <string>
 
 namespace parcoll::core {
-
-ParcollSettings ParcollSettings::from(const mpiio::Hints& hints) {
-  if (hints.parcoll_num_groups < -1) {
-    throw std::invalid_argument(
-        "ParcollSettings: parcoll_num_groups must be a positive count, "
-        "0 (disabled), or -1 (auto); got " +
-        std::to_string(hints.parcoll_num_groups));
-  }
-  if (hints.parcoll_min_group_size < 1) {
-    throw std::invalid_argument(
-        "ParcollSettings: parcoll_min_group_size must be >= 1; got " +
-        std::to_string(hints.parcoll_min_group_size));
-  }
-  ParcollSettings settings;
-  settings.num_groups = hints.parcoll_num_groups;
-  settings.min_group_size = hints.parcoll_min_group_size;
-  settings.view_switch = hints.parcoll_view_switch;
-  return settings;
-}
 
 const char* to_string(PartitionMode mode) {
   switch (mode) {

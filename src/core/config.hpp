@@ -1,28 +1,12 @@
-// ParColl run configuration and per-call decision record.
+// ParColl's per-call decision record.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "core/file_area.hpp"
-#include "mpiio/hints.hpp"
 
 namespace parcoll::core {
-
-/// The ParColl-relevant subset of the MPI-IO hints.
-struct ParcollSettings {
-  int num_groups = 0;
-  int min_group_size = 8;
-  bool view_switch = true;
-
-  static ParcollSettings from(const mpiio::Hints& hints);
-
-  /// ParColl partitioning is in effect when more than one group is asked
-  /// for, or when the adaptive choice (kAutoGroups) is requested.
-  [[nodiscard]] bool enabled() const {
-    return num_groups > 1 || num_groups == kAutoGroups;
-  }
-};
 
 /// What a collective call actually did — exposed for tests, benches, and
 /// the close-time summary.

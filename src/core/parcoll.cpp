@@ -4,6 +4,7 @@
 #include <optional>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "bb/staging.hpp"
 #include "bb/target.hpp"
@@ -13,9 +14,10 @@
 #include "fs/integrity.hpp"
 #include "mpi/collectives.hpp"
 #include "mpi/trace.hpp"
+#include "mpiio/aggregator_dist.hpp"
 #include "mpiio/ext2ph.hpp"
-#include "obs/metrics.hpp"
 #include "mpiio/sieve.hpp"
+#include "obs/metrics.hpp"
 #include "node/hier_coll.hpp"
 #include "node/intra_agg.hpp"
 #include "node/nodecomm.hpp"
@@ -70,66 +72,122 @@ RankAccess access_of(const mpiio::PreparedRequest& request) {
   return access;
 }
 
-/// The two-level structure of `comm`, or nullopt for the flat protocol:
-/// the cb_intranode hint must be on (or auto) and some node must host >= 2
-/// members, so one-process-per-node machines never change structure.
-std::optional<node::NodeComm> two_level_nodes(mpi::Rank& self,
-                                              const mpi::Comm& comm,
-                                              const mpiio::Hints& hints) {
-  if (hints.cb_intranode == node::IntranodeMode::Off) {
-    return std::nullopt;
-  }
+/// The plan of calls over `comm` with `aggregators`. Coordination funnels
+/// through node leaders whenever cb_intranode is not disable and some node
+/// hosts two members. The data path stages two-level under enable, and
+/// under automatic only when every aggregator keeps its own leader: several
+/// aggregators on one node (the Catamount every-process default) would
+/// lose I/O parallelism to buy the coordination win. Members share one
+/// leader roster: the open file's (`file_leaders`, made by its first
+/// caller), else a shared_once over `comm`, whose members all plan at once.
+CallPlan make_call_plan(mpi::Rank& self, const mpi::Comm& comm,
+                        mpiio::Roster aggregators, const mpiio::Hints& hints,
+                        std::optional<mpiio::Roster>* file_leaders = nullptr) {
+  CallPlan plan{comm, std::move(aggregators), std::nullopt, nullptr};
+  if (hints.cb_intranode == node::IntranodeMode::Off) return plan;
   node::NodeComm nodes = node::make_node_comm(
       self, comm, self.world().model().topology, hints.cb_intranode_leader);
-  if (!nodes.multi()) {
-    return std::nullopt;
+  if (!nodes.multi()) return plan;
+  const auto leaders = [&]() -> mpiio::Roster {
+    auto locals = nodes.layout->to_leader_locals(*plan.aggregators);
+    if (hints.cb_intranode == node::IntranodeMode::Auto &&
+        locals.size() != plan.aggregators->size()) {
+      return nullptr;
+    }
+    return mpiio::make_roster(std::move(locals));
+  };
+  if (file_leaders == nullptr) {
+    plan.leader_aggregators =
+        *mpi::shared_once<mpiio::Roster>(self, comm, leaders);
+  } else {
+    if (!*file_leaders) *file_leaders = leaders();
+    plan.leader_aggregators = **file_leaders;
   }
-  return nodes;
+  plan.nodes = std::move(nodes);
+  return plan;
 }
 
-/// Run one two-phase exchange over `comm`, either flat or — when
-/// two_level_nodes says so and Auto's gate agrees — staged two-level:
-/// requests aggregate within each node first and only the node leaders
-/// join the inter-node ext2ph. `options.aggregators` is comm-local on
-/// entry; under two-level staging it is mapped onto the leaders of the
-/// nodes hosting those ranks, so ParColl's aggregator distribution (and
-/// any fault re-election) carries through to the leader stage.
-void run_two_phase(mpi::Rank& self, const mpi::Comm& comm,
-                   const mpiio::Hints& hints, mpiio::IoTarget& target,
-                   const mpiio::CollRequest& request,
-                   mpiio::Ext2phOptions options, bool is_write,
-                   CollectiveOutcome& outcome) {
-  std::optional<node::NodeComm> nodes;
-  if (hints.cb_intranode != node::IntranodeMode::Off) {
-    // The decision depends only on the communicator, the roster and the
-    // hints, which every member shares, so one member maps the roster to
-    // node leaders per call and all of them read the result (null: flat).
-    const auto leader_aggs = mpi::shared_once<mpiio::Roster>(
-        self, comm, [&]() -> mpiio::Roster {
-          const auto view = two_level_nodes(self, comm, hints);
-          if (!view) return nullptr;
-          auto leaders = view->layout->to_leader_locals(*options.aggregators);
-          // Auto's cost gate: staging funnels all file traffic through the
-          // node leaders, so a roster with several aggregators on one node
-          // (e.g. the Catamount every-process default) would lose I/O
-          // parallelism to buy the coordination win. Auto declines then;
-          // On trusts the user.
-          if (hints.cb_intranode == node::IntranodeMode::Auto &&
-              leaders.size() != options.aggregators->size()) {
-            return nullptr;
-          }
-          return mpiio::make_roster(std::move(leaders));
-        });
-    if (*leader_aggs) {
-      nodes = node::make_node_comm(self, comm, self.world().model().topology,
-                                   hints.cb_intranode_leader);
-      options.aggregators = *leader_aggs;
+/// The plan of calls over the file communicator or a split-phase helper's
+/// copy of it (same local ranks). Its shared parts live in `file` and take
+/// no collective sequence number, so a rank that re-plans alone (after a
+/// set_view only it made) takes no step that the others skip.
+CallPlan make_file_plan(mpi::Rank& self, mpiio::FileCommon& file,
+                        const mpi::Comm& comm) {
+  if (file.aggregators == nullptr) {
+    // A plain call is the one-group case of the aggregator rule.
+    file.aggregators = mpiio::make_roster(std::move(mpiio::select_aggregators(
+        self.world().model().topology, comm, file.hints,
+        std::vector<int>(static_cast<std::size_t>(comm.size()), 0), 1)[0]));
+  }
+  return make_call_plan(self, comm, file.aggregators, file.hints,
+                        &file.leader_aggregators);
+}
+
+/// Establish a ParColl partition over `comm` and each subgroup's route.
+/// The pattern-detection allgather is the one global exchange; through node
+/// leaders its inter-node stage involves num_nodes participants, not P.
+SubgroupPlan establish_partition(mpi::Rank& self, mpiio::FileCommon& file,
+                                 const mpi::Comm& comm,
+                                 const mpiio::PreparedRequest& prep) {
+  mpi::SpanGuard partition_span(self, obs::SpanKind::Stage, "partition");
+  const CallPlan parent = make_file_plan(self, file, comm);
+  const auto accesses =
+      parent.nodes ? std::make_shared<const std::vector<RankAccess>>(
+                         node::hier_allgather(self, *parent.nodes,
+                                              access_of(prep)))
+                   : mpi::allgather_shared(self, comm, access_of(prep));
+  SubgroupPlan plan = form_subgroups(self, comm, accesses, file.hints);
+  // One group runs on the file communicator, whose plan is made already
+  // (its roster is the same one-group rule's).
+  plan.call = plan.call.comm == comm
+                  ? parent
+                  : make_call_plan(self, plan.call.comm, plan.call.aggregators,
+                                   file.hints);
+  if (plan.fa().mode == PartitionMode::Direct) {
+    // Establishing-call invariant: my extents lie in my File Area (the
+    // partition was built from clean split points).
+    const auto [fa_lo, fa_hi] =
+        plan.fa().areas[static_cast<std::size_t>(plan.my_group)];
+    if (!prep.extents.empty() && (prep.extents.front().offset < fa_lo ||
+                                  prep.extents.back().end() > fa_hi)) {
+      throw std::logic_error("parcoll: request escapes its File Area");
     }
   }
-  outcome.two_level = nodes.has_value();
+  if (auto* checker = self.world().checker()) {
+    checker->on_partition(self.rank(), comm.context_id(), comm.size(),
+                          plan_hash(plan));
+  }
+  return plan;
+}
+
+/// The plan cached in `slot`, or a new one from `make`, cached there. With
+/// `reuse` false, or no slot (a split-phase helper), every call re-plans.
+template <typename Plan, typename Make>
+std::shared_ptr<const Plan> cached_plan(std::shared_ptr<void>* slot,
+                                        bool reuse, Make&& make) {
+  if (slot != nullptr && reuse && *slot) {
+    return std::static_pointer_cast<const Plan>(*slot);
+  }
+  auto plan = std::make_shared<Plan>(make());
+  if (slot != nullptr) *slot = plan;
+  return plan;
+}
+
+/// Run one two-phase exchange on `plan`: flat, or staged two-level —
+/// requests aggregate within each node first and only the node leaders
+/// join the inter-node ext2ph, through the plan's leader roster.
+void run_two_phase(mpi::Rank& self, const CallPlan& plan,
+                   mpiio::IoTarget& target, const mpiio::CollRequest& request,
+                   mpiio::Ext2phOptions options, bool is_write,
+                   CollectiveOutcome& outcome) {
+  outcome.two_level = plan.leader_aggregators != nullptr;
+  options.aggregators =
+      outcome.two_level ? plan.leader_aggregators : plan.aggregators;
   const mpiio::Ext2phOutcome result =
-      nodes ? node::two_level(self, *nodes, target, request, options, is_write)
-            : mpiio::ext2ph(self, comm, target, request, options, is_write);
+      outcome.two_level
+          ? node::two_level(self, *plan.nodes, target, request, options,
+                            is_write)
+          : mpiio::ext2ph(self, plan.comm, target, request, options, is_write);
   outcome.cycles = result.cycles;
   outcome.rmw_reads = result.rmw_reads;
   outcome.intra_bytes = result.intra_bytes;
@@ -137,17 +195,18 @@ void run_two_phase(mpi::Rank& self, const mpi::Comm& comm,
 
 }  // namespace
 
-/// Everything write and read share: plan (or reuse) the partition, build
-/// the target, and run ext2ph in the right space. Handle-independent: the
-/// cache slot may be null (no partition reuse), which is how split
-/// collectives' helper fibers call it.
-CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
-                                        const mpiio::Hints& hints, int fs_id,
-                                        bb::StagingStore* bb_store,
+/// Everything write and read share: take (or make) the call's plan, build
+/// the target, and run ext2ph in the right space. Split collectives'
+/// helper fibers pass no cache slot.
+CollectiveOutcome run_collective_engine(mpi::Rank& self,
+                                        mpiio::FileCommon& file,
+                                        const mpi::Comm& comm,
                                         mpiio::PreparedRequest& prep,
                                         bool is_write,
                                         std::shared_ptr<void>* cache_slot) {
   auto& fs = self.world().fs();
+  const mpiio::Hints& hints = file.hints;
+  bb::StagingStore* bb_store = file.bb.get();
 
   // Burst-buffer staging: with bb=enable every write target below becomes
   // a BbTarget, so aggregator writes land in the per-node staging store
@@ -158,13 +217,13 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
   mpiio::Ext2phOptions options;
   options.cb_buffer_size = hints.cb_buffer_size;
   if (hints.cb_fd_align) {
-    options.fd_alignment = fs.meta(fs_id).stripe_size;
+    options.fd_alignment = fs.meta(file.fs_id).stripe_size;
   }
 
   CollectiveOutcome outcome;
   outcome.bytes = prep.bytes;
   outcome.comm = comm;
-  bb::BbTarget physical(fs, fs_id, bb_store);
+  bb::BbTarget physical(fs, file.fs_id, bb_store);
 
   const bool cb_enabled = is_write ? hints.cb_write_enabled
                                    : hints.cb_read_enabled;
@@ -176,21 +235,16 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
     if (bb_store != nullptr && prep.extents.size() > 1) {
       bb_store->flush_overlapping(self, prep.extents);
     }
-    mpiio::sieve_serve(self, physical, fs_id, prep, is_write);
+    mpiio::sieve_serve(self, physical, file.fs_id, prep, is_write);
     return outcome;
   }
 
-  const ParcollSettings settings = ParcollSettings::from(hints);
-  if (!settings.enabled()) {
-    // Plain extended two-phase over the whole group (the baseline). The
-    // default roster is a function of the communicator and the hints, so
-    // one member builds it per call and every member shares it (by default
-    // every process aggregates: P private copies would be quadratic).
-    options.aggregators = mpi::shared_once<std::vector<int>>(self, comm, [&] {
-      return mpiio::default_aggregators(self.world().model().topology, comm,
-                                        hints);
-    });
-    run_two_phase(self, comm, hints, physical, {prep.extents, prep.data()},
+  if (!hints.partitioned()) {
+    // Plain extended two-phase over the whole group (the baseline).
+    const auto plan = cached_plan<CallPlan>(
+        cache_slot, /*reuse=*/true,
+        [&] { return make_file_plan(self, file, comm); });
+    run_two_phase(self, *plan, physical, {prep.extents, prep.data()},
                   options, is_write, outcome);
     return outcome;
   }
@@ -199,52 +253,18 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
   // is set caches it on the handle, so later calls on the same view go
   // straight to their subgroup and subgroups drift independently through
   // time. Only the establishing call pays a global exchange.
-  std::shared_ptr<SubgroupPlan> cached;
-  if (cache_slot != nullptr) {
-    cached = std::static_pointer_cast<SubgroupPlan>(*cache_slot);
-  }
-  if (!cached || !hints.parcoll_persistent_groups) {
-    // The pattern-detection allgather is the one remaining global exchange;
-    // under two-level staging it funnels through the node leaders, so the
-    // inter-node stage involves num_nodes participants instead of P.
-    mpi::SpanGuard partition_span(self, obs::SpanKind::Stage, "partition");
-    const auto nodes = two_level_nodes(self, comm, hints);
-    const auto accesses =
-        nodes ? std::make_shared<const std::vector<RankAccess>>(
-                    node::hier_allgather(self, *nodes, access_of(prep)))
-              : mpi::allgather_shared(self, comm, access_of(prep));
-    cached = std::make_shared<SubgroupPlan>(
-        form_subgroups(self, comm, accesses, hints));
-    if (cached->fa().mode == PartitionMode::Direct) {
-      // Establishing-call invariant: my extents lie in my File Area (the
-      // partition was built from clean split points).
-      const auto [fa_lo, fa_hi] =
-          cached->fa().areas[static_cast<std::size_t>(cached->my_group)];
-      if (!prep.extents.empty() &&
-          (prep.extents.front().offset < fa_lo ||
-           prep.extents.back().end() > fa_hi)) {
-        throw std::logic_error("parcoll: request escapes its File Area");
-      }
-    }
-    if (cache_slot != nullptr) {
-      *cache_slot = cached;
-    }
-    if (auto* checker = self.world().checker()) {
-      checker->on_partition(self.rank(), comm.context_id(), comm.size(),
-                            plan_hash(*cached));
-    }
-  }
+  const auto cached = cached_plan<SubgroupPlan>(
+      cache_slot, hints.parcoll_persistent_groups,
+      [&] { return establish_partition(self, file, comm, prep); });
   const SubgroupPlan& plan = *cached;
   outcome.partitioned = true;
   outcome.mode = plan.fa().mode;
   outcome.num_groups = plan.fa().num_groups;
-  outcome.comm = plan.subcomm;
+  outcome.comm = plan.call.comm;
   if (auto* checker = self.world().checker();
-      checker != nullptr && plan.subcomm != comm) {
+      checker != nullptr && plan.call.comm != comm) {
     checker->on_partitioned_call_begin(self.rank(), comm.context_id());
   }
-  // Aliases the cached plan: no per-call copy of the roster.
-  options.aggregators = mpiio::Roster(cached, &plan.sub_aggregators);
   // Everything from here runs subgroup-local; the span labels descendants
   // (re-election, exchange cycles, I/O) with this rank's subgroup.
   mpi::SpanGuard subgroup_span(self, obs::SpanKind::Subgroup, "subgroup",
@@ -253,35 +273,42 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
   // Degraded mode: when the fault plan schedules rank stalls, the subgroup
   // agrees on a common time (a max-reduction over its members' clocks) and
   // replaces any aggregator stalled past the threshold for this call. The
-  // cached roster is never mutated: a recovered aggregator is reinstated
-  // on the next call. Gated on has_rank_stalls() so the extra reduction
+  // cached plan is never mutated: a recovered aggregator is reinstated on
+  // the next call. Gated on has_rank_stalls() so the extra reduction
   // cannot perturb fault-free timing.
+  const CallPlan* call = &plan.call;
+  CallPlan reelected;
   const fault::FaultPlan* fplan = self.world().fault_plan();
   if (fplan != nullptr && fplan->has_rank_stalls()) {
     mpi::SpanGuard reelect_span(self, obs::SpanKind::Stage, "reelect");
-    const auto nodes = two_level_nodes(self, plan.subcomm, hints);
     const double agreed =
-        nodes ? node::hier_allreduce_max(self, *nodes, self.now())
-              : mpi::allreduce_max(self, plan.subcomm, self.now());
+        call->nodes ? node::hier_allreduce_max(self, *call->nodes, self.now())
+                    : mpi::allreduce_max(self, call->comm, self.now());
     int replaced = 0;
-    options.aggregators = mpiio::make_roster(reelect_stalled_aggregators(
-        plan.subcomm, plan.sub_aggregators, *fplan, agreed, &replaced));
+    std::vector<int> roster = reelect_stalled_aggregators(
+        call->comm, *call->aggregators, *fplan, agreed, &replaced);
     if (auto* checker = self.world().checker()) {
-      checker->on_reelection(self.rank(), plan.subcomm.context_id(),
-                             plan.subcomm.size(),
-                             roster_hash(agreed, *options.aggregators));
+      checker->on_reelection(self.rank(), call->comm.context_id(),
+                             call->comm.size(), roster_hash(agreed, roster));
     }
-    if (replaced > 0 && plan.subcomm.local_rank(self.rank()) == 0) {
-      self.world().fault_state().of(self.rank()).reelections +=
-          static_cast<std::uint64_t>(replaced);
+    if (replaced > 0) {
+      if (call->comm.local_rank(self.rank()) == 0) {
+        self.world().fault_state().of(self.rank()).reelections +=
+            static_cast<std::uint64_t>(replaced);
+      }
+      // Every member replaced the same aggregators, so the whole subgroup
+      // decides this call's route again for the new roster.
+      reelected = make_call_plan(self, call->comm,
+                                 mpiio::make_roster(std::move(roster)), hints);
+      call = &reelected;
     }
   }
 
   if (plan.fa().mode != PartitionMode::Intermediate) {
     // SingleGroup (whose subcomm is the whole comm) and Direct run in file
     // space.
-    run_two_phase(self, plan.subcomm, hints, physical,
-                  {prep.extents, prep.data()}, options, is_write, outcome);
+    run_two_phase(self, *call, physical, {prep.extents, prep.data()},
+                  options, is_write, outcome);
   } else {
     // Intermediate view (pattern c). Share the members' physical extents
     // within the subgroup so aggregators can resolve intermediate ranges.
@@ -290,7 +317,7 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
     // spaces are independent and no global exchange is needed per call.
     // The exchange is an allgatherv's; its last arriver builds the map.
     const auto map = mpi::coll_build<IntermediateMap>(
-        self, plan.subcomm, mpi::CollKind::Allgather,
+        self, call->comm, mpi::CollKind::Allgather,
         mpi::detail::bytes_of(prep.extents),
         [](mpi::CollContribs all) {
           std::vector<MemberSegments> members;
@@ -310,18 +337,17 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
         });
     IntermediateTarget target(physical, map);
     const auto sub_me =
-        static_cast<std::size_t>(plan.subcomm.local_rank(self.rank()));
+        static_cast<std::size_t>(call->comm.local_rank(self.rank()));
     const fs::Extent inter{map->inter_start(sub_me), prep.bytes};
     const mpiio::CollRequest request{
         std::span(&inter, prep.bytes > 0 ? 1 : 0), prep.data()};
-    run_two_phase(self, plan.subcomm, hints, target, request, options,
-                  is_write, outcome);
+    run_two_phase(self, *call, target, request, options, is_write, outcome);
   }
 
   // Per-subgroup call/cycle counters, recorded once per call by the
   // subgroup's first rank (mirrors the FileStats call-level convention).
   auto* metrics = self.world().metrics();
-  if (metrics != nullptr && plan.subcomm.local_rank(self.rank()) == 0) {
+  if (metrics != nullptr && plan.call.comm.local_rank(self.rank()) == 0) {
     const auto group =
         static_cast<std::size_t>(plan.my_group >= 0 ? plan.my_group : 0);
     ++metrics->counter("parcoll.group.calls", group);
@@ -400,9 +426,9 @@ CollectiveOutcome collective_call(mpiio::FileHandle& file, bool is_write,
   mpiio::IoCall call =
       file.begin_call(is_write, mpiio::FileHandle::Route::Staged, offset,
                       buffer, count, memtype);
-  const CollectiveOutcome outcome = run_collective_engine(
-      file.self(), file.comm(), file.hints(), file.fs_id(), file.bb_store(),
-      call.request, is_write, &file.engine_cache());
+  const CollectiveOutcome outcome =
+      run_collective_engine(file.self(), file.common(), file.comm(),
+                            call.request, is_write, &file.engine_cache());
   const std::uint64_t error = agree_on_errors(file, outcome, call.request);
   end_subgroup_scope(file.self(), file.comm(), outcome);
   // A call ending in the agreed error still moved its bytes and spent its

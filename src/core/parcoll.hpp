@@ -61,12 +61,12 @@ CollectiveOutcome read_all(mpiio::FileHandle& file, void* buffer,
                            std::uint64_t count, const dtype::Datatype& memtype);
 
 /// The collective engine entry used by write_at_all/read_at_all and by the
-/// split-collective helper fibers: plan (or reuse via `cache_slot`) the
-/// partition and run the protocol. Collective over `comm`. `bb_store` is
-/// the file's staging store (FileHandle::bb_store(); null with bb off).
-CollectiveOutcome run_collective_engine(mpi::Rank& self, const mpi::Comm& comm,
-                                        const mpiio::Hints& hints, int fs_id,
-                                        bb::StagingStore* bb_store,
+/// split-collective helper fibers: make (or reuse via `cache_slot`) the
+/// call's plan and run the protocol. Collective over `comm`, which is
+/// `file.comm` or a split-phase helper's copy of it.
+CollectiveOutcome run_collective_engine(mpi::Rank& self,
+                                        mpiio::FileCommon& file,
+                                        const mpi::Comm& comm,
                                         mpiio::PreparedRequest& prep,
                                         bool is_write,
                                         std::shared_ptr<void>* cache_slot);

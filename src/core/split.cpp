@@ -24,11 +24,10 @@ SplitRequest split_begin(mpiio::FileHandle& file, bool is_write,
   return SplitRequest(
       mpiio::HelperCall::spawn(
           file, std::move(call),
-          [outcome, helper_comm, hints = file.hints(), fs_id = file.fs_id(),
-           bb_store = file.bb_store(),
+          [outcome, helper_comm, common = &file.common(),
            is_write](mpi::Rank& helper, mpiio::PreparedRequest& request) {
-            *outcome = run_collective_engine(helper, helper_comm, hints, fs_id,
-                                             bb_store, request, is_write,
+            *outcome = run_collective_engine(helper, *common, helper_comm,
+                                             request, is_write,
                                              /*cache_slot=*/nullptr);
             end_subgroup_scope(helper, helper_comm, *outcome);
           }),

@@ -1,10 +1,10 @@
 #include "core/subgroup.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
-#include "core/aggregator_dist.hpp"
 #include "mpi/collectives.hpp"
-#include "mpiio/ext2ph.hpp"
+#include "mpiio/aggregator_dist.hpp"
 
 namespace parcoll::core {
 
@@ -12,9 +12,7 @@ SubgroupPlan form_subgroups(
     mpi::Rank& self, const mpi::Comm& comm,
     const std::shared_ptr<const std::vector<RankAccess>>& accesses,
     const mpiio::Hints& hints) {
-  const ParcollSettings settings = ParcollSettings::from(hints);
   const int me = comm.local_rank(self.rank());
-  const auto& topology = self.world().model().topology;
 
   SubgroupPlan plan;
   // One member computes the partition and the aggregator rosters; every
@@ -23,57 +21,41 @@ SubgroupPlan form_subgroups(
   // computations (and their P-sized private copies).
   plan.global = mpi::shared_once<SharedGroupInfo>(self, comm, [&] {
     SharedGroupInfo info;
-    info.fa = partition_file_areas(*accesses, settings.num_groups,
-                                   settings.min_group_size,
-                                   settings.view_switch);
-    if (info.fa.mode == PartitionMode::SingleGroup) {
-      info.aggs_per_group = {
-          mpiio::default_aggregators(topology, comm, hints)};
-    } else if (hints.cb_node_list.empty() && hints.cb_nodes == 0) {
-      // No aggregator hints: like the baseline default, every process
-      // aggregates — here, within its own subgroup.
-      info.aggs_per_group.assign(static_cast<std::size_t>(info.fa.num_groups),
-                                 {});
-      for (int local = 0; local < comm.size(); ++local) {
-        info.aggs_per_group[static_cast<std::size_t>(
-                                info.fa.group_of_rank[static_cast<std::size_t>(
-                                    local)])]
-            .push_back(local);
-      }
-    } else {
-      // Aggregator hints given: re-distribute the node list over subgroups
-      // with the paper's Fig. 5 algorithm.
-      const std::vector<int> nodes = aggregator_node_list(
-          topology, comm, hints.cb_node_list, hints.cb_nodes);
-      info.aggs_per_group = distribute_aggregators(
-          topology, comm, nodes, info.fa.group_of_rank, info.fa.num_groups);
-    }
+    info.fa = partition_file_areas(*accesses, hints.parcoll_num_groups,
+                                   hints.parcoll_min_group_size,
+                                   hints.parcoll_view_switch);
+    info.aggs_per_group = mpiio::select_aggregators(
+        self.world().model().topology, comm, hints, info.fa.group_of_rank,
+        info.fa.num_groups);
     return info;
   });
   const FileAreaPlan& fa = plan.global->fa;
 
   if (fa.mode == PartitionMode::SingleGroup) {
-    plan.subcomm = comm;
-    plan.my_group = 0;
-    plan.sub_aggregators = plan.global->aggs_per_group[0];
+    plan.call.comm = comm;
+    // Aliases the shared roster: no per-member copy.
+    plan.call.aggregators =
+        mpiio::Roster(plan.global, &plan.global->aggs_per_group[0]);
     return plan;
   }
 
   plan.my_group = fa.group_of_rank[static_cast<std::size_t>(me)];
   // The split is itself a (cheap, one-shot) global collective — ParColl
   // reduces synchronization, it does not eliminate the setup exchange.
-  plan.subcomm = mpi::comm_split(self, comm, plan.my_group, me);
+  plan.call.comm = mpi::comm_split(self, comm, plan.my_group, me);
 
   // Convert my group's aggregators to subcomm-local ranks.
+  std::vector<int> sub_aggregators;
   for (int local :
        plan.global->aggs_per_group[static_cast<std::size_t>(plan.my_group)]) {
-    const int sub_local = plan.subcomm.local_rank(comm.world_rank(local));
+    const int sub_local = plan.call.comm.local_rank(comm.world_rank(local));
     if (sub_local < 0) {
       throw std::logic_error("form_subgroups: aggregator not in subgroup");
     }
-    plan.sub_aggregators.push_back(sub_local);
+    sub_aggregators.push_back(sub_local);
   }
-  std::sort(plan.sub_aggregators.begin(), plan.sub_aggregators.end());
+  std::sort(sub_aggregators.begin(), sub_aggregators.end());
+  plan.call.aggregators = mpiio::make_roster(std::move(sub_aggregators));
   return plan;
 }
 

@@ -1,17 +1,34 @@
 // Subgroup formation: FA partition + sub-communicator + aggregator
-// distribution, bundled for one collective call.
+// distribution, bundled into the plan a partition's calls run on.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
-#include "core/config.hpp"
 #include "core/file_area.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/runtime.hpp"
+#include "mpiio/ext2ph.hpp"
 #include "mpiio/hints.hpp"
+#include "node/nodecomm.hpp"
 
 namespace parcoll::core {
+
+/// How a collective call runs over one communicator: who aggregates and
+/// whether it stages through node leaders. A pure function of the
+/// communicator, the roster and the hints, made once per open file (a
+/// plain call) or per partition (a ParColl subgroup).
+struct CallPlan {
+  mpi::Comm comm;
+  mpiio::Roster aggregators;  // comm-local ranks, sorted
+  /// This rank's view of `comm`'s nodes, when coordination funnels
+  /// through node leaders.
+  std::optional<node::NodeComm> nodes;
+  /// `aggregators` mapped onto node leaders when the data path stages
+  /// two-level; null when it stays flat.
+  mpiio::Roster leader_aggregators;
+};
 
 /// The comm-global part of a subgroup plan — identical on every member of
 /// the establishing collective, so every member shares one immutable copy
@@ -25,12 +42,11 @@ struct SharedGroupInfo {
 struct SubgroupPlan {
   /// Comm-global plan parts, one copy shared by all members.
   std::shared_ptr<const SharedGroupInfo> global;
-  /// This rank's subgroup communicator (== the parent comm when the plan
-  /// degenerates to a single group).
-  mpi::Comm subcomm;
   int my_group = 0;
-  /// Aggregators of my subgroup, as subcomm-local ranks (sorted).
-  std::vector<int> sub_aggregators;
+  /// This rank's subgroup: its communicator (== the parent comm when the
+  /// partition degenerates to a single group) and its aggregators as
+  /// subcomm-local ranks. The collective engine adds the two-level route.
+  CallPlan call;
 
   [[nodiscard]] const FileAreaPlan& fa() const { return global->fa; }
   [[nodiscard]] const std::vector<std::vector<int>>& aggs_per_group() const {
@@ -42,7 +58,7 @@ struct SubgroupPlan {
 /// member must call with the same `accesses` (the allgathered per-rank
 /// access summaries, typically the shared view from allgather_shared) and
 /// hints; they all receive the identical plan, with the comm-global parts
-/// computed once and shared.
+/// computed once and shared. Aggregators follow mpiio::select_aggregators.
 SubgroupPlan form_subgroups(
     mpi::Rank& self, const mpi::Comm& comm,
     const std::shared_ptr<const std::vector<RankAccess>>& accesses,

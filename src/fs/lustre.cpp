@@ -108,20 +108,16 @@ double LustreSim::submit(int client, int file_id,
   // Records one served RPC against the OST that accepted it (after a
   // failover, not the one it was sent to): the backlog it found there (how
   // long it queued behind already-accepted work, a seconds-denominated
-  // queue depth), its size, its end-to-end latency from issue to service
-  // completion (including any retry/backoff time the caller burned), and
-  // that OST's cumulative service clock, which the wall report and sampler
-  // read.
+  // queue depth) and its end-to-end latency from issue to service
+  // completion (including any retry/backoff time the caller burned). The
+  // OST's own totals are written once, by record_ost_totals.
   auto note_served = [&](int ost_index, std::uint64_t bytes, double backlog,
                          double issue, double done) {
     const auto ost = static_cast<std::size_t>(ost_index);
     metrics_->quantile("fs.ost.queue_wait_s").observe(backlog);
     metrics_->gauge_max("fs.ost.queue_depth_s", ost, backlog);
-    ++metrics_->counter("fs.ost.rpcs", ost);
-    metrics_->counter("fs.ost.bytes", ost) += bytes;
     const double latency = done - issue;
     metrics_->quantile("fs.rpc.latency_s").observe(latency);
-    metrics_->gauge("fs.ost.service_s", ost) = osts_[ost].service_seconds();
     if (job != nullptr) {
       metrics_->quantile(obs::MetricsRegistry::job_key("fs.rpc.latency_s",
                                                        *job))
@@ -412,6 +408,17 @@ void LustreSim::set_fault(const fault::FaultPlan* plan,
   fault_state_ = state;
   for (OstModel& ost : osts_) {
     ost.set_fault(plan, state);
+  }
+}
+
+void LustreSim::record_ost_totals() {
+  if (metrics_ == nullptr) return;
+  for (std::size_t i = 0; i < osts_.size(); ++i) {
+    const OstModel& ost = osts_[i];
+    if (ost.rpcs_served() == 0) continue;
+    metrics_->counter("fs.ost.rpcs", i) = ost.rpcs_served();
+    metrics_->counter("fs.ost.bytes", i) = ost.bytes_served();
+    metrics_->gauge("fs.ost.service_s", i) = ost.service_seconds();
   }
 }
 

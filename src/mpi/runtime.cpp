@@ -77,6 +77,7 @@ void World::run(std::function<void(Rank&)> program) {
   }
   engine_.run();
   elapsed_ = engine_.now();
+  fs_->record_ost_totals();
 }
 
 obs::TimeSeriesSampler& World::enable_sampler(double interval) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 
 #include "mpi/collectives.hpp"
@@ -529,56 +528,6 @@ void DirectTarget::read(mpi::Rank& self, std::span<const fs::Extent> extents,
   if (r.faulted_seconds > 0) {
     self.times().add(mpi::TimeCat::Faulted, r.faulted_seconds);
   }
-}
-
-std::vector<int> default_aggregators(const machine::Topology& topology,
-                                     const mpi::Comm& comm,
-                                     const Hints& hints) {
-  if (hints.cb_node_list.empty() && hints.cb_nodes == 0) {
-    // No aggregator hints: every process aggregates (the AD_sysio behaviour
-    // on Catamount — no intra-node distinction, one single-threaded process
-    // per core). Node-based selection applies once hints are given.
-    std::vector<int> all(static_cast<std::size_t>(comm.size()));
-    std::iota(all.begin(), all.end(), 0);
-    return all;
-  }
-  // Node order: explicit list, or all nodes hosting comm members.
-  std::vector<int> nodes;
-  if (!hints.cb_node_list.empty()) {
-    nodes = hints.cb_node_list;
-  } else {
-    std::vector<bool> seen(static_cast<std::size_t>(topology.num_nodes()));
-    for (int local = 0; local < comm.size(); ++local) {
-      const int node = topology.node_of(comm.world_rank(local));
-      if (!seen[static_cast<std::size_t>(node)]) {
-        seen[static_cast<std::size_t>(node)] = true;
-        nodes.push_back(node);
-      }
-    }
-    std::sort(nodes.begin(), nodes.end());
-  }
-  if (hints.cb_nodes > 0 &&
-      static_cast<std::size_t>(hints.cb_nodes) < nodes.size()) {
-    nodes.resize(static_cast<std::size_t>(hints.cb_nodes));
-  }
-  // One aggregator per node: the lowest comm rank hosted there.
-  std::vector<int> aggregators;
-  for (int node : nodes) {
-    int best = -1;
-    for (int world : topology.ranks_on_node(node)) {
-      const int local = comm.local_rank(world);
-      if (local >= 0 && (best < 0 || local < best)) {
-        best = local;
-      }
-    }
-    if (best >= 0) {
-      aggregators.push_back(best);
-    }
-  }
-  std::sort(aggregators.begin(), aggregators.end());
-  aggregators.erase(std::unique(aggregators.begin(), aggregators.end()),
-                    aggregators.end());
-  return aggregators;
 }
 
 Ext2phOutcome ext2ph(mpi::Rank& self, const mpi::Comm& comm, IoTarget& target,

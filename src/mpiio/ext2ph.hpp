@@ -33,7 +33,6 @@
 
 #include "fs/lustre.hpp"
 #include "fs/stripe.hpp"
-#include "machine/topology.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/runtime.hpp"
 #include "mpiio/hints.hpp"
@@ -118,13 +117,5 @@ struct Ext2phOutcome {
 Ext2phOutcome ext2ph(mpi::Rank& self, const mpi::Comm& comm, IoTarget& target,
                      const CollRequest& request, const Ext2phOptions& options,
                      bool is_write);
-
-/// The default aggregator set for `comm` under `hints` (paper §4.2): one
-/// aggregator per node (the lowest comm rank on it), nodes taken from
-/// hints.cb_node_list if given, else all nodes hosting comm members in node
-/// order; truncated to hints.cb_nodes if positive. Result: sorted local ranks.
-std::vector<int> default_aggregators(const machine::Topology& topology,
-                                     const mpi::Comm& comm,
-                                     const Hints& hints);
 
 }  // namespace parcoll::mpiio

@@ -7,7 +7,7 @@
 #include "dtype/pack.hpp"
 #include "fs/integrity.hpp"
 #include "mpi/collectives.hpp"
-#include "mpiio/ext2ph.hpp"
+#include "mpiio/aggregator_dist.hpp"
 
 namespace parcoll::mpiio {
 
@@ -42,8 +42,9 @@ FileHandle::FileHandle(mpi::Rank& self, const mpi::Comm& comm,
   bool deferred = false;
   if (hints.no_indep_rw &&
       (hints.cb_nodes > 0 || !hints.cb_node_list.empty())) {
-    const auto aggregators =
-        default_aggregators(self.world().model().topology, comm, hints);
+    const auto aggregators = select_aggregators(
+        self.world().model().topology, comm, hints,
+        std::vector<int>(static_cast<std::size_t>(comm.size()), 0), 1)[0];
     const int local = comm.local_rank(self.rank());
     deferred = !std::binary_search(aggregators.begin(), aggregators.end(),
                                    local);

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,11 @@ struct FileCommon {
   /// per file for the file's whole lifetime; the summary reports the
   /// difference).
   fs::IntegrityCounters integrity_at_open;
+  /// The plain collective call's aggregators and, once decided, their node
+  /// leaders (null: a flat data path), which depend only on `comm` and
+  /// `hints`: made by the open's first collective call (core/parcoll.cpp).
+  Roster aggregators;
+  std::optional<Roster> leader_aggregators;
 };
 
 /// A request prepared for the I/O engines: absolute file extents plus the
@@ -112,8 +118,9 @@ class FileHandle {
                 const dtype::Datatype& filetype);
 
   /// Opaque per-handle state owned by the collective engine (core/):
-  /// caches the ParColl subgroup partition across calls so repeated
-  /// collectives need no global re-synchronization. Cleared by set_view.
+  /// caches this rank's plan of the file's collective calls, so repeated
+  /// collectives neither re-plan nor re-synchronize globally. Cleared by
+  /// set_view.
   [[nodiscard]] std::shared_ptr<void>& engine_cache() { return engine_cache_; }
 
   // --- The request lifecycle ---
@@ -235,10 +242,8 @@ class FileHandle {
   [[nodiscard]] const std::string& name() const { return common_->name; }
   [[nodiscard]] unsigned amode() const { return amode_; }
   [[nodiscard]] const FileStats& stats() const { return common_->stats; }
-  /// The burst-buffer staging store, or null when bb is off.
-  [[nodiscard]] bb::StagingStore* bb_store() const {
-    return common_->bb.get();
-  }
+  /// The open's comm-wide state, for the collective engine and its helpers.
+  [[nodiscard]] FileCommon& common() const { return *common_; }
   [[nodiscard]] std::uint64_t size() const {
     return self_.world().fs().file_size(common_->fs_id);
   }

@@ -39,11 +39,12 @@ std::string format_int_list(const std::vector<int>& values) {
 
 void Hints::set(const std::string& key, const std::string& value) {
   if (key == "cb_buffer_size") {
-    cb_buffer_size = std::stoull(value);
-    if (cb_buffer_size == 0) {
+    const std::uint64_t bytes = std::stoull(value);
+    if (bytes == 0) {
       throw std::invalid_argument(
           "Hints::set: cb_buffer_size must be positive (got 0)");
     }
+    cb_buffer_size = bytes;
   } else if (key == "cb_nodes") {
     cb_nodes = std::stoi(value);
   } else if (key == "cb_node_list") {
@@ -85,12 +86,13 @@ void Hints::set(const std::string& key, const std::string& value) {
       parcoll_num_groups = groups;
     }
   } else if (key == "parcoll_min_group_size") {
-    parcoll_min_group_size = std::stoi(value);
-    if (parcoll_min_group_size < 1) {
+    const int size = std::stoi(value);
+    if (size < 1) {
       throw std::invalid_argument(
           "Hints::set: parcoll_min_group_size must be >= 1 (got " + value +
           ")");
     }
+    parcoll_min_group_size = size;
   } else if (key == "bb") {
     if (value == "enable" || value == "true" || value == "1") {
       bb.enabled = true;
@@ -106,27 +108,30 @@ void Hints::set(const std::string& key, const std::string& value) {
       throw std::invalid_argument(
           "Hints::set: bb_capacity must be positive (got " + value + ")");
     }
-    bb.capacity = std::stoull(value);
-    if (bb.capacity == 0) {
+    const std::uint64_t capacity = std::stoull(value);
+    if (capacity == 0) {
       throw std::invalid_argument(
           "Hints::set: bb_capacity must be positive (got 0)");
     }
+    bb.capacity = capacity;
   } else if (key == "bb_drain") {
     bb.policy = bb::parse_drain_policy(value);
   } else if (key == "bb_hi_watermark") {
-    bb.hi_watermark = parse_finite(key, value);
-    if (bb.hi_watermark < 0 || bb.hi_watermark > 1) {
+    const double fraction = parse_finite(key, value);
+    if (fraction < 0 || fraction > 1) {
       throw std::invalid_argument(
           "Hints::set: bb_hi_watermark must be a capacity fraction in "
           "[0, 1] (got " + value + ")");
     }
+    bb.hi_watermark = fraction;
   } else if (key == "bb_lo_watermark") {
-    bb.lo_watermark = parse_finite(key, value);
-    if (bb.lo_watermark < 0 || bb.lo_watermark > 1) {
+    const double fraction = parse_finite(key, value);
+    if (fraction < 0 || fraction > 1) {
       throw std::invalid_argument(
           "Hints::set: bb_lo_watermark must be a capacity fraction in "
           "[0, 1] (got " + value + ")");
     }
+    bb.lo_watermark = fraction;
   } else if (key == "integrity") {
     integrity.level = fs::parse_integrity_level(value);
   } else if (key == "integrity_block") {
@@ -134,11 +139,12 @@ void Hints::set(const std::string& key, const std::string& value) {
       throw std::invalid_argument(
           "Hints::set: integrity_block must be positive (got " + value + ")");
     }
-    integrity.block = std::stoull(value);
-    if (integrity.block == 0) {
+    const std::uint64_t block = std::stoull(value);
+    if (block == 0) {
       throw std::invalid_argument(
           "Hints::set: integrity_block must be positive (got 0)");
     }
+    integrity.block = block;
   } else if (key == "scrub") {
     if (value == "enable" || value == "true" || value == "1") {
       integrity.scrub = true;
@@ -148,11 +154,12 @@ void Hints::set(const std::string& key, const std::string& value) {
       throw std::invalid_argument("Hints::set: bad scrub value: " + value);
     }
   } else if (key == "bb_deadline") {
-    bb.drain_deadline = parse_finite(key, value);
-    if (bb.drain_deadline <= 0) {
+    const double deadline = parse_finite(key, value);
+    if (deadline <= 0) {
       throw std::invalid_argument(
           "Hints::set: bb_deadline must be positive (got " + value + ")");
     }
+    bb.drain_deadline = deadline;
   } else if (key == "parcoll_view_switch") {
     parcoll_view_switch = (value == "true" || value == "1");
   } else if (key == "parcoll_persistent_groups") {

@@ -73,6 +73,11 @@ struct Hints {
   /// Disable when successive calls change the rank-to-offset ordering.
   bool parcoll_persistent_groups = true;
 
+  /// ParColl partitioning is in effect: more than one group, or "auto".
+  [[nodiscard]] bool partitioned() const {
+    return parcoll_num_groups > 1 || parcoll_num_groups == -1;
+  }
+
   // --- Burst-buffer staging tier (node-local write-behind) ---
   /// Off by default: writes go straight to the filesystem, bit-identical
   /// to the historical path. With `bb=enable`, collective writes land in a
@@ -95,7 +100,8 @@ struct Hints {
 
   /// MPI_Info-style string interface. Unknown keys throw; values that can
   /// never be valid (zero cb_buffer_size, non-positive group counts other
-  /// than "auto") throw std::invalid_argument at set time.
+  /// than "auto") throw std::invalid_argument at set time and leave the
+  /// hint as it was.
   void set(const std::string& key, const std::string& value);
   [[nodiscard]] std::string get(const std::string& key) const;
 

@@ -1,5 +1,9 @@
 #include "workloads/runner.hpp"
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+
 #include "core/parcoll.hpp"
 #include "fs/lustre.hpp"
 #include "mpi/collectives.hpp"
@@ -113,6 +117,11 @@ void apply_observability(mpi::World& world, const RunSpec& spec) {
 RunResult Driver::run(
     int nranks, const RunSpec& spec, std::uint64_t bytes,
     const std::function<void(mpi::Rank&, Driver&)>& rank_main) {
+  if (!std::isfinite(spec.sample_interval) || spec.sample_interval < 0) {
+    throw std::invalid_argument(
+        "RunSpec: sample_interval must be finite and >= 0 (got " +
+        std::to_string(spec.sample_interval) + ")");
+  }
   mpi::World world(spec.model(nranks), spec.byte_true);
   world.set_fault(spec.fault);
   apply_observability(world, spec);

@@ -69,7 +69,8 @@ struct RunSpec {
   bool metrics = false;
   /// Virtual-time telemetry sampling interval in seconds; 0 (the default)
   /// disables the sampler entirely, keeping the run bit-identical. When
-  /// set, the result carries the timeline snapshot.
+  /// set, the result carries the timeline snapshot. A NaN, infinite or
+  /// negative interval throws std::invalid_argument before the run.
   double sample_interval = 0;
   /// Tenant name applied to every rank of the run ("" = untagged). Flows
   /// into per-job metric slices and the folded-stack exporter.

@@ -5,9 +5,9 @@
 #include <numeric>
 #include <set>
 
-#include "core/aggregator_dist.hpp"
+#include "mpiio/aggregator_dist.hpp"
 
-namespace parcoll::core {
+namespace parcoll::mpiio {
 namespace {
 
 mpi::Comm world_comm(int n) {
@@ -122,6 +122,29 @@ TEST(AggregatorDist, SingleGroupTakesAllNodes) {
   EXPECT_EQ(result[0], (std::vector<int>{0, 2, 4, 6}));
 }
 
+TEST(AggregatorDist, UnorderedListWithRepeatAndEmptyNode) {
+  // Four interleaved groups over the 16 nodes hosting the communicator; the
+  // explicit list is unordered, names node 3 twice and node 16, which hosts
+  // no member. The pinned rosters guard each group's resumed scan.
+  const machine::Topology topo(34, 2, machine::Mapping::Block);  // 17 nodes
+  const auto comm = world_comm(32);  // nodes 0..15
+  std::vector<int> groups(32);
+  for (int r = 0; r < 32; ++r) groups[static_cast<std::size_t>(r)] = (r / 3) % 4;
+  const std::vector<int> nodes{9, 3,  16, 12, 0,  3,  15, 6, 1,
+                               10, 7, 13, 2,  4, 11, 14, 5, 8};
+  const auto result = distribute_aggregators(topo, comm, nodes, groups, 4);
+  ASSERT_EQ(result.size(), 4u);
+  EXPECT_EQ(result[0], (std::vector<int>{0, 12, 24}));
+  EXPECT_EQ(result[1], (std::vector<int>{3, 4, 15, 16, 27, 28}));
+  EXPECT_EQ(result[2], (std::vector<int>{6, 18, 30}));
+  EXPECT_EQ(result[3], (std::vector<int>{9, 10, 21, 22}));
+  // One group takes every listed node that hosts a member, once.
+  EXPECT_EQ(distribute_aggregators(topo, comm, nodes, std::vector<int>(32, 0),
+                                   1)[0],
+            (std::vector<int>{0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24,
+                              26, 28, 30}));
+}
+
 TEST(AggregatorDist, GroupMapSizeMismatchThrows) {
   const machine::Topology topo(8, 2, machine::Mapping::Block);
   const auto comm = world_comm(8);
@@ -146,4 +169,4 @@ TEST(AggregatorNodeList, CbNodesTruncatesAndListOverrides) {
 }
 
 }  // namespace
-}  // namespace parcoll::core
+}  // namespace parcoll::mpiio

@@ -5,7 +5,9 @@
 #include <functional>
 #include <numeric>
 
+#include "core/parcoll.hpp"
 #include "mpi/collectives.hpp"
+#include "mpiio/aggregator_dist.hpp"
 #include "mpiio/ext2ph.hpp"
 #include "mpiio/file.hpp"
 #include "workloads/pattern.hpp"
@@ -273,6 +275,14 @@ TEST(Ext2ph, PhantomModeCountsCyclesAndTime) {
   EXPECT_GT(elapsed, 0.0);
 }
 
+/// The aggregator rule's one-group case: who aggregates for a plain call.
+std::vector<int> one_group(const machine::Topology& topo, const mpi::Comm& comm,
+                           const Hints& hints) {
+  return select_aggregators(
+      topo, comm, hints,
+      std::vector<int>(static_cast<std::size_t>(comm.size()), 0), 1)[0];
+}
+
 TEST(DefaultAggregators, NoHintsMeansEveryProcess) {
   // The AD_sysio default on Catamount: all processes aggregate.
   const machine::Topology topo(8, 2, machine::Mapping::Block);
@@ -280,7 +290,7 @@ TEST(DefaultAggregators, NoHintsMeansEveryProcess) {
   std::iota(members.begin(), members.end(), 0);
   const mpi::Comm comm(99, members);
   Hints hints;
-  const auto aggregators = default_aggregators(topo, comm, hints);
+  const auto aggregators = one_group(topo, comm, hints);
   EXPECT_EQ(aggregators, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
@@ -291,7 +301,7 @@ TEST(DefaultAggregators, CbNodesSelectsOnePerNodeLowestRank) {
   const mpi::Comm comm(99, members);
   Hints hints;
   hints.cb_nodes = 4;  // all nodes, node-based selection
-  const auto aggregators = default_aggregators(topo, comm, hints);
+  const auto aggregators = one_group(topo, comm, hints);
   EXPECT_EQ(aggregators, (std::vector<int>{0, 2, 4, 6}));
 }
 
@@ -302,7 +312,7 @@ TEST(DefaultAggregators, CbNodesTruncates) {
   const mpi::Comm comm(99, members);
   Hints hints;
   hints.cb_nodes = 2;
-  EXPECT_EQ(default_aggregators(topo, comm, hints),
+  EXPECT_EQ(one_group(topo, comm, hints),
             (std::vector<int>{0, 2}));
 }
 
@@ -314,7 +324,7 @@ TEST(DefaultAggregators, ExplicitNodeListRespected) {
   Hints hints;
   hints.cb_node_list = {3, 1};
   // Cyclic: node 3 hosts {3,7}, node 1 hosts {1,5}.
-  EXPECT_EQ(default_aggregators(topo, comm, hints),
+  EXPECT_EQ(one_group(topo, comm, hints),
             (std::vector<int>{1, 3}));
 }
 
@@ -323,8 +333,39 @@ TEST(DefaultAggregators, SubcommunicatorOnlySeesItsNodes) {
   const mpi::Comm comm(99, {4, 5, 6, 7});  // nodes 2 and 3 only
   Hints hints;
   hints.cb_nodes = 4;  // node-based selection; only 2 nodes host members
-  const auto aggregators = default_aggregators(topo, comm, hints);
+  const auto aggregators = one_group(topo, comm, hints);
   EXPECT_EQ(aggregators, (std::vector<int>{0, 2}));  // local ranks of 4 and 6
+}
+
+TEST(DefaultAggregators, NodeListWithoutMembersFallsBackToLowestRank) {
+  // Ranks 0-3 write over their own communicator, whose cb_node_list names
+  // only a node hosting none of them. The list has nothing to give, so the
+  // rule's requirement (a) makes local rank 0 the one aggregator, as it
+  // does for a ParColl subgroup, and the call completes.
+  constexpr std::uint64_t kBlock = 1 << 20;
+  mpi::World world(machine::MachineModel::jaguar(8, machine::Mapping::Block, 2));
+  std::vector<double> io_seconds(4, -1.0);
+  std::uint64_t size = 0;
+  world.run([&](mpi::Rank& self) {
+    const mpi::Comm half =
+        mpi::comm_split(self, self.comm_world(), self.rank() / 4, self.rank());
+    if (self.rank() >= 4) return;
+    Hints hints;
+    hints.cb_node_list = {self.world().model().topology.node_of(7)};
+    FileHandle file(self, half, "fallback.dat", hints);
+    const double before = self.times().breakdown()[mpi::TimeCat::IO];
+    core::write_at_all(file, static_cast<std::uint64_t>(self.rank()) * kBlock,
+                       nullptr, 1, dtype::Datatype::bytes(kBlock));
+    io_seconds[static_cast<std::size_t>(self.rank())] =
+        self.times().breakdown()[mpi::TimeCat::IO] - before;
+    file.close();
+    if (self.rank() == 0) size = file.size();
+  });
+  EXPECT_GT(io_seconds[0], 0.0);
+  for (std::size_t r = 1; r < io_seconds.size(); ++r) {
+    EXPECT_EQ(io_seconds[r], 0.0) << "rank " << r << " aggregated";
+  }
+  EXPECT_EQ(size, 4 * kBlock);
 }
 
 }  // namespace

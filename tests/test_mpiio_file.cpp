@@ -2,6 +2,9 @@
 // pinned close-time summary text, and the POSIX-style per-extent path.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "fault/fault.hpp"
 #include "mpi/collectives.hpp"
 #include "mpiio/file.hpp"
@@ -272,6 +275,17 @@ TEST(Hints, StringInterfaceRoundTrips) {
   EXPECT_FALSE(hints.parcoll_view_switch);
   EXPECT_THROW(hints.set("no_such_hint", "1"), std::invalid_argument);
   EXPECT_THROW(hints.get("no_such_hint"), std::invalid_argument);
+  // A rejected set leaves the hint at its last accepted value.
+  const std::pair<const char*, const char*> rejected[] = {
+      {"cb_buffer_size", "0"},    {"parcoll_min_group_size", "0"},
+      {"bb_capacity", "0"},       {"bb_hi_watermark", "1.5"},
+      {"bb_lo_watermark", "-0.1"}, {"integrity_block", "0"},
+      {"bb_deadline", "-0.5"}};
+  for (const auto& [key, bad] : rejected) {
+    const std::string before = hints.get(key);
+    EXPECT_THROW(hints.set(key, bad), std::invalid_argument) << key;
+    EXPECT_EQ(hints.get(key), before) << key << " kept " << bad;
+  }
 }
 
 }  // namespace

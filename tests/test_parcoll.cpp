@@ -216,12 +216,12 @@ TEST(Parcoll, SubgroupFormationAssignsSubcommAndAggregators) {
     const auto plan = form_subgroups(
         self, self.comm_world(),
         std::make_shared<const std::vector<RankAccess>>(accesses), hints);
-    sub_sizes[self.rank()] = plan.subcomm.size();
+    sub_sizes[self.rank()] = plan.call.comm.size();
     my_groups[self.rank()] = plan.my_group;
-    EXPECT_FALSE(plan.sub_aggregators.empty());
+    EXPECT_FALSE(plan.call.aggregators->empty());
     // The subgroup communicator contains exactly my group's members.
-    for (int local = 0; local < plan.subcomm.size(); ++local) {
-      const int world_rank = plan.subcomm.world_rank(local);
+    for (int local = 0; local < plan.call.comm.size(); ++local) {
+      const int world_rank = plan.call.comm.world_rank(local);
       EXPECT_EQ(plan.fa().group_of_rank[static_cast<std::size_t>(world_rank)],
                 plan.my_group);
     }

@@ -203,6 +203,15 @@ TEST(Sampler, RejectsNonPositiveAndNonFiniteIntervals) {
         << bad;
   }
   EXPECT_NO_THROW(obs::TimeSeriesSampler sampler(1e-9));
+  // A run spec's interval fails the same way, before anything runs,
+  // instead of turning the sampler off.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    workloads::RunSpec spec;
+    spec.sample_interval = bad;
+    EXPECT_THROW(workloads::run_ior(workloads::IorConfig{}, 4, spec, true),
+                 std::invalid_argument)
+        << bad;
+  }
 }
 
 // ------------------------------------------------------------ job tags --
