@@ -217,11 +217,12 @@ FileAreaPlan partition_file_areas(const std::vector<RankAccess>& ranks,
     // contiguous rank blocks (rank-major concatenation makes the
     // intermediate pattern serial).
     plan.mode = PartitionMode::Intermediate;
-    plan.inter_start.resize(nranks);
+    // Each rank's intermediate start: the rank-major prefix sum of bytes.
+    std::vector<std::uint64_t> inter_start(nranks);
     std::vector<std::uint64_t> cum_rank(nranks, 0);
     std::uint64_t running = 0;
     for (std::size_t r = 0; r < nranks; ++r) {
-      plan.inter_start[r] = running;
+      inter_start[r] = running;
       running += ranks[r].bytes;
       cum_rank[r] = running;
     }
@@ -238,8 +239,8 @@ FileAreaPlan partition_file_areas(const std::vector<RankAccess>& ranks,
       for (std::size_t r = begin; r < end; ++r) {
         plan.group_of_rank[r] = g;
       }
-      const std::uint64_t lo = plan.inter_start[begin];
-      const std::uint64_t hi = end < nranks ? plan.inter_start[end] : running;
+      const std::uint64_t lo = inter_start[begin];
+      const std::uint64_t hi = end < nranks ? inter_start[end] : running;
       plan.areas.emplace_back(lo, hi);
       begin = end;
     }

@@ -47,11 +47,9 @@ struct FileAreaPlan {
   /// Group id per comm-local rank.
   std::vector<int> group_of_rank;
   /// [lo, hi) per group — physical offsets in Direct mode, intermediate
-  /// offsets in Intermediate mode. Non-overlapping and ordered.
+  /// offsets in Intermediate mode (the rank-major prefix sums of bytes at
+  /// the group's bounds). Non-overlapping and ordered.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> areas;
-  /// Intermediate-view start offset per comm-local rank (valid in
-  /// Intermediate mode): the rank-major prefix sum of bytes.
-  std::vector<std::uint64_t> inter_start;
 };
 
 /// Requesting this many groups asks the planner to pick the count itself:

@@ -77,9 +77,10 @@ RankAccess access_of(const mpiio::PreparedRequest& request) {
 /// hosts two members. The data path stages two-level under enable, and
 /// under automatic only when every aggregator keeps its own leader: several
 /// aggregators on one node (the Catamount every-process default) would
-/// lose I/O parallelism to buy the coordination win. Members share one
-/// leader roster: the open file's (`file_leaders`, made by its first
-/// caller), else a shared_once over `comm`, whose members all plan at once.
+/// lose I/O parallelism to buy the coordination win. The open file's
+/// leader roster is made once, by its first caller, into `file_leaders`; a
+/// subgroup's or a re-elected call's is as short as its aggregator roster,
+/// so each member maps that onto node leaders itself.
 CallPlan make_call_plan(mpi::Rank& self, const mpi::Comm& comm,
                         mpiio::Roster aggregators, const mpiio::Hints& hints,
                         std::optional<mpiio::Roster>* file_leaders = nullptr) {
@@ -97,8 +98,7 @@ CallPlan make_call_plan(mpi::Rank& self, const mpi::Comm& comm,
     return mpiio::make_roster(std::move(locals));
   };
   if (file_leaders == nullptr) {
-    plan.leader_aggregators =
-        *mpi::shared_once<mpiio::Roster>(self, comm, leaders);
+    plan.leader_aggregators = leaders();
   } else {
     if (!*file_leaders) *file_leaders = leaders();
     plan.leader_aggregators = **file_leaders;
@@ -123,6 +123,22 @@ CallPlan make_file_plan(mpi::Rank& self, mpiio::FileCommon& file,
                         &file.leader_aggregators);
 }
 
+/// The partition of `comm` for this call's requests: the build of the
+/// pattern-detection allgather of every member's access summary, staged
+/// through node leaders when `nodes` is given, else flat.
+std::shared_ptr<const SharedGroupInfo> gather_partition(
+    mpi::Rank& self, const mpi::Comm& comm, const mpiio::Hints& hints,
+    const mpiio::PreparedRequest& prep, const node::NodeComm* nodes) {
+  const auto plan = [&](const std::vector<RankAccess>& accesses) {
+    return plan_partition(self.world().model().topology, comm, accesses,
+                          hints);
+  };
+  return nodes != nullptr ? node::hier_allgather<SharedGroupInfo>(
+                                self, *nodes, access_of(prep), plan)
+                          : mpi::allgather_build<SharedGroupInfo>(
+                                self, comm, access_of(prep), plan);
+}
+
 /// Establish a ParColl partition over `comm` and each subgroup's route.
 /// The pattern-detection allgather is the one global exchange; through node
 /// leaders its inter-node stage involves num_nodes participants, not P.
@@ -131,12 +147,10 @@ SubgroupPlan establish_partition(mpi::Rank& self, mpiio::FileCommon& file,
                                  const mpiio::PreparedRequest& prep) {
   mpi::SpanGuard partition_span(self, obs::SpanKind::Stage, "partition");
   const CallPlan parent = make_file_plan(self, file, comm);
-  const auto accesses =
-      parent.nodes ? std::make_shared<const std::vector<RankAccess>>(
-                         node::hier_allgather(self, *parent.nodes,
-                                              access_of(prep)))
-                   : mpi::allgather_shared(self, comm, access_of(prep));
-  SubgroupPlan plan = form_subgroups(self, comm, accesses, file.hints);
+  SubgroupPlan plan = form_subgroups(
+      self, comm,
+      gather_partition(self, comm, file.hints, prep,
+                       parent.nodes ? &*parent.nodes : nullptr));
   // One group runs on the file communicator, whose plan is made already
   // (its roster is the same one-group rule's).
   plan.call = plan.call.comm == comm
@@ -474,17 +488,15 @@ CollectiveOutcome read_all(mpiio::FileHandle& file, void* buffer,
 ParcollDecision plan_decision(mpiio::FileHandle& file, std::uint64_t offset,
                               std::uint64_t count,
                               const dtype::Datatype& memtype) {
-  auto& self = file.self();
-  const mpi::Comm& comm = file.comm();
   mpiio::PreparedRequest prep;
   prep.bytes = count * memtype.size();
   prep.extents = file.view().map(offset, prep.bytes);
-  const auto accesses = mpi::allgather_shared(self, comm, access_of(prep));
-  const SubgroupPlan plan = form_subgroups(self, comm, accesses, file.hints());
+  const auto partition = gather_partition(file.self(), file.comm(),
+                                          file.hints(), prep, nullptr);
   ParcollDecision decision;
-  decision.mode = plan.fa().mode;
-  decision.num_groups = plan.fa().num_groups;
-  decision.aggregators_per_group = plan.aggs_per_group();
+  decision.mode = partition->fa.mode;
+  decision.num_groups = partition->fa.num_groups;
+  decision.aggregators_per_group = partition->aggs_per_group;
   return decision;
 }
 

@@ -85,9 +85,9 @@ void end_subgroup_scope(mpi::Rank& self, const mpi::Comm& comm,
 [[nodiscard]] mpiio::FileStats collective_counts(
     mpiio::FileHandle& file, const CollectiveOutcome& outcome, bool is_write);
 
-/// The partitioning decision the hints + this request would produce, from
-/// the calling rank's perspective — runs the same collective planning
-/// steps, so it must be called by every member. For introspection.
+/// The partitioning decision the hints + this request would produce: runs
+/// the partition's exchange and build (plan_partition), not the subgroup
+/// split, so it must be called by every member. For introspection.
 ParcollDecision plan_decision(mpiio::FileHandle& file, std::uint64_t offset,
                               std::uint64_t count,
                               const dtype::Datatype& memtype);

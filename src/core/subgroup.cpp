@@ -2,33 +2,32 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "mpi/collectives.hpp"
 #include "mpiio/aggregator_dist.hpp"
 
 namespace parcoll::core {
 
-SubgroupPlan form_subgroups(
-    mpi::Rank& self, const mpi::Comm& comm,
-    const std::shared_ptr<const std::vector<RankAccess>>& accesses,
-    const mpiio::Hints& hints) {
+SharedGroupInfo plan_partition(const machine::Topology& topology,
+                               const mpi::Comm& comm,
+                               const std::vector<RankAccess>& accesses,
+                               const mpiio::Hints& hints) {
+  SharedGroupInfo info;
+  info.fa = partition_file_areas(accesses, hints.parcoll_num_groups,
+                                 hints.parcoll_min_group_size,
+                                 hints.parcoll_view_switch);
+  info.aggs_per_group = mpiio::select_aggregators(
+      topology, comm, hints, info.fa.group_of_rank, info.fa.num_groups);
+  return info;
+}
+
+SubgroupPlan form_subgroups(mpi::Rank& self, const mpi::Comm& comm,
+                            std::shared_ptr<const SharedGroupInfo> partition) {
   const int me = comm.local_rank(self.rank());
 
   SubgroupPlan plan;
-  // One member computes the partition and the aggregator rosters; every
-  // member shares the result. It is a deterministic function of
-  // collective-identical inputs, so this only removes the P-1 redundant
-  // computations (and their P-sized private copies).
-  plan.global = mpi::shared_once<SharedGroupInfo>(self, comm, [&] {
-    SharedGroupInfo info;
-    info.fa = partition_file_areas(*accesses, hints.parcoll_num_groups,
-                                   hints.parcoll_min_group_size,
-                                   hints.parcoll_view_switch);
-    info.aggs_per_group = mpiio::select_aggregators(
-        self.world().model().topology, comm, hints, info.fa.group_of_rank,
-        info.fa.num_groups);
-    return info;
-  });
+  plan.global = std::move(partition);
   const FileAreaPlan& fa = plan.global->fa;
 
   if (fa.mode == PartitionMode::SingleGroup) {

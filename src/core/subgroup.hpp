@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/file_area.hpp"
+#include "machine/topology.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/runtime.hpp"
 #include "mpiio/ext2ph.hpp"
@@ -33,6 +34,7 @@ struct CallPlan {
 /// The comm-global part of a subgroup plan — identical on every member of
 /// the establishing collective, so every member shares one immutable copy
 /// instead of holding its own P-sized vectors (quadratic on wide comms).
+/// plan_partition makes it.
 struct SharedGroupInfo {
   FileAreaPlan fa;
   /// Aggregators of every group, as parent-comm-local ranks.
@@ -54,15 +56,21 @@ struct SubgroupPlan {
   }
 };
 
-/// Form subgroups for a collective call. Collective over `comm`: every
-/// member must call with the same `accesses` (the allgathered per-rank
-/// access summaries, typically the shared view from allgather_shared) and
-/// hints; they all receive the identical plan, with the comm-global parts
-/// computed once and shared. Aggregators follow mpiio::select_aggregators.
-SubgroupPlan form_subgroups(
-    mpi::Rank& self, const mpi::Comm& comm,
-    const std::shared_ptr<const std::vector<RankAccess>>& accesses,
-    const mpiio::Hints& hints);
+/// The partition of `comm` for its members' access summaries (`accesses`,
+/// in comm-local rank order) under `hints`: the File Areas and every
+/// group's aggregators, by mpiio::select_aggregators. A pure function of
+/// collective-identical inputs, so it runs once, as the build of the
+/// exchange that gathers `accesses`, and every member shares the result.
+SharedGroupInfo plan_partition(const machine::Topology& topology,
+                               const mpi::Comm& comm,
+                               const std::vector<RankAccess>& accesses,
+                               const mpiio::Hints& hints);
+
+/// This rank's subgroup of `partition` (plan_partition's shared result).
+/// Collective over `comm` when the partition has several groups: the
+/// members split it into one communicator per group.
+SubgroupPlan form_subgroups(mpi::Rank& self, const mpi::Comm& comm,
+                            std::shared_ptr<const SharedGroupInfo> partition);
 
 /// Degraded-mode aggregator re-election: replace every aggregator whose
 /// remaining scheduled stall at `agreed_now` exceeds

@@ -105,17 +105,15 @@ double LustreSim::submit(int client, int file_id,
     job = &(*jobs_)[static_cast<std::size_t>(client)];
   }
 
-  // Records one served RPC against the OST that accepted it (after a
-  // failover, not the one it was sent to): the backlog it found there (how
-  // long it queued behind already-accepted work, a seconds-denominated
-  // queue depth) and its end-to-end latency from issue to service
-  // completion (including any retry/backoff time the caller burned). The
-  // OST's own totals are written once, by record_ost_totals.
-  auto note_served = [&](int ost_index, std::uint64_t bytes, double backlog,
-                         double issue, double done) {
-    const auto ost = static_cast<std::size_t>(ost_index);
+  // Records one served RPC: the backlog it found at the OST that accepted
+  // it (after a failover, not the one it was sent to; how long it queued
+  // behind already-accepted work, a seconds-denominated queue depth) and
+  // its end-to-end latency from issue to service completion (including
+  // any retry/backoff time the caller burned). The OST's own totals, its
+  // peak backlog among them, are written once, by record_ost_totals.
+  auto note_served = [&](std::uint64_t bytes, double backlog, double issue,
+                         double done) {
     metrics_->quantile("fs.ost.queue_wait_s").observe(backlog);
-    metrics_->gauge_max("fs.ost.queue_depth_s", ost, backlog);
     const double latency = done - issue;
     metrics_->quantile("fs.rpc.latency_s").observe(latency);
     if (job != nullptr) {
@@ -156,7 +154,7 @@ double LustreSim::submit(int client, int file_id,
       if (outcome.ok) {
         last_completion = std::max(last_completion, outcome.done);
         if (metrics_ != nullptr) {
-          note_served(target, rpc.bytes, backlog, issue, outcome.done);
+          note_served(rpc.bytes, backlog, issue, outcome.done);
         }
         break;
       }
@@ -419,6 +417,7 @@ void LustreSim::record_ost_totals() {
     metrics_->counter("fs.ost.rpcs", i) = ost.rpcs_served();
     metrics_->counter("fs.ost.bytes", i) = ost.bytes_served();
     metrics_->gauge("fs.ost.service_s", i) = ost.service_seconds();
+    metrics_->gauge("fs.ost.queue_depth_s", i) = ost.peak_backlog();
   }
 }
 

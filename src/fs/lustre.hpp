@@ -100,9 +100,10 @@ class LustreSim {
   /// Attach a metrics registry (null detaches). Recording observes the
   /// clock and OST backlog but never sleeps, so timing is unchanged.
   void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
-  /// Write `fs.ost.rpcs[i]`, `fs.ost.bytes[i]` and `fs.ost.service_s[i]`
-  /// into the attached registry for every OST that served an RPC. The
-  /// World calls it once, when its run ends.
+  /// Write `fs.ost.rpcs[i]`, `fs.ost.bytes[i]`, `fs.ost.service_s[i]` and
+  /// `fs.ost.queue_depth_s[i]` (the peak backlog) into the attached
+  /// registry for every OST that served an RPC. The World calls it once,
+  /// when its run ends.
   void record_ost_totals();
 
   /// Attach the per-client job table (null detaches): jobs->at(client) is

@@ -150,6 +150,7 @@ ServeOutcome OstModel::serve(double ready, int file_id, int client,
     }
   }
   const double start = std::max(ready, busy_until_);
+  peak_backlog_ = std::max(peak_backlog_, start - ready);
   double service = params_.request_overhead +
                    static_cast<double>(bytes) / params_.ost_bandwidth;
   if (fragments > 1) {

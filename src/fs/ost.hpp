@@ -70,6 +70,9 @@ class OstModel {
   [[nodiscard]] double busy_until() const { return busy_until_; }
   /// Total seconds of service time reserved so far (cumulative busy time).
   [[nodiscard]] double service_seconds() const { return service_seconds_; }
+  /// The longest backlog an accepted RPC found on arrival: how long it
+  /// queued behind already-accepted work, a seconds-denominated depth.
+  [[nodiscard]] double peak_backlog() const { return peak_backlog_; }
   [[nodiscard]] std::uint64_t bytes_served() const { return bytes_served_; }
   /// Payload bytes of accepted RPCs that have not completed by `now`.
   /// Prunes completed entries, so calls with non-decreasing `now` stay
@@ -100,6 +103,7 @@ class OstModel {
   std::uint64_t request_seq_ = 0;
   std::uint64_t lock_switches_ = 0;
   double service_seconds_ = 0.0;
+  double peak_backlog_ = 0.0;
   std::uint64_t bytes_served_ = 0;
   /// (completion time, payload bytes) of accepted RPCs, completion order.
   std::deque<std::pair<double, std::uint64_t>> inflight_;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <map>
 #include <optional>
+#include <string_view>
 #include <tuple>
 
 #include "check/invariants.hpp"
@@ -128,6 +130,7 @@ std::shared_ptr<const void> CollEngine::exchange(
                            "same sequence point (program error); schedule=" +
                            engine_.schedule_token());
   }
+  if (op->build == nullptr) op->build = build;
   Arrival arrival;
   arrival.local = me;
   arrival.contribution = contribution;
@@ -161,12 +164,12 @@ std::shared_ptr<const void> CollEngine::exchange(
         op->max_arrival +
         coll_cost(net_, kind, comm.size(), max_contrib, total);
     std::shared_ptr<const void> result;
-    if (build != nullptr) {
+    if (op->build != nullptr) {
       ordered_.resize(static_cast<std::size_t>(comm.size()));
       for (const Arrival* a = op->first; a != nullptr; a = a->next) {
         ordered_[static_cast<std::size_t>(a->local)] = a->contribution;
       }
-      result = (*build)(ordered_);
+      result = (*op->build)(ordered_);
     }
     for (Arrival* a = op->first; a != nullptr; a = a->next) {
       a->result = result;
@@ -186,35 +189,13 @@ std::shared_ptr<const void> CollEngine::exchange(
     // itself observes lag 0, everyone it kept waiting observes its slack.
     metrics->quantile("mpi.coll.straggler_lag_s")
         .observe(arrival.max_arrival - arrival.time);
-    static const std::string kCalls[] = {
+    static constexpr std::string_view kCalls[] = {
         "mpi.coll.calls.barrier",   "mpi.coll.calls.bcast",
         "mpi.coll.calls.gather",    "mpi.coll.calls.allgather",
         "mpi.coll.calls.alltoall",  "mpi.coll.calls.allreduce"};
     ++metrics->counter(kCalls[static_cast<std::size_t>(kind)]);
   }
   return std::move(arrival.result);
-}
-
-std::shared_ptr<const void> CollEngine::shared_fetch(
-    Rank& self, const Comm& comm,
-    const std::function<std::shared_ptr<const void>()>& build) {
-  if (comm.local_rank(self.rank()) < 0) {
-    throw std::logic_error("shared_fetch: caller is not in the communicator");
-  }
-  const std::uint64_t seq = self.next_coll_seq(comm.context_id());
-  const OpKey key{comm.context_id(), seq};
-  auto it = shared_vals_.find(key);
-  if (it == shared_vals_.end()) {
-    SharedVal val;
-    val.value = build();
-    val.expected = comm.size();
-    it = shared_vals_.emplace(key, std::move(val)).first;
-  }
-  auto result = it->second.value;
-  if (++it->second.fetched == it->second.expected) {
-    shared_vals_.erase(it);
-  }
-  return result;
 }
 
 void barrier(Rank& self, const Comm& comm) {
@@ -246,12 +227,6 @@ int coll_local_rank(Rank& self, const Comm& comm) {
     throw std::logic_error("collective: caller is not in the communicator");
   }
   return local;
-}
-
-std::shared_ptr<const void> coll_shared_fetch(
-    Rank& self, const Comm& comm,
-    const std::function<std::shared_ptr<const void>()>& build) {
-  return self.world().colls().shared_fetch(self, comm, build);
 }
 
 Comm comm_split(Rank& self, const Comm& comm, int color, int key) {

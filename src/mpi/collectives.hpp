@@ -17,12 +17,11 @@
 // arriver builds the one result every member receives, and the typed
 // wrappers below read their part of it (data routing fidelity does not
 // affect timing: costs are per-kind). A value shared by several ranks has
-// one home, by its lifetime:
-//  - made from a collective's contributions: that collective's build
-//    (coll_build), run once by the last arriver over every contribution
-//    in local-rank order; every member receives the one immutable result;
-//  - computable by every member alone, once per call: shared_once, built
-//    by the first member through, with nothing exchanged;
+// one of two homes, by its lifetime:
+//  - made in a collective call: that collective's build (coll_build), run
+//    once by the last arriver over every contribution in local-rank order;
+//    any member may pass it (a root alone, to publish an object it holds),
+//    and every member receives the one immutable result;
 //  - fixed for a communicator or an open file: World::shared_object.
 // So no rank scans all P contributions or holds a private P-sized copy.
 #pragma once
@@ -30,11 +29,11 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "machine/machine_model.hpp"
@@ -113,11 +112,12 @@ class CollEngine {
   /// Core rendezvous: block until all members of `comm` have contributed,
   /// then return the call's one shared result. Charges Sync time. The
   /// contribution is read in place, so it must stay untouched until the
-  /// call returns. With `build`, the last arriver runs it once over every
-  /// contribution and every member receives what it made; without one the
-  /// result is null. A nonzero `charge_as` bills the call as if every
-  /// member had contributed that many bytes (a sparse exchange charged as
-  /// its dense form, or a reduction whose values nobody reads).
+  /// call returns. Any member may pass a `build`, and all that pass one
+  /// pass the same build: the last arriver runs the first one passed, once,
+  /// over every contribution, and every member receives what it made; with
+  /// none the result is null. A nonzero `charge_as` bills the call as if
+  /// every member had contributed that many bytes (a sparse exchange
+  /// charged as its dense form, or a reduction whose values nobody reads).
   std::shared_ptr<const void> exchange(Rank& self, const Comm& comm,
                                        CollKind kind,
                                        std::span<const std::byte> contribution,
@@ -128,17 +128,6 @@ class CollEngine {
   /// the same order by all ranks that use the result (comm_split does).
   std::uint64_t derive_context(std::uint64_t parent_ctx, std::uint64_t seq,
                                int color) const;
-
-  /// Deduplicate an identical-on-every-rank computation: each member of
-  /// `comm` calls (in the same collective order) with a `build` that
-  /// deterministically produces the same value; the first caller runs it
-  /// and every member shares the one immutable result. Nothing is
-  /// exchanged and no time is charged — real ranks each compute this
-  /// locally, the simulator just refuses to hold P copies of it. The
-  /// entry retires once every member has fetched.
-  std::shared_ptr<const void> shared_fetch(
-      Rank& self, const Comm& comm,
-      const std::function<std::shared_ptr<const void>()>& build);
 
  private:
   /// One member inside a rendezvous. It lives in that member's frame
@@ -157,18 +146,12 @@ class CollEngine {
   struct Op {
     std::uint64_t seq = 0;
     CollKind kind = CollKind::Barrier;
+    const CollBuild* build = nullptr;  // the first one a member passed
     int arrived = 0;
     double max_arrival = 0.0;
     Arrival* first = nullptr;  // in arrival order
     Arrival* last = nullptr;
     Op* next = nullptr;  // another open op on the same context
-  };
-  using OpKey = std::pair<std::uint64_t, std::uint64_t>;  // (ctx, seq)
-
-  struct SharedVal {
-    std::shared_ptr<const void> value;
-    int fetched = 0;
-    int expected = 0;
   };
 
   sim::Engine& engine_;
@@ -176,10 +159,9 @@ class CollEngine {
   /// The open ops of each context id. A context's entry stays once made,
   /// so opening an op on it allocates nothing.
   std::unordered_map<std::uint64_t, Op*> open_;
-  /// The last arriver's contributions in local-rank order (only read while
-  /// its build runs, which never yields).
+  /// Every contribution in local-rank order, laid out by the last arriver
+  /// for the build it runs (which never yields).
   std::vector<std::span<const std::byte>> ordered_;
-  std::map<OpKey, SharedVal> shared_vals_;
 };
 
 // --- Typed wrappers -------------------------------------------------------
@@ -229,10 +211,6 @@ void barrier(Rank& self, const Comm& comm);
 /// Everyone receives root's value.
 template <typename T>
 T bcast(Rank& self, const Comm& comm, int root, const T& value);
-
-/// Everyone receives [rank0's value, rank1's value, ...].
-template <typename T>
-std::vector<T> allgather(Rank& self, const Comm& comm, const T& value);
 
 /// `send` has one element per rank; result[j] = what rank j sent to me.
 template <typename T>
@@ -290,13 +268,11 @@ std::shared_ptr<const void> coll_exchange(Rank& self, const Comm& comm,
                                           const CollBuild* build = nullptr,
                                           std::uint64_t charge_as = 0);
 int coll_local_rank(Rank& self, const Comm& comm);
-std::shared_ptr<const void> coll_shared_fetch(
-    Rank& self, const Comm& comm,
-    const std::function<std::shared_ptr<const void>()>& build);
 
-/// A collective with a build: the last arriver runs `build(contribs)`
-/// once, over every contribution in local-rank order, and every member
-/// receives the same immutable R. `charge_as` as in CollEngine::exchange.
+/// A collective with a build, passed by every member: the last arriver
+/// runs `build(contribs)` once, over every contribution in local-rank
+/// order, and every member receives the same immutable R. `charge_as` as
+/// in CollEngine::exchange.
 template <typename R, typename Build>
 std::shared_ptr<const R> coll_build(Rank& self, const Comm& comm,
                                     CollKind kind,
@@ -321,38 +297,50 @@ inline std::shared_ptr<const CollGathered> coll_run(
       [](CollContribs all) { return CollGathered(all); });
 }
 
-/// Typed front end to CollEngine::shared_fetch: every member of `comm`
-/// calls with a `build` that deterministically computes the same T; one
-/// member runs it and all of them receive the same immutable object.
-template <typename T, typename Build>
-std::shared_ptr<const T> shared_once(Rank& self, const Comm& comm,
-                                     Build&& build) {
-  auto erased =
-      coll_shared_fetch(self, comm, [&]() -> std::shared_ptr<const void> {
-        return std::make_shared<const T>(build());
-      });
-  return std::static_pointer_cast<const T>(erased);
+/// A collective whose one result is `object`: the members that hold it
+/// pass it (a root alone, typically) and the rest pass null, and every
+/// member receives it. The call is charged as `kind` over the
+/// contributions, which nobody reads.
+template <typename R>
+std::shared_ptr<const R> coll_publish(Rank& self, const Comm& comm,
+                                      CollKind kind,
+                                      std::span<const std::byte> contribution,
+                                      const std::shared_ptr<const R>& object) {
+  const CollBuild publish =
+      [&object](CollContribs) -> std::shared_ptr<const void> {
+    return object;
+  };
+  return std::static_pointer_cast<const R>(coll_exchange(
+      self, comm, kind, contribution, object != nullptr ? &publish : nullptr));
 }
 
-/// Like allgather, but every member receives the same shared immutable
-/// vector instead of a private copy. The exchange (and its cost) is
-/// identical to allgather's; the last arriver builds the one vector. Use
-/// for comm-sized metadata on wide communicators, where P private copies
-/// of a P-entry vector are quadratic.
+/// An allgather whose last arriver runs `build(values)` once, over every
+/// member's value in local-rank order (a `const std::vector<T>&`), and
+/// every member receives the same immutable R. The exchange and its cost
+/// are allgather's; no member holds the P values.
+template <typename R, typename T, typename Build>
+std::shared_ptr<const R> allgather_build(Rank& self, const Comm& comm,
+                                         const T& value, Build&& build) {
+  return coll_build<R>(self, comm, CollKind::Allgather,
+                       detail::bytes_of(value), [&build](CollContribs all) {
+                         std::vector<T> values;
+                         values.reserve(all.size());
+                         for (const auto& contribution : all) {
+                           values.push_back(
+                               detail::scalar_from<T>(contribution));
+                         }
+                         return build(std::as_const(values));
+                       });
+}
+
+/// allgather_build's identity case: every member receives the one shared
+/// vector of every member's value.
 template <typename T>
 std::shared_ptr<const std::vector<T>> allgather_shared(Rank& self,
                                                        const Comm& comm,
                                                        const T& value) {
-  return coll_build<std::vector<T>>(
-      self, comm, CollKind::Allgather, detail::bytes_of(value),
-      [](CollContribs all) {
-        std::vector<T> result;
-        result.reserve(all.size());
-        for (const auto& contribution : all) {
-          result.push_back(detail::scalar_from<T>(contribution));
-        }
-        return result;
-      });
+  return allgather_build<std::vector<T>>(
+      self, comm, value, [](const std::vector<T>& values) { return values; });
 }
 
 template <typename T>
@@ -362,11 +350,6 @@ T bcast(Rank& self, const Comm& comm, int root, const T& value) {
                       is_root ? detail::bytes_of(value)
                               : std::span<const std::byte>{});
   return detail::scalar_from<T>((*all)[static_cast<std::size_t>(root)]);
-}
-
-template <typename T>
-std::vector<T> allgather(Rank& self, const Comm& comm, const T& value) {
-  return *allgather_shared(self, comm, value);
 }
 
 template <typename T>

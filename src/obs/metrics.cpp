@@ -5,44 +5,54 @@
 
 namespace parcoll::obs {
 
-std::uint64_t& MetricsRegistry::counter(const std::string& name) {
-  return counters_[name];
+namespace {
+/// The instrument named `name`, value-initialized on first use. Finding
+/// an existing one builds no key.
+template <typename V>
+V& slot(MetricsRegistry::Series<V>& series, std::string_view name) {
+  auto it = series.find(name);
+  if (it == series.end()) it = series.emplace(name, V{}).first;
+  return it->second;
+}
+}  // namespace
+
+std::uint64_t& MetricsRegistry::counter(std::string_view name) {
+  return slot(counters_, name);
 }
 
-std::uint64_t& MetricsRegistry::counter(const std::string& name,
+std::uint64_t& MetricsRegistry::counter(std::string_view name,
                                         std::size_t index) {
-  return counters_[indexed(name, index)];
+  return counter(indexed(name, index));
 }
 
-double& MetricsRegistry::gauge(const std::string& name) {
-  return gauges_[name];
+double& MetricsRegistry::gauge(std::string_view name) {
+  return slot(gauges_, name);
 }
 
-double& MetricsRegistry::gauge(const std::string& name, std::size_t index) {
-  return gauges_[indexed(name, index)];
+double& MetricsRegistry::gauge(std::string_view name, std::size_t index) {
+  return gauge(indexed(name, index));
 }
 
-void MetricsRegistry::gauge_max(const std::string& name, double value) {
-  auto [it, inserted] = gauges_.try_emplace(name, value);
-  if (!inserted) {
-    it->second = std::max(it->second, value);
-  }
+void MetricsRegistry::gauge_max(std::string_view name, double value) {
+  auto it = gauges_.find(name);
+  if (it == gauges_.end()) it = gauges_.emplace(name, value).first;
+  it->second = std::max(it->second, value);
 }
 
-void MetricsRegistry::gauge_max(const std::string& name, std::size_t index,
+void MetricsRegistry::gauge_max(std::string_view name, std::size_t index,
                                 double value) {
   gauge_max(indexed(name, index), value);
 }
 
-QuantileHistogram& MetricsRegistry::quantile(const std::string& name) {
-  return quantiles_[name];
+QuantileHistogram& MetricsRegistry::quantile(std::string_view name) {
+  return slot(quantiles_, name);
 }
 
-std::string MetricsRegistry::indexed(const std::string& name,
+std::string MetricsRegistry::indexed(std::string_view name,
                                      std::size_t index) {
   char suffix[16];
   std::snprintf(suffix, sizeof(suffix), "[%04zu]", index);
-  return name + suffix;
+  return std::string(name) + suffix;
 }
 
 int MetricsRegistry::index_of(std::string_view key, std::string_view name) {
@@ -58,9 +68,9 @@ int MetricsRegistry::index_of(std::string_view key, std::string_view name) {
   return index;
 }
 
-std::string MetricsRegistry::job_key(const std::string& name,
+std::string MetricsRegistry::job_key(std::string_view name,
                                      std::string_view job) {
-  std::string key = name;
+  std::string key(name);
   key += "{job=";
   key += job;
   key += '}';

@@ -10,10 +10,13 @@
 // Instrument names use dotted paths ("parcoll.sync_wait_s"); per-index
 // series (one counter per OST, per subgroup, ...) get a zero-padded
 // "[0003]" suffix so exports sort naturally. Storage is an ordered map,
-// making every export deterministic.
+// making every export deterministic. A lookup by name builds no key, so
+// recording into an existing instrument allocates nothing (an indexed
+// one formats its key).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -24,37 +27,38 @@ namespace parcoll::obs {
 
 class MetricsRegistry {
  public:
+  /// Instruments of one kind by name, in name order.
+  template <typename V>
+  using Series = std::map<std::string, V, std::less<>>;
+
   /// Monotonic counter; creates it at zero on first use.
-  std::uint64_t& counter(const std::string& name);
+  std::uint64_t& counter(std::string_view name);
   /// Indexed counter series, e.g. counter("fs.ost.bytes", ost_index).
-  std::uint64_t& counter(const std::string& name, std::size_t index);
+  std::uint64_t& counter(std::string_view name, std::size_t index);
 
   /// Last-value gauge.
-  double& gauge(const std::string& name);
+  double& gauge(std::string_view name);
   /// Indexed gauge series, e.g. gauge("fs.ost.service_s", ost_index).
-  double& gauge(const std::string& name, std::size_t index);
-  /// Running-maximum gauge (e.g. peak queue depth).
-  void gauge_max(const std::string& name, double value);
-  void gauge_max(const std::string& name, std::size_t index, double value);
+  double& gauge(std::string_view name, std::size_t index);
+  /// Running-maximum gauge (e.g. peak bytes).
+  void gauge_max(std::string_view name, double value);
+  void gauge_max(std::string_view name, std::size_t index, double value);
 
   /// Log-bucketed quantile histogram (~1% relative error); created empty
   /// on first use. The standard latency instruments (RPC, OST service,
   /// collective cycles, drain waits) record here.
-  QuantileHistogram& quantile(const std::string& name);
+  QuantileHistogram& quantile(std::string_view name);
 
-  [[nodiscard]] const std::map<std::string, std::uint64_t>& counters() const {
+  [[nodiscard]] const Series<std::uint64_t>& counters() const {
     return counters_;
   }
-  [[nodiscard]] const std::map<std::string, double>& gauges() const {
-    return gauges_;
-  }
-  [[nodiscard]] const std::map<std::string, QuantileHistogram>& quantiles()
-      const {
+  [[nodiscard]] const Series<double>& gauges() const { return gauges_; }
+  [[nodiscard]] const Series<QuantileHistogram>& quantiles() const {
     return quantiles_;
   }
 
   /// "name[0003]": zero-padded so lexicographic order == numeric order.
-  [[nodiscard]] static std::string indexed(const std::string& name,
+  [[nodiscard]] static std::string indexed(std::string_view name,
                                            std::size_t index);
   /// The inverse: 3 for ("name[0003]", "name"); -1 when `key` is not an
   /// indexed member of `name`'s series.
@@ -64,13 +68,13 @@ class MetricsRegistry {
   /// "name{job=astro}": the per-tenant slice of an instrument. Every
   /// job-attributed series/counter/histogram uses this suffix so exports
   /// group naturally and downstream tooling can split on "{job=".
-  [[nodiscard]] static std::string job_key(const std::string& name,
+  [[nodiscard]] static std::string job_key(std::string_view name,
                                            std::string_view job);
 
  private:
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, double> gauges_;
-  std::map<std::string, QuantileHistogram> quantiles_;
+  Series<std::uint64_t> counters_;
+  Series<double> gauges_;
+  Series<QuantileHistogram> quantiles_;
 };
 
 }  // namespace parcoll::obs

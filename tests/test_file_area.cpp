@@ -113,12 +113,20 @@ TEST(FileArea, TiledRequestingTooManyGroupsSwitchesToIntermediate) {
   EXPECT_EQ(plan.mode, PartitionMode::Intermediate);
   EXPECT_EQ(plan.num_groups, 8);
   expect_non_overlapping(plan);
-  ASSERT_EQ(plan.inter_start.size(), 16u);
-  // Intermediate starts are the rank-major byte prefix sums.
+  ASSERT_EQ(plan.areas.size(), 8u);
+  // Groups are rank blocks, and each area spans the rank-major byte prefix
+  // sums at its block's bounds.
   std::uint64_t expected = 0;
   for (std::size_t r = 0; r < 16; ++r) {
-    EXPECT_EQ(plan.inter_start[r], expected);
+    const int group = plan.group_of_rank[r];
+    const auto& [lo, hi] = plan.areas[static_cast<std::size_t>(group)];
+    if (r == 0 || plan.group_of_rank[r - 1] != group) {
+      EXPECT_EQ(lo, expected);
+    }
     expected += ranks[r].bytes;
+    if (r == 15 || plan.group_of_rank[r + 1] != group) {
+      EXPECT_EQ(hi, expected);
+    }
   }
 }
 

@@ -48,7 +48,8 @@ TEST(Collectives, AllgatherDeliversEveryValue) {
   World world = make_world(5);
   std::vector<std::vector<int>> results(5);
   world.run([&](Rank& self) {
-    results[self.rank()] = allgather(self, self.comm_world(), self.rank() * 10);
+    results[self.rank()] =
+        *allgather_shared(self, self.comm_world(), self.rank() * 10);
   });
   for (int r = 0; r < 5; ++r) {
     EXPECT_EQ(results[r], (std::vector<int>{0, 10, 20, 30, 40}));
@@ -320,12 +321,77 @@ TEST(Collectives, BuildLeavesTheCallsChargeAlone) {
   EXPECT_EQ(built.second, plain.second);
 }
 
+TEST(Collectives, AllgatherBuildRunsOnceOverTheValuesInRankOrder) {
+  constexpr int kRanks = 16;
+  World world = make_world(kRanks);
+  int builds = 0;
+  std::vector<std::shared_ptr<const std::vector<int>>> results(kRanks);
+  world.run([&](Rank& self) {
+    self.busy(TimeCat::Compute, 1e-3 * ((self.rank() * 5) % 3));
+    results[self.rank()] = allgather_build<std::vector<int>>(
+        self, self.comm_world(), self.rank() * 3,
+        [&](const std::vector<int>& values) {
+          ++builds;
+          std::vector<int> reversed(values.rbegin(), values.rend());
+          return reversed;
+        });
+  });
+  EXPECT_EQ(builds, 1);
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(results[r].get(), results[0].get()) << "rank " << r;
+  }
+  for (int i = 0; i < kRanks; ++i) {
+    EXPECT_EQ((*results[0])[i], (kRanks - 1 - i) * 3);
+  }
+}
+
+TEST(Collectives, BcastRootPublishesTheObjectItHolds) {
+  // Only the root passes a build: every member receives the root's own
+  // object, and the call costs what a plain bcast of its bytes costs.
+  constexpr int kRanks = 12;
+  constexpr int kRoot = 5;
+  using Payload = std::array<std::uint64_t, 32>;
+  const auto run = [](bool publish) {
+    World world = make_world(kRanks);
+    std::vector<double> done(kRanks);
+    std::shared_ptr<const Payload> held;
+    std::vector<std::shared_ptr<const Payload>> received(kRanks);
+    world.run([&](Rank& self) {
+      self.busy(TimeCat::Compute, 1e-3 * ((self.rank() * 7) % 4));
+      const bool root = self.rank() == kRoot;
+      Payload payload{};
+      if (root) {
+        std::iota(payload.begin(), payload.end(), 100);
+        held = std::make_shared<const Payload>(payload);
+      }
+      if (publish) {
+        received[self.rank()] = coll_publish<Payload>(
+            self, self.comm_world(), CollKind::Bcast,
+            root ? detail::bytes_of(*held) : std::span<const std::byte>{},
+            root ? held : nullptr);
+      } else {
+        received[self.rank()] = std::make_shared<const Payload>(
+            bcast(self, self.comm_world(), kRoot, payload));
+      }
+      done[self.rank()] = self.now();
+    });
+    for (int r = 0; r < kRanks; ++r) {
+      EXPECT_EQ(*received[r], *held) << "rank " << r;
+      if (publish) {
+        EXPECT_EQ(received[r].get(), held.get()) << "rank " << r;
+      }
+    }
+    return done;
+  };
+  EXPECT_EQ(run(true), run(false));
+}
+
 TEST(Collectives, BackToBackCollectivesKeepSequence) {
   World world = make_world(4);
   world.run([&](Rank& self) {
     for (int round = 0; round < 10; ++round) {
       const auto values =
-          allgather(self, self.comm_world(), self.rank() + round);
+          *allgather_shared(self, self.comm_world(), self.rank() + round);
       for (int r = 0; r < 4; ++r) {
         EXPECT_EQ(values[r], r + round);
       }
@@ -338,7 +404,7 @@ TEST(Collectives, SingletonCommIsFree) {
   world.run([&](Rank& self) {
     const double t0 = self.now();
     barrier(self, self.comm_world());
-    const auto all = allgather(self, self.comm_world(), 42);
+    const auto all = *allgather_shared(self, self.comm_world(), 42);
     EXPECT_EQ(all, (std::vector<int>{42}));
     EXPECT_DOUBLE_EQ(self.now(), t0);
   });
@@ -438,10 +504,10 @@ TEST(CommSplit, OneColorCopyIsolatesTraffic) {
     EXPECT_EQ(copy.local_rank(self.rank()), self.rank());
     EXPECT_NE(copy.context_id(), self.comm_world().context_id());
     // Collectives on the two communicators interleave freely.
-    const auto a = allgather(self, copy, self.rank());
-    const auto b = allgather(self, self.comm_world(), self.rank() * 2);
-    EXPECT_EQ(a[2], 2);
-    EXPECT_EQ(b[2], 4);
+    const auto a = allgather_shared(self, copy, self.rank());
+    const auto b = allgather_shared(self, self.comm_world(), self.rank() * 2);
+    EXPECT_EQ((*a)[2], 2);
+    EXPECT_EQ((*b)[2], 4);
   });
 }
 

@@ -4,6 +4,7 @@
 // indistinguishable from the historical single-level protocol).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "core/parcoll.hpp"
@@ -204,10 +205,12 @@ void expect_hier_collectives_match_flat(Mapping mapping, int cores_per_node) {
     const auto nc = node_comm_of(self);
     const int r = self.rank();
 
-    const auto gathered = node::hier_allgather(self, nc, r * 10 + 1);
-    ASSERT_EQ(gathered.size(), static_cast<std::size_t>(P));
+    const auto gathered = node::hier_allgather<std::vector<int>>(
+        self, nc, r * 10 + 1,
+        [](const std::vector<int>& values) { return values; });
+    ASSERT_EQ(gathered->size(), static_cast<std::size_t>(P));
     for (int j = 0; j < P; ++j) {
-      EXPECT_EQ(gathered[static_cast<std::size_t>(j)], j * 10 + 1);
+      EXPECT_EQ((*gathered)[static_cast<std::size_t>(j)], j * 10 + 1);
     }
 
     EXPECT_EQ(node::hier_allreduce_max(self, nc, r % 5), 4);
@@ -228,6 +231,40 @@ TEST(HierColl, MatchesFlatResultsWideNodes) {
 
 TEST(HierColl, DegeneratesOnSingleCoreNodes) {
   expect_hier_collectives_match_flat(Mapping::Block, 1);
+}
+
+TEST(HierColl, AllgatherBuildsOnceAndEveryMemberSharesTheResult) {
+  // Two cores per node: four nodes, so the leaders' stage and the node
+  // stage both run. The build sees every value in parent rank order, as
+  // the flat allgather_build's does, and runs once.
+  constexpr int P = 8;
+  auto world = make_world(P, Mapping::Cyclic, 2);
+  int builds = 0;
+  std::vector<std::shared_ptr<const std::vector<int>>> staged(P);
+  std::vector<std::shared_ptr<const std::vector<int>>> flat(P);
+  const auto prefix_sums = [&builds](const std::vector<int>& values) {
+    ++builds;
+    std::vector<int> sums;
+    int running = 0;
+    for (int value : values) sums.push_back(running += value);
+    return sums;
+  };
+  world.run([&](mpi::Rank& self) {
+    const auto nc = node_comm_of(self);
+    ASSERT_TRUE(nc.multi());
+    const int value = (self.rank() * 7) % 5 + 1;
+    staged[static_cast<std::size_t>(self.rank())] =
+        node::hier_allgather<std::vector<int>>(self, nc, value, prefix_sums);
+    flat[static_cast<std::size_t>(self.rank())] =
+        mpi::allgather_build<std::vector<int>>(self, self.comm_world(), value,
+                                               prefix_sums);
+  });
+  EXPECT_EQ(builds, 2);  // one per exchange
+  for (int r = 0; r < P; ++r) {
+    EXPECT_EQ(staged[static_cast<std::size_t>(r)].get(), staged[0].get())
+        << "rank " << r;
+  }
+  EXPECT_EQ(*staged[0], *flat[0]);
 }
 
 TEST(IntranodeHints, RoundTripThroughInfoInterface) {

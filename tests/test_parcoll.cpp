@@ -215,7 +215,9 @@ TEST(Parcoll, SubgroupFormationAssignsSubcommAndAggregators) {
     hints.parcoll_min_group_size = 2;
     const auto plan = form_subgroups(
         self, self.comm_world(),
-        std::make_shared<const std::vector<RankAccess>>(accesses), hints);
+        std::make_shared<const SharedGroupInfo>(
+            plan_partition(self.world().model().topology, self.comm_world(),
+                           accesses, hints)));
     sub_sizes[self.rank()] = plan.call.comm.size();
     my_groups[self.rank()] = plan.my_group;
     EXPECT_FALSE(plan.call.aggregators->empty());

@@ -88,9 +88,9 @@ TEST(Stress, DeepCollectiveSequencesOverNestedComms) {
     for (int round = 0; round < 200; ++round) {
       switch (round % 3) {
         case 0: {
-          const auto all =
-              mpi::allgather(self, self.comm_world(), round * 100 + self.rank());
-          if (all[3] != round * 100 + 3) ok = false;
+          const auto all = mpi::allgather_shared(self, self.comm_world(),
+                                                 round * 100 + self.rank());
+          if ((*all)[3] != round * 100 + 3) ok = false;
           break;
         }
         case 1: {

@@ -46,15 +46,18 @@ Presets (`--list` prints every run of a preset):
              --top; byte-true tileio@16 (--groups 4) and btio@16 parcoll
              at detect, bb watermark + detect, and repair under
              media-corrupt.
-  scale      (23 runs) wide communicators, where two-phase planning state
+  scale      (26 runs) wide communicators, where two-phase planning state
              per rank matters most: {tileio@1024, btio@256} x {ext2ph,
              parcoll} x {--intranode off, --intranode auto --read,
              --intranode on --mapping cyclic, --cb-nodes 16};
              flash@256 x {ext2ph, parcoll} x {--intranode on, --read};
              ior@512 ext2ph with --intranode off and with --read, and
-             parcoll under a rank-stall fault (re-election). Each run takes
-             seconds; IOR skips --cb-nodes, which at 1024 ranks spins
-             through about 2,000 near-empty cycles per call.
+             parcoll under a rank-stall fault (re-election); parcoll with
+             --no-persistent-groups, so every call repeats the partition's
+             exchange: ior@512, tileio@1024 --intranode on and btio@256
+             --read. Each run takes seconds; IOR skips --cb-nodes, which at
+             1024 ranks spins through about 2,000 near-empty cycles per
+             call.
 
 No preset passes --engine-stats, so every stdout line is simulated output
 and must match exactly. `--ignore REGEX` drops matching lines on both sides
@@ -201,7 +204,11 @@ def scale():
     runs += [["ior", 512, "ext2ph", "--intranode", "off"],
              ["ior", 512, "ext2ph", "--read"],
              ["ior", 512, "parcoll", "--fault",
-              "seed=7;rank-stall=3:0.01:0.5"]]
+              "seed=7;rank-stall=3:0.01:0.5"],
+             ["ior", 512, "parcoll", "--no-persistent-groups"],
+             ["tileio", 1024, "parcoll", "--no-persistent-groups",
+              "--intranode", "on"],
+             ["btio", 256, "parcoll", "--no-persistent-groups", "--read"]]
     return runs
 
 
