@@ -146,9 +146,11 @@ void BM_IntermediateTranslate(benchmark::State& state) {
     }
     members.push_back(std::move(member));
   }
-  const core::IntermediateMap map(std::move(members));
+  const core::IntermediateMap map(members);
+  std::vector<fs::Extent> physical;
   for (auto _ : state) {
-    auto physical = map.translate(fs::Extent{123456, 1 << 20});
+    physical.clear();
+    map.translate(fs::Extent{123456, 1 << 20}, physical);
     benchmark::DoNotOptimize(physical.data());
   }
 }

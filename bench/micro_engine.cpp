@@ -17,10 +17,11 @@
 //     drift). Reports host events/s, queue depth, stack pool hits, and peak
 //     RSS; --json feeds bench_to_trajectory.
 //
-//  3. Allocation budget: heap allocations per rank-call over a fixed
-//     phantom ParColl IOR, counted by the operator new below (compiled into
-//     this binary only). Deterministic, so the run exits non-zero as soon
-//     as a change puts allocations back on the collective hot path.
+//  3. Allocation budgets: heap allocations per rank-call over a fixed
+//     phantom ParColl IOR and a fixed phantom ParColl BT-IO write and
+//     read-back, counted by the operator new below (compiled into this
+//     binary only). Deterministic, so the run exits non-zero as soon as a
+//     change puts allocations back on the collective hot path.
 //
 // --smoke keeps the rank counts CI-sized (drops the 100k tier, runs the
 // lockstep phase for 10 rounds, and the ext2ph baseline at 4096 ranks).
@@ -36,6 +37,7 @@
 #include "core/file_area.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
+#include "workloads/btio.hpp"
 #include "workloads/ior.hpp"
 #include "workloads/tileio.hpp"
 
@@ -65,6 +67,10 @@ using workloads::RunSpec;
 /// budget run, amortized over the whole simulation (setup, open and close
 /// included). 49 before the collective hot path stopped allocating.
 constexpr double kAllocBudgetPerRankCall = 12.0;
+/// The same for ParColl BT-IO, whose noncontiguous calls run through the
+/// intermediate view (34.04 now; 74.64 before each layer of that path took
+/// one pass over its extents into one vector).
+constexpr double kBtioAllocBudgetPerRankCall = 40.0;
 
 // Golden values captured from the pre-PR engine (binary-heap queue,
 // ucontext fibers, 256 KiB stacks) for the same configs, byte-true,
@@ -414,6 +420,7 @@ int main(int argc, char** argv) {
   }
 
   bool within_budget = true;
+  bool btio_within_budget = true;
   {
     // A steady stream of ParColl calls: 256 ranks write 32 transfers each,
     // with the parcoll_sim defaults (automatic groups, intranode auto).
@@ -441,6 +448,37 @@ int main(int argc, char** argv) {
     report.add("alloc-budget", kRanks, result,
                {{"allocs_per_rank_call", per_call}});
   }
+  {
+    // ParColl's intermediate-view path: 256 ranks write three class C
+    // BT-IO steps and read them back, every observer off.
+    constexpr int kRanks = 256;
+    RunSpec spec;
+    spec.impl = workloads::Impl::ParColl;
+    spec.parcoll_groups = core::kAutoGroups;
+    spec.intranode = node::IntranodeMode::Auto;
+    spec.byte_true = false;
+    workloads::BtIOConfig config;
+    config.nsteps = 3;
+    g_allocs = 0;
+    g_count_allocs = true;
+    const RunResult written = workloads::run_btio(config, kRanks, spec, true);
+    const RunResult read = workloads::run_btio(config, kRanks, spec, false);
+    g_count_allocs = false;
+    const double rank_calls =
+        static_cast<double>(written.stats.collective_writes +
+                            read.stats.collective_reads) *
+        kRanks;
+    const double per_call = static_cast<double>(g_allocs) / rank_calls;
+    btio_within_budget = per_call <= kBtioAllocBudgetPerRankCall;
+    std::printf(
+        "allocation budget (parcoll BT-IO, %d ranks, %.0f rank-calls):\n",
+        kRanks, rank_calls);
+    std::printf("  %-22s %8.2f allocs/rank-call  budget %.0f  %s\n",
+                "btio-parcoll", per_call, kBtioAllocBudgetPerRankCall,
+                btio_within_budget ? "PASS" : "OVER BUDGET");
+    report.add("alloc-budget-btio", kRanks, written,
+               {{"allocs_per_rank_call", per_call}});
+  }
 
   if (!identical) {
     std::fprintf(stderr,
@@ -459,6 +497,13 @@ int main(int argc, char** argv) {
                  "micro_engine: the ParColl IOR run made more than %.0f heap "
                  "allocations per rank-call\n",
                  kAllocBudgetPerRankCall);
+    return 1;
+  }
+  if (!btio_within_budget) {
+    std::fprintf(stderr,
+                 "micro_engine: the ParColl BT-IO run made more than %.0f "
+                 "heap allocations per rank-call\n",
+                 kBtioAllocBudgetPerRankCall);
     return 1;
   }
   std::printf("  bit-identity gate: PASS\n");

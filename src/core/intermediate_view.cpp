@@ -1,90 +1,111 @@
 #include "core/intermediate_view.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 namespace parcoll::core {
 
-IntermediateMap::IntermediateMap(std::vector<MemberSegments> members) {
-  members_.reserve(members.size());
-  std::uint64_t expected_start = members.empty() ? 0 : members[0].inter_start;
-  for (MemberSegments& in : members) {
-    Member member;
-    member.inter_start = in.inter_start;
-    if (member.inter_start != expected_start) {
+IntermediateMap::IntermediateMap(const std::vector<MemberSegments>& members) {
+  std::size_t nextents = 0;
+  for (const MemberSegments& member : members) {
+    nextents += member.extents.size();
+  }
+  extents_.reserve(nextents);
+  prefix_.reserve(nextents);
+  member_start_.reserve(members.size());
+  start_ = end_ = members.empty() ? 0 : members.front().inter_start;
+  for (const MemberSegments& member : members) {
+    if (member.inter_start != end_) {
       throw std::invalid_argument(
           "IntermediateMap: member ranges must be contiguous and sorted");
     }
-    member.extents = std::move(in.extents);
-    member.prefix.reserve(member.extents.size());
-    std::uint64_t pos = 0;
-    for (const fs::Extent& extent : member.extents) {
-      member.prefix.push_back(pos);
-      pos += extent.length;
-    }
-    member.inter_end = member.inter_start + pos;
-    expected_start = member.inter_end;
-    total_bytes_ += pos;
-    members_.push_back(std::move(member));
+    add_member(mpi::detail::bytes_of(member.extents));
   }
 }
 
-std::vector<fs::Extent> IntermediateMap::translate(const fs::Extent& span) const {
-  std::vector<fs::Extent> physical;
-  if (span.length == 0) return physical;
+IntermediateMap::IntermediateMap(mpi::CollContribs contributions) {
+  std::size_t nextents = 0;
+  for (const auto& contribution : contributions) {
+    if (contribution.size() % sizeof(fs::Extent) != 0) {
+      throw std::logic_error(
+          "IntermediateMap: contribution not a whole number of extents");
+    }
+    nextents += contribution.size() / sizeof(fs::Extent);
+  }
+  extents_.reserve(nextents);
+  prefix_.reserve(nextents);
+  member_start_.reserve(contributions.size());
+  for (const auto& contribution : contributions) {
+    add_member(contribution);
+  }
+}
+
+void IntermediateMap::add_member(std::span<const std::byte> extents) {
+  member_start_.push_back(end_);
+  for (std::size_t at = 0; at < extents.size(); at += sizeof(fs::Extent)) {
+    fs::Extent extent;
+    std::memcpy(&extent, extents.data() + at, sizeof extent);
+    if (extent.length == 0) continue;
+    extents_.push_back(extent);
+    prefix_.push_back(end_);
+    end_ += extent.length;
+  }
+}
+
+std::size_t IntermediateMap::extent_at(std::uint64_t pos) const {
+  // The last extent starting at or before pos.
+  return static_cast<std::size_t>(
+             std::upper_bound(prefix_.begin(), prefix_.end(), pos) -
+             prefix_.begin()) -
+         1;
+}
+
+void IntermediateMap::translate(const fs::Extent& span,
+                                std::vector<fs::Extent>& out) const {
+  if (span.length == 0) return;
   const std::uint64_t lo = span.offset;
   const std::uint64_t hi = span.end();
-  // First member whose range ends beyond lo.
-  auto it = std::partition_point(
-      members_.begin(), members_.end(),
-      [lo](const Member& m) { return m.inter_end <= lo; });
-  for (; it != members_.end() && it->inter_start < hi; ++it) {
-    const std::uint64_t m_lo = std::max(lo, it->inter_start) - it->inter_start;
-    const std::uint64_t m_hi = std::min(hi, it->inter_end) - it->inter_start;
-    if (m_lo >= m_hi) continue;
-    // Walk this member's extents covering stream range [m_lo, m_hi).
-    auto seg = std::upper_bound(it->prefix.begin(), it->prefix.end(), m_lo);
-    std::size_t i = static_cast<std::size_t>(seg - it->prefix.begin()) - 1;
-    for (; i < it->extents.size() && it->prefix[i] < m_hi; ++i) {
-      const std::uint64_t seg_lo = std::max(m_lo, it->prefix[i]);
-      const std::uint64_t seg_hi =
-          std::min(m_hi, it->prefix[i] + it->extents[i].length);
-      physical.push_back(
-          fs::Extent{it->extents[i].offset + (seg_lo - it->prefix[i]),
-                     seg_hi - seg_lo});
-    }
-  }
-  std::uint64_t translated = 0;
-  for (const fs::Extent& extent : physical) translated += extent.length;
-  if (translated != hi - lo) {
+  if (lo < start_ || hi > end_) {
     throw std::out_of_range(
         "IntermediateMap::translate: range not fully covered by members");
   }
-  return physical;
+  for (std::size_t i = extent_at(lo); i < extents_.size() && prefix_[i] < hi;
+       ++i) {
+    const std::uint64_t from = std::max(lo, prefix_[i]);
+    const std::uint64_t to = std::min(hi, prefix_[i] + extents_[i].length);
+    out.push_back(
+        fs::Extent{extents_[i].offset + (from - prefix_[i]), to - from});
+  }
 }
 
-std::vector<fs::Extent> IntermediateTarget::translate_all(
-    std::span<const fs::Extent> extents) const {
-  std::vector<fs::Extent> physical;
-  for (const fs::Extent& extent : extents) {
-    auto part = map_->translate(extent);
-    physical.insert(physical.end(), part.begin(), part.end());
+std::size_t IntermediateMap::count(const fs::Extent& span) const {
+  if (span.length == 0 || span.offset < start_ || span.end() > end_) {
+    return 0;
   }
-  return physical;
+  return extent_at(span.end() - 1) + 1 - extent_at(span.offset);
+}
+
+void IntermediateTarget::translate_all(std::span<const fs::Extent> extents) {
+  std::size_t total = 0;
+  for (const fs::Extent& extent : extents) total += map_->count(extent);
+  physical_.clear();
+  physical_.reserve(total);
+  for (const fs::Extent& extent : extents) map_->translate(extent, physical_);
 }
 
 void IntermediateTarget::write(mpi::Rank& self,
                                std::span<const fs::Extent> extents,
                                const std::byte* data) {
-  const auto physical = translate_all(extents);
-  inner_.write(self, physical, data);
+  translate_all(extents);
+  inner_.write(self, physical_, data);
 }
 
 void IntermediateTarget::read(mpi::Rank& self,
                               std::span<const fs::Extent> extents,
                               std::byte* out) {
-  const auto physical = translate_all(extents);
-  inner_.read(self, physical, out);
+  translate_all(extents);
+  inner_.read(self, physical_, out);
 }
 
 }  // namespace parcoll::core

@@ -329,26 +329,12 @@ CollectiveOutcome run_collective_engine(mpi::Rank& self,
     // The intermediate coordinate space is subgroup-local (each group's
     // space starts at 0): groups touch disjoint physical segments, so their
     // spaces are independent and no global exchange is needed per call.
-    // The exchange is an allgatherv's; its last arriver builds the map.
+    // The exchange is an allgatherv's; its last arriver builds the map
+    // straight from the contributions.
     const auto map = mpi::coll_build<IntermediateMap>(
         self, call->comm, mpi::CollKind::Allgather,
         mpi::detail::bytes_of(prep.extents),
-        [](mpi::CollContribs all) {
-          std::vector<MemberSegments> members;
-          members.reserve(all.size());
-          std::uint64_t inter_pos = 0;
-          for (const auto& contribution : all) {
-            MemberSegments member;
-            member.inter_start = inter_pos;
-            member.extents =
-                mpi::detail::vector_from<fs::Extent>(contribution);
-            for (const fs::Extent& extent : member.extents) {
-              inter_pos += extent.length;
-            }
-            members.push_back(std::move(member));
-          }
-          return IntermediateMap(std::move(members));
-        });
+        [](mpi::CollContribs all) { return IntermediateMap(all); });
     IntermediateTarget target(physical, map);
     const auto sub_me =
         static_cast<std::size_t>(call->comm.local_rank(self.rank()));

@@ -28,22 +28,4 @@ std::size_t FlatType::segment_at(std::uint64_t pos) const {
   return static_cast<std::size_t>(it - prefix.begin()) - 1;
 }
 
-std::vector<Segment> FlatType::stream_range(std::uint64_t begin,
-                                            std::uint64_t end) const {
-  std::vector<Segment> result;
-  if (begin >= end) return result;
-  if (end > size) {
-    throw std::out_of_range("FlatType::stream_range: range beyond type size");
-  }
-  for (std::size_t i = segment_at(begin); i < segs.size() && prefix[i] < end;
-       ++i) {
-    const std::uint64_t seg_begin = std::max(begin, prefix[i]);
-    const std::uint64_t seg_end = std::min(end, prefix[i] + segs[i].length);
-    result.push_back(
-        Segment{segs[i].disp + static_cast<std::int64_t>(seg_begin - prefix[i]),
-                seg_end - seg_begin});
-  }
-  return result;
-}
-
 }  // namespace parcoll::dtype

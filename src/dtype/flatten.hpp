@@ -1,8 +1,9 @@
 // FlatType: a datatype's segments with stream-offset prefix sums.
 //
 // The k-th byte of a packed stream of a datatype lands at a displacement
-// found by locating the segment whose prefix covers k. This is the lookup
-// structure used by file views (tiling) and the intermediate-view mapping.
+// found by locating the segment whose prefix covers k. File views walk it
+// in place: find the segment of a range's first byte, then step through
+// the segments, tile after tile (mpiio::FileView::map).
 #pragma once
 
 #include <cstdint>
@@ -23,11 +24,6 @@ struct FlatType {
 
   /// Index of the segment containing stream offset `pos` (< size).
   [[nodiscard]] std::size_t segment_at(std::uint64_t pos) const;
-
-  /// Map the stream range [begin, end) (within one instance of the type)
-  /// to displacement segments, in stream order.
-  [[nodiscard]] std::vector<Segment> stream_range(std::uint64_t begin,
-                                                  std::uint64_t end) const;
 };
 
 }  // namespace parcoll::dtype

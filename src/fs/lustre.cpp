@@ -21,7 +21,9 @@ LustreSim::LustreSim(sim::Engine& engine,
   if (mode == StoreMode::Memory) {
     store_ = std::make_unique<MemoryStore>();
   } else {
-    store_ = std::make_unique<PhantomStore>();
+    auto phantom = std::make_unique<PhantomStore>();
+    phantom_ = phantom.get();
+    store_ = std::move(phantom);
   }
   osts_.reserve(static_cast<std::size_t>(params_.num_osts));
   for (int i = 0; i < params_.num_osts; ++i) {
@@ -113,9 +115,9 @@ double LustreSim::submit(int client, int file_id,
   // peak backlog among them, are written once, by record_ost_totals.
   auto note_served = [&](std::uint64_t bytes, double backlog, double issue,
                          double done) {
-    metrics_->quantile("fs.ost.queue_wait_s").observe(backlog);
+    queue_wait_.in(*metrics_).observe(backlog);
     const double latency = done - issue;
-    metrics_->quantile("fs.rpc.latency_s").observe(latency);
+    rpc_latency_.in(*metrics_).observe(latency);
     if (job != nullptr) {
       metrics_->quantile(obs::MetricsRegistry::job_key("fs.rpc.latency_s",
                                                        *job))
@@ -188,62 +190,75 @@ double LustreSim::submit(int client, int file_id,
     rpc = PendingRpc{ost_index};
   };
 
+  // The stripe and OST of the piece before: an extent that stays in its
+  // stripe reuses them, and only one that leaves it locates again.
+  StripeCursor stripes(file.stripe_size, file.stripe_count);
+  int stripe = -1;
+  int ost_index = 0;
   std::uint64_t data_pos = 0;
   for (const Extent& extent : extents) {
-    if (extent.length == 0) continue;
-    for_each_stripe_chunk(
-        extent, file.stripe_size, file.stripe_count,
-        [&](const StripeChunk& chunk) {
-          std::uint64_t pos = chunk.file_offset;
-          const std::uint64_t end = chunk.file_offset + chunk.length;
-          const int ost_index =
-              (file.ost_start + chunk.stripe_index) % params_.num_osts;
-          while (pos < end) {
-            PendingRpc& rpc = pending_of(ost_index);
-            const std::uint64_t room = params_.max_rpc_size - rpc.bytes;
-            const std::uint64_t piece_len =
-                std::min<std::uint64_t>(end - pos, room);
-            if (piece_len == 0) {
-              flush(rpc);
-              continue;
-            }
-            if (rpc.bytes == 0) {
-              rpc.lock_lo = pos;
-              rpc.lock_hi = pos + piece_len;
-              rpc.fragments = 1;
-            } else {
-              // A piece extending the previous one is not a new fragment.
-              if (pos != rpc.lock_hi) {
-                ++rpc.fragments;
-              }
-              rpc.lock_lo = std::min(rpc.lock_lo, pos);
-              rpc.lock_hi = std::max(rpc.lock_hi, pos + piece_len);
-            }
-            rpc.bytes += piece_len;
-            // Data moves through the store piece by piece, in stream order.
-            if (is_write) {
-              const std::byte* src = in == nullptr ? nullptr : in + data_pos;
-              store_->write(file_id, pos, src, piece_len);
-              if (integrity_ != nullptr) {
-                integrity_->mark_landed(file_id, pos, piece_len);
-              }
-              if (fault_plan_ != nullptr &&
-                  fault_plan_->rpc_corrupt_prob > 0.0) {
-                ingest_piece(client, file_id, ost_index, pos, src, piece_len,
-                             faulted_seconds);
-              }
-            } else {
-              store_->read(file_id, pos,
-                           out == nullptr ? nullptr : out + data_pos,
-                           piece_len);
-            }
-            data_pos += piece_len;
-            pos += piece_len;
-            if (rpc.bytes == params_.max_rpc_size) {
-              flush(rpc);
-            }
+    std::uint64_t pos = extent.offset;
+    const std::uint64_t end = extent.end();
+    while (pos < end) {
+      const StripeChunk chunk = stripes.chunk(pos, end);
+      if (chunk.stripe_index != stripe) {
+        stripe = chunk.stripe_index;
+        ost_index = (file.ost_start + stripe) % params_.num_osts;
+      }
+      const std::uint64_t chunk_end = pos + chunk.length;
+      PendingRpc& rpc = pending_of(ost_index);
+      while (pos < chunk_end) {
+        const std::uint64_t room = params_.max_rpc_size - rpc.bytes;
+        const std::uint64_t piece_len =
+            std::min<std::uint64_t>(chunk_end - pos, room);
+        if (piece_len == 0) {
+          flush(rpc);
+          continue;
+        }
+        if (rpc.bytes == 0) {
+          rpc.lock_lo = pos;
+          rpc.lock_hi = pos + piece_len;
+          rpc.fragments = 1;
+        } else {
+          // A piece extending the previous one is not a new fragment.
+          if (pos != rpc.lock_hi) {
+            ++rpc.fragments;
           }
-        });
+          rpc.lock_lo = std::min(rpc.lock_lo, pos);
+          rpc.lock_hi = std::max(rpc.lock_hi, pos + piece_len);
+        }
+        rpc.bytes += piece_len;
+        // Data moves through the store piece by piece, in stream order; a
+        // phantom store is reached through its final type.
+        if (is_write) {
+          const std::byte* src = in == nullptr ? nullptr : in + data_pos;
+          if (phantom_ != nullptr) {
+            phantom_->write(file_id, pos, src, piece_len);
+          } else {
+            store_->write(file_id, pos, src, piece_len);
+          }
+          if (integrity_ != nullptr) {
+            integrity_->mark_landed(file_id, pos, piece_len);
+          }
+          if (fault_plan_ != nullptr && fault_plan_->rpc_corrupt_prob > 0.0) {
+            ingest_piece(client, file_id, ost_index, pos, src, piece_len,
+                         faulted_seconds);
+          }
+        } else {
+          std::byte* dst = out == nullptr ? nullptr : out + data_pos;
+          if (phantom_ != nullptr) {
+            phantom_->read(file_id, pos, dst, piece_len);
+          } else {
+            store_->read(file_id, pos, dst, piece_len);
+          }
+        }
+        data_pos += piece_len;
+        pos += piece_len;
+        if (rpc.bytes == params_.max_rpc_size) {
+          flush(rpc);
+        }
+      }
+    }
   }
   // What is left goes out in ascending OST order.
   std::sort(pending.begin(), pending.end(),

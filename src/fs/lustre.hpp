@@ -27,11 +27,8 @@
 #include "fs/range_lock.hpp"
 #include "fs/stripe.hpp"
 #include "machine/machine_model.hpp"
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
-
-namespace parcoll::obs {
-class MetricsRegistry;
-}  // namespace parcoll::obs
 
 namespace parcoll::fs {
 
@@ -146,11 +143,16 @@ class LustreSim {
   fault::FaultState* fault_state_ = nullptr;
   IntegrityManager* integrity_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
+  /// The per-RPC instruments of metrics_.
+  obs::QuantileHandle queue_wait_{"fs.ost.queue_wait_s"};
+  obs::QuantileHandle rpc_latency_{"fs.rpc.latency_s"};
   const std::vector<std::string>* jobs_ = nullptr;
   machine::StorageParams params_;
   StoreMode mode_;
   RangeLockManager range_locks_;
   std::unique_ptr<ObjectStore> store_;
+  /// store_ itself in phantom mode (else null), for the piece loop.
+  PhantomStore* phantom_ = nullptr;
   std::vector<OstModel> osts_;
   /// Per-OST monotone draw counters for the payload-corruption process
   /// (fresh randomness per transmission, like the OSTs' drop/delay draws).

@@ -100,28 +100,16 @@ std::uint64_t MemoryStore::content_digest() const {
   return h;
 }
 
-void PhantomStore::write(int file_id, std::uint64_t offset,
-                         const std::byte* /*data*/, std::uint64_t length) {
-  auto& high = high_water_[file_id];
-  high = std::max(high, offset + length);
-  bytes_written_ += length;
-  ++write_ops_;
-}
-
-void PhantomStore::read(int file_id, std::uint64_t offset, std::byte* out,
-                        std::uint64_t length) {
-  (void)file_id;
-  (void)offset;
-  if (out != nullptr && length > 0) {
-    std::memset(out, 0, length);
-  }
-  bytes_read_ += length;
-  ++read_ops_;
-}
-
 std::uint64_t PhantomStore::size(int file_id) const {
-  auto it = high_water_.find(file_id);
-  return it == high_water_.end() ? 0 : it->second;
+  const auto at = static_cast<std::size_t>(file_id);
+  return at < high_water_.size() ? high_water_[at] : 0;
+}
+
+void PhantomStore::grow(int file_id) {
+  if (file_id < 0) {
+    throw std::out_of_range("PhantomStore: negative file id");
+  }
+  high_water_.resize(static_cast<std::size_t>(file_id) + 1, 0);
 }
 
 }  // namespace parcoll::fs

@@ -6,8 +6,11 @@ std::vector<StripeChunk> stripe_chunks(const Extent& extent,
                                        std::uint64_t stripe_size,
                                        int stripe_count) {
   std::vector<StripeChunk> chunks;
-  for_each_stripe_chunk(extent, stripe_size, stripe_count,
-                        [&](const StripeChunk& chunk) { chunks.push_back(chunk); });
+  StripeCursor cursor(stripe_size, stripe_count);
+  for (std::uint64_t pos = extent.offset; pos < extent.end();) {
+    chunks.push_back(cursor.chunk(pos, extent.end()));
+    pos += chunks.back().length;
+  }
   return chunks;
 }
 

@@ -28,29 +28,42 @@ struct StripeChunk {
   std::uint64_t length = 0;
 };
 
-/// Invoke `fn` for each stripe-aligned piece of `extent`, in file order.
-template <typename Fn>
-void for_each_stripe_chunk(const Extent& extent, std::uint64_t stripe_size,
-                           int stripe_count, Fn&& fn) {
-  if (stripe_size == 0 || stripe_count <= 0) {
-    throw std::invalid_argument("for_each_stripe_chunk: bad striping");
-  }
-  std::uint64_t pos = extent.offset;
-  const std::uint64_t end = extent.end();
-  while (pos < end) {
-    const std::uint64_t stripe_number = pos / stripe_size;
-    const std::uint64_t stripe_end = (stripe_number + 1) * stripe_size;
-    StripeChunk chunk;
-    chunk.stripe_index = static_cast<int>(
-        stripe_number % static_cast<std::uint64_t>(stripe_count));
-    chunk.file_offset = pos;
-    chunk.length = std::min(end, stripe_end) - pos;
-    fn(chunk);
-    pos += chunk.length;
-  }
-}
+/// Splits positions of a file at stripe boundaries, for extents in any
+/// order. It keeps the stripe it located last and locates again (a
+/// division and a modulo) only when a position leaves that stripe, so the
+/// many small extents of a noncontiguous call mostly cost two compares.
+class StripeCursor {
+ public:
+  StripeCursor(std::uint64_t stripe_size, int stripe_count)
+      : stripe_size_(stripe_size), stripe_count_(stripe_count) {}
 
-/// Convenience: materialize the chunks of an extent.
+  /// The stripe-contiguous piece of [pos, end) that starts at `pos`
+  /// (pos < end). Throws std::invalid_argument on a bad striping.
+  StripeChunk chunk(std::uint64_t pos, std::uint64_t end) {
+    if (pos < lo_ || pos >= hi_) locate(pos);
+    return StripeChunk{index_, pos, std::min(end, hi_) - pos};
+  }
+
+ private:
+  void locate(std::uint64_t pos) {
+    if (stripe_size_ == 0 || stripe_count_ <= 0) {
+      throw std::invalid_argument("StripeCursor: bad striping");
+    }
+    const std::uint64_t stripe_number = pos / stripe_size_;
+    lo_ = stripe_number * stripe_size_;
+    hi_ = lo_ + stripe_size_;
+    index_ = static_cast<int>(stripe_number %
+                              static_cast<std::uint64_t>(stripe_count_));
+  }
+
+  std::uint64_t stripe_size_;
+  int stripe_count_;
+  std::uint64_t lo_ = 0;  // the located stripe, [lo_, hi_): none at first
+  std::uint64_t hi_ = 0;
+  int index_ = 0;
+};
+
+/// The stripe-aligned pieces of `extent`, in file order.
 [[nodiscard]] std::vector<StripeChunk> stripe_chunks(const Extent& extent,
                                                      std::uint64_t stripe_size,
                                                      int stripe_count);

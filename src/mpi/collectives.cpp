@@ -5,7 +5,6 @@
 #include <cmath>
 #include <map>
 #include <optional>
-#include <string_view>
 #include <tuple>
 
 #include "check/invariants.hpp"
@@ -184,16 +183,11 @@ std::shared_ptr<const void> CollEngine::exchange(
   self.times().add(TimeCat::Sync, sync_wait);
 
   if (auto* metrics = self.world().metrics()) {
-    metrics->quantile("mpi.coll.sync_wait_s").observe(sync_wait);
+    sync_wait_.in(*metrics).observe(sync_wait);
     // How far behind the last arriver this rank showed up: the straggler
     // itself observes lag 0, everyone it kept waiting observes its slack.
-    metrics->quantile("mpi.coll.straggler_lag_s")
-        .observe(arrival.max_arrival - arrival.time);
-    static constexpr std::string_view kCalls[] = {
-        "mpi.coll.calls.barrier",   "mpi.coll.calls.bcast",
-        "mpi.coll.calls.gather",    "mpi.coll.calls.allgather",
-        "mpi.coll.calls.alltoall",  "mpi.coll.calls.allreduce"};
-    ++metrics->counter(kCalls[static_cast<std::size_t>(kind)]);
+    straggler_lag_.in(*metrics).observe(arrival.max_arrival - arrival.time);
+    ++calls_[static_cast<std::size_t>(kind)].in(*metrics);
   }
   return std::move(arrival.result);
 }

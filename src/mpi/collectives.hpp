@@ -26,6 +26,7 @@
 // So no rank scans all P contributions or holds a private P-sized copy.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -38,6 +39,7 @@
 
 #include "machine/machine_model.hpp"
 #include "mpi/comm.hpp"
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 
 namespace parcoll::mpi {
@@ -162,6 +164,16 @@ class CollEngine {
   /// Every contribution in local-rank order, laid out by the last arriver
   /// for the build it runs (which never yields).
   std::vector<std::span<const std::byte>> ordered_;
+  /// The per-call instruments of the World's registry.
+  obs::QuantileHandle sync_wait_{"mpi.coll.sync_wait_s"};
+  obs::QuantileHandle straggler_lag_{"mpi.coll.straggler_lag_s"};
+  std::array<obs::CounterHandle, 6> calls_{
+      obs::CounterHandle{"mpi.coll.calls.barrier"},
+      obs::CounterHandle{"mpi.coll.calls.bcast"},
+      obs::CounterHandle{"mpi.coll.calls.gather"},
+      obs::CounterHandle{"mpi.coll.calls.allgather"},
+      obs::CounterHandle{"mpi.coll.calls.alltoall"},
+      obs::CounterHandle{"mpi.coll.calls.allreduce"}};
 };
 
 // --- Typed wrappers -------------------------------------------------------

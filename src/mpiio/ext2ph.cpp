@@ -23,6 +23,9 @@ constexpr int kTagData = 2000;  // + cycle index: exchange-phase payloads
 /// lists spill to the heap for that call only.
 constexpr std::size_t kFew = 8;
 
+/// Every rank's every exchange cycle records its length here.
+thread_local obs::QuantileHandle cycle_seconds{"coll.cycle_s"};
+
 /// A sub-extent of one rank's request, remembering where its bytes sit in
 /// that rank's packed data stream.
 struct Piece {
@@ -594,7 +597,7 @@ Ext2phOutcome ext2ph(mpi::Rank& self, const mpi::Comm& comm, IoTarget& target,
     }
     ++outcome.cycles;
     if (auto* metrics = self.world().metrics()) {
-      metrics->quantile("coll.cycle_s").observe(self.now() - cycle_begin);
+      cycle_seconds.in(*metrics).observe(self.now() - cycle_begin);
     }
   }
 

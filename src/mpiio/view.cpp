@@ -1,5 +1,6 @@
 #include "mpiio/view.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace parcoll::mpiio {
@@ -39,39 +40,49 @@ std::vector<fs::Extent> FileView::map(std::uint64_t offset_etypes,
   std::vector<fs::Extent> extents;
   if (nbytes == 0) return extents;
   const std::uint64_t begin = offset_etypes * etype_size_;
-  const std::uint64_t end = begin + nbytes;
 
   if (contiguous_) {
     extents.push_back(fs::Extent{disp_ + begin, nbytes});
     return extents;
   }
 
+  // One walk over the flattened filetype in place, tile after tile, from
+  // the segment holding the first stream byte to the one holding the last.
+  const std::vector<dtype::Segment>& segs = flat_.segs;
   const std::uint64_t tile_bytes = flat_.size;
   const auto tile_span = static_cast<std::uint64_t>(flat_.extent);
-  auto emit = [&](std::uint64_t offset, std::uint64_t length) {
-    if (length == 0) return;
-    if (!extents.empty() &&
-        extents.back().offset + extents.back().length == offset) {
-      extents.back().length += length;
-    } else {
-      extents.push_back(fs::Extent{offset, length});
-    }
-  };
+  std::uint64_t tile = begin / tile_bytes;
+  std::size_t seg = flat_.segment_at(begin - tile * tile_bytes);
+  const std::uint64_t last = begin + nbytes - 1;
+  const std::uint64_t last_tile = last / tile_bytes;
+  const std::size_t last_seg = flat_.segment_at(last - last_tile * tile_bytes);
 
-  std::uint64_t pos = begin;
-  while (pos < end) {
-    const std::uint64_t tile = pos / tile_bytes;
-    const std::uint64_t in_tile_begin = pos - tile * tile_bytes;
-    const std::uint64_t in_tile_end =
-        std::min<std::uint64_t>(end - tile * tile_bytes, tile_bytes);
-    for (const dtype::Segment& seg :
-         flat_.stream_range(in_tile_begin, in_tile_end)) {
-      emit(disp_ + tile * tile_span + static_cast<std::uint64_t>(seg.disp),
-           seg.length);
+  // The segments are coalesced, so pieces merge only across a tile
+  // boundary, and there exactly when a tile's last segment runs into the
+  // next tile's first: the extent count is known before the walk.
+  const std::uint64_t crossings = last_tile - tile;
+  const bool joins = segs.back().end() == flat_.extent + segs.front().disp;
+  extents.reserve(crossings * segs.size() + last_seg + 1 - seg -
+                  (joins ? crossings : 0));
+
+  std::uint64_t skip = begin - tile * tile_bytes - flat_.prefix[seg];
+  std::uint64_t left = nbytes;
+  for (;; ++tile, seg = 0) {
+    const std::uint64_t base = disp_ + tile * tile_span;
+    for (; seg < segs.size(); ++seg) {
+      const std::uint64_t offset =
+          base + static_cast<std::uint64_t>(segs[seg].disp) + skip;
+      const std::uint64_t length = std::min(segs[seg].length - skip, left);
+      skip = 0;
+      if (!extents.empty() && extents.back().end() == offset) {
+        extents.back().length += length;
+      } else {
+        extents.push_back(fs::Extent{offset, length});
+      }
+      left -= length;
+      if (left == 0) return extents;
     }
-    pos = (tile + 1) * tile_bytes;
   }
-  return extents;
 }
 
 }  // namespace parcoll::mpiio

@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 
 namespace parcoll::obs {
@@ -15,6 +16,16 @@ V& slot(MetricsRegistry::Series<V>& series, std::string_view name) {
   return it->second;
 }
 }  // namespace
+
+MetricsRegistry::MetricsRegistry(const MetricsRegistry& other)
+    : counters_(other.counters_),
+      gauges_(other.gauges_),
+      quantiles_(other.quantiles_) {}
+
+std::uint64_t MetricsRegistry::next_serial() {
+  static std::atomic<std::uint64_t> last{0};
+  return ++last;
+}
 
 std::uint64_t& MetricsRegistry::counter(std::string_view name) {
   return slot(counters_, name);

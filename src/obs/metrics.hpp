@@ -12,7 +12,8 @@
 // "[0003]" suffix so exports sort naturally. Storage is an ordered map,
 // making every export deterministic. A lookup by name builds no key, so
 // recording into an existing instrument allocates nothing (an indexed
-// one formats its key).
+// one formats its key); the per-event sites record through a
+// MetricHandle, which looks its instrument up once.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "obs/quantile.hpp"
 
@@ -30,6 +32,15 @@ class MetricsRegistry {
   /// Instruments of one kind by name, in name order.
   template <typename V>
   using Series = std::map<std::string, V, std::less<>>;
+
+  MetricsRegistry() = default;
+  /// A copy holds the same instruments under a serial of its own.
+  MetricsRegistry(const MetricsRegistry& other);
+  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+
+  /// Unique among the registries this process makes, copies included: a
+  /// MetricHandle tells by it whether it last looked in this registry.
+  [[nodiscard]] std::uint64_t serial() const { return serial_; }
 
   /// Monotonic counter; creates it at zero on first use.
   std::uint64_t& counter(std::string_view name);
@@ -72,9 +83,46 @@ class MetricsRegistry {
                                            std::string_view job);
 
  private:
+  static std::uint64_t next_serial();
+
   Series<std::uint64_t> counters_;
   Series<double> gauges_;
   Series<QuantileHistogram> quantiles_;
+  std::uint64_t serial_ = next_serial();
 };
+
+/// One named instrument, looked up at its first recording and cached, so
+/// every later recording costs a compare instead of a map lookup. An
+/// instrument never moves while its registry lives; handed a different
+/// registry (one that replaced the last), the handle drops what it cached
+/// and looks again. V is QuantileHistogram, or std::uint64_t for a counter.
+template <typename V>
+class MetricHandle {
+  static_assert(std::is_same_v<V, QuantileHistogram> ||
+                std::is_same_v<V, std::uint64_t>);
+
+ public:
+  explicit constexpr MetricHandle(std::string_view name) : name_(name) {}
+
+  V& in(MetricsRegistry& registry) {
+    if (serial_ != registry.serial()) {
+      serial_ = registry.serial();
+      if constexpr (std::is_same_v<V, QuantileHistogram>) {
+        value_ = &registry.quantile(name_);
+      } else {
+        value_ = &registry.counter(name_);
+      }
+    }
+    return *value_;
+  }
+
+ private:
+  std::string_view name_;
+  std::uint64_t serial_ = 0;  // serials start at 1
+  V* value_ = nullptr;
+};
+
+using QuantileHandle = MetricHandle<QuantileHistogram>;
+using CounterHandle = MetricHandle<std::uint64_t>;
 
 }  // namespace parcoll::obs

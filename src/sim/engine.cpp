@@ -61,6 +61,7 @@ EngineStats Engine::stats() const {
   s.peak_live_fibers = peak_live_;
   s.stacks_allocated = stacks_.allocated();
   s.stacks_reused = stacks_.reused();
+  s.stack_slabs_mapped = stacks_.slabs_mapped();
   s.peak_queue_depth = queue_.peak_depth();
   s.choice_points = choice_log_.size();
   s.default_stack_bytes = default_stack_bytes_;

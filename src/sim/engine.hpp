@@ -56,6 +56,7 @@ struct EngineStats {
   std::uint64_t peak_live_fibers = 0;
   std::uint64_t stacks_allocated = 0;  // pool misses (fresh allocations)
   std::uint64_t stacks_reused = 0;     // pool hits
+  std::uint64_t stack_slabs_mapped = 0;  // slabs no earlier engine left
   std::uint64_t peak_queue_depth = 0;
   std::uint64_t choice_points = 0;     // equal-time ties policy resolved
   std::uint64_t default_stack_bytes = 0;

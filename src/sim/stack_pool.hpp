@@ -12,8 +12,14 @@
 // fibers the working set is one or two touched pages per scattered stack,
 // and the resulting dTLB miss per context switch is a measurable slice of
 // the event loop. Huge-page-backed contiguous stacks cut the TLB footprint
-// by ~512x. Slab memory is returned to the OS only when the pool dies
-// (with the engine that owns it).
+// by ~512x.
+//
+// Slab memory outlives the pool that mapped it: a dying pool (with the
+// engine that owns it) hands its slabs to a per-thread spare list, and the
+// next pool on the thread carves from a spare slab before it maps a new
+// one. A process that runs many simulations one after another therefore
+// maps and first-touches its fiber stacks once; the spare slabs are
+// returned to the OS when the thread exits.
 #pragma once
 
 #include <cstddef>
@@ -28,6 +34,17 @@
 #define PARCOLL_STACK_SLABS 1
 #endif
 
+#if defined(__SANITIZE_ADDRESS__)
+#define PARCOLL_STACK_POOL_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PARCOLL_STACK_POOL_ASAN 1
+#endif
+#endif
+#if defined(PARCOLL_STACK_POOL_ASAN)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace parcoll::sim {
 
 class FiberStackPool {
@@ -37,15 +54,18 @@ class FiberStackPool {
   FiberStackPool& operator=(const FiberStackPool&) = delete;
 
   ~FiberStackPool() {
-#if defined(PARCOLL_STACK_SLABS)
-    for (const Slab& slab : slabs_) {
-      ::munmap(slab.base, slab.bytes);
-    }
-#else
-    for (char* slab : slabs_) {
-      delete[] slab;
-    }
+    // Last slab first, so the next pool takes them back in this pool's
+    // order: a simulation that spawns the same fibers gets the same
+    // stacks, and touches no page that this one left untouched.
+    std::vector<Slab>& spare = spares().slabs;
+    for (auto slab = slabs_.rbegin(); slab != slabs_.rend(); ++slab) {
+#if defined(PARCOLL_STACK_POOL_ASAN)
+      // A fiber destroyed mid-call leaves poisoned frames behind; the next
+      // pool's stacks start clean, as freshly mapped ones would.
+      ASAN_UNPOISON_MEMORY_REGION(slab->base, slab->bytes);
 #endif
+      spare.push_back(*slab);
+    }
   }
 
   /// A recycled stack of exactly `bytes`, or a fresh carve from a slab.
@@ -69,10 +89,29 @@ class FiberStackPool {
   [[nodiscard]] std::uint64_t allocated() const { return allocated_; }
   /// Stacks served from the freelist (pool hits).
   [[nodiscard]] std::uint64_t reused() const { return reused_; }
+  /// Slabs this pool mapped because no spare slab was large enough.
+  [[nodiscard]] std::uint64_t slabs_mapped() const { return mapped_; }
 
  private:
   static constexpr std::size_t kSlabAlign = 2 * 1024 * 1024;  // THP size
   static constexpr std::size_t kSlabBytes = 8 * 1024 * 1024;
+
+  struct Slab {
+    char* base;
+    std::size_t bytes;
+  };
+
+  /// The slabs of this thread's dead pools, released at thread exit.
+  struct SpareSlabs {
+    std::vector<Slab> slabs;
+    ~SpareSlabs() {
+      for (const Slab& slab : slabs) unmap(slab);
+    }
+  };
+  static SpareSlabs& spares() {
+    thread_local SpareSlabs spare;
+    return spare;
+  }
 
   char* carve(std::size_t bytes) {
     // Page-granular stride keeps every stack's deep end (the canary page)
@@ -92,6 +131,26 @@ class FiberStackPool {
     while (slab_bytes < at_least) {
       slab_bytes += kSlabAlign;
     }
+    // The most recently retired spare that is large enough, else a new map.
+    std::vector<Slab>& spare = spares().slabs;
+    Slab slab{nullptr, 0};
+    for (std::size_t i = spare.size(); i-- > 0;) {
+      if (spare[i].bytes >= slab_bytes) {
+        slab = spare[i];
+        spare.erase(spare.begin() + static_cast<std::ptrdiff_t>(i));
+        break;
+      }
+    }
+    if (slab.base == nullptr) {
+      slab = map(slab_bytes);
+      ++mapped_;
+    }
+    slabs_.push_back(slab);
+    cursor_ = slab.base;
+    cursor_remaining_ = slab.bytes;
+  }
+
+  static Slab map(std::size_t slab_bytes) {
 #if defined(PARCOLL_STACK_SLABS)
     // Over-map by one alignment unit and trim so the kept range is 2 MiB-
     // aligned; only aligned ranges are eligible for huge-page collapse.
@@ -113,29 +172,27 @@ class FiberStackPool {
     }
     char* base = reinterpret_cast<char*>(aligned);
     ::madvise(base, slab_bytes, MADV_HUGEPAGE);
-    slabs_.push_back(Slab{base, slab_bytes});
+    return Slab{base, slab_bytes};
 #else
-    char* base = new char[slab_bytes];
-    slabs_.push_back(base);
+    return Slab{new char[slab_bytes], slab_bytes};
 #endif
-    cursor_ = base;
-    cursor_remaining_ = slab_bytes;
   }
 
+  static void unmap(const Slab& slab) {
 #if defined(PARCOLL_STACK_SLABS)
-  struct Slab {
-    void* base;
-    std::size_t bytes;
-  };
-  std::vector<Slab> slabs_;
+    ::munmap(slab.base, slab.bytes);
 #else
-  std::vector<char*> slabs_;
+    delete[] slab.base;
 #endif
+  }
+
+  std::vector<Slab> slabs_;
   std::map<std::size_t, std::vector<char*>> free_;
   char* cursor_ = nullptr;
   std::size_t cursor_remaining_ = 0;
   std::uint64_t allocated_ = 0;
   std::uint64_t reused_ = 0;
+  std::uint64_t mapped_ = 0;
 };
 
 }  // namespace parcoll::sim

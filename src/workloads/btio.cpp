@@ -1,6 +1,5 @@
 #include "workloads/btio.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -31,7 +30,17 @@ dtype::Datatype BtIOConfig::filetype(int rank, int nranks) const {
   const auto bound = [&](int c) {
     return static_cast<std::int64_t>(c) * grid / nc;
   };
+  // One row per (z, y) of each cell: the k-th cell spans z-slab k.
+  std::size_t nrows = 0;
+  for (int k = 0; k < nc; ++k) {
+    const int cy = (pi + k) % nc;
+    nrows += static_cast<std::size_t>((bound(k + 1) - bound(k)) *
+                                      (bound(cy + 1) - bound(cy)));
+  }
   std::vector<dtype::Segment> rows;
+  rows.reserve(nrows);
+  // Cell k covers z-slab k and every row's displacement grows with (z, y),
+  // so the rows come out in file order, as a file view needs them.
   for (int k = 0; k < nc; ++k) {
     // Diagonal multi-partitioning: the k-th cell of processor (pi, pj)
     // shifts one position per z-slab.
@@ -49,10 +58,6 @@ dtype::Datatype BtIOConfig::filetype(int rank, int nranks) const {
       }
     }
   }
-  std::sort(rows.begin(), rows.end(),
-            [](const dtype::Segment& a, const dtype::Segment& b) {
-              return a.disp < b.disp;
-            });
   return dtype::Datatype::from_segments(
       std::move(rows), 0, static_cast<std::int64_t>(step_bytes()));
 }

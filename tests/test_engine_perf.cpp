@@ -1,5 +1,6 @@
 // Engine scaling layer: event queue order exactness, golden
-// bit-identity pins, stack-pool reuse under churn, WaitQueue FIFO at
+// bit-identity pins, stack-pool reuse under churn and across engines,
+// the stack canary on a reused slab, WaitQueue FIFO at
 // depth, deadlock message stability, stack-size knob validation, and
 // rejection of non-finite event times.
 #include <gtest/gtest.h>
@@ -345,6 +346,58 @@ TEST(StackPool, ChurnOfFiftyThousandFibersReusesStacks) {
             static_cast<std::uint64_t>(total));
   EXPECT_GE(stats.stacks_reused, static_cast<std::uint64_t>(total - 4 * width));
   EXPECT_LE(stats.peak_live_fibers, static_cast<std::uint64_t>(width) + 1);
+}
+
+/// Spawn `width` fibers that each sleep once, run them, and return the
+/// engine's stats.
+sim::EngineStats run_sleepers(int width) {
+  Engine engine;
+  for (int i = 0; i < width; ++i) {
+    engine.spawn([&engine] { engine.sleep(1e-3); });
+  }
+  engine.run();
+  return engine.stats();
+}
+
+TEST(StackPool, SecondEngineOnTheThreadMapsNoNewSlab) {
+  const sim::EngineStats first = run_sleepers(300);
+  const sim::EngineStats second = run_sleepers(300);
+  // The dead engine's slabs serve the next one; the stack counts keep
+  // their per-engine meaning.
+  EXPECT_EQ(second.stack_slabs_mapped, 0u);
+  EXPECT_EQ(second.stacks_allocated, first.stacks_allocated);
+  EXPECT_EQ(second.stacks_reused, first.stacks_reused);
+  EXPECT_EQ(second.stacks_allocated, 300u);
+}
+
+/// Touches `depth` + 1 KiB of stack, one frame per KiB, with bytes that
+/// are never the canary's.
+int dig(int depth) {
+  volatile char frame[1024];
+  for (std::size_t i = 0; i < sizeof frame; ++i) {
+    frame[i] = static_cast<char>(depth);
+  }
+  return depth == 0 ? frame[0] : dig(depth - 1) + frame[1];
+}
+
+TEST(StackPool, OverflowOnAReusedSlabTripsTheCanary) {
+  run_sleepers(1);  // leaves a spare slab behind
+  Engine engine;
+  constexpr std::size_t kStack = 16 << 10;
+  // The first fiber's stack sits below the second's in the slab and is
+  // free by the time the second runs about 9 KiB past its own end.
+  engine.spawn([] {}, kStack);
+  engine.spawn([] { EXPECT_GE(dig(24), 0); }, kStack);
+  try {
+    engine.run();
+    ADD_FAILURE() << "the overflow went unnoticed";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("Engine: fiber stack overflow detected"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(engine.stats().stack_slabs_mapped, 0u);
 }
 
 TEST(WaitQueueDepth, FifoHoldsAcrossRingCompaction) {

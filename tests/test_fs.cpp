@@ -333,5 +333,102 @@ TEST(Lustre, InterleavedWritersPayLockSwitches) {
   engine.run();
 }
 
+/// What one client call sequence leaves behind: RPCs, lock switches, the
+/// bytes each OST served and the final clock.
+struct SubmitPins {
+  std::uint64_t rpcs = 0;
+  std::uint64_t lock_switches = 0;
+  std::vector<std::uint64_t> ost_bytes;
+  double now = 0.0;
+};
+
+/// Three files on five OSTs (the third file's stripes wrap past the last
+/// OST), 48 KiB RPCs on 64 KiB stripes, written and read by three clients
+/// with extents that cross stripes, jump backwards as intermediate order
+/// does, have zero length, and split at max_rpc_size.
+SubmitPins submit_pins(StoreMode mode) {
+  sim::Engine engine;
+  auto params = no_jitter_params();
+  params.num_osts = 5;
+  params.max_rpc_size = 48 << 10;
+  LustreSim fs(engine, params, mode);
+  SubmitPins pins;
+  constexpr std::uint64_t K = 1024;
+  const std::vector<Extent> crossing{{60 * K, 10 * K}, {200 * K, 300 * K}};
+  const std::vector<Extent> backwards{{500 * K, 4 * K}, {100 * K, 4 * K},
+                                      {100 * K, 0},     {300 * K, 8 * K},
+                                      {0, 2 * K},       {63 * K, 2 * K},
+                                      {70 * K, 0}};
+  const std::vector<Extent> split{{1000 * K, 200 * K}, {1300 * K, 96 * K}};
+  const auto payload = [](const std::vector<Extent>& extents) {
+    std::uint64_t bytes = 0;
+    for (const Extent& extent : extents) bytes += extent.length;
+    std::vector<std::byte> data(bytes);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      data[i] = static_cast<std::byte>(i * 7 + 3);
+    }
+    return data;
+  };
+  const bool bytes = mode == StoreMode::Memory;
+  engine.spawn([&] {
+    const int a = fs.open("a", 4, 64 * K);
+    const int b = fs.open("b", 4, 64 * K);
+    const int c = fs.open("c", 5, 64 * K);
+    for (int file : {a, b, c}) {
+      int client = 0;
+      for (const auto* extents : {&crossing, &backwards, &split}) {
+        const auto data = payload(*extents);
+        fs.write(client, file, *extents, bytes ? data.data() : nullptr);
+        std::vector<std::byte> back(data.size());
+        fs.read(client, file, *extents, bytes ? back.data() : nullptr);
+        if (bytes) {
+          EXPECT_EQ(back, data) << "file " << file << " client " << client;
+        }
+        ++client;
+      }
+    }
+  });
+  engine.run();
+  pins.rpcs = fs.total_rpcs();
+  pins.lock_switches = fs.total_lock_switches();
+  for (int i = 0; i < fs.num_osts(); ++i) {
+    pins.ost_bytes.push_back(fs.ost(static_cast<std::size_t>(i)).bytes_served());
+  }
+  pins.now = engine.now();
+  return pins;
+}
+
+TEST(Lustre, SubmitPiecesMatchPinnedCounts) {
+  // Exact for this mix of extents: a change in where pieces are cut, how
+  // they batch into RPCs or in what order those go out moves a count, an
+  // OST's bytes or the clock.
+  for (const StoreMode mode : {StoreMode::Phantom, StoreMode::Memory}) {
+    const SubmitPins pins = submit_pins(mode);
+    EXPECT_EQ(pins.rpcs, 124u);
+    EXPECT_EQ(pins.lock_switches, 22u);
+    EXPECT_EQ(pins.ost_bytes, (std::vector<std::uint64_t>{
+                                  595968, 921600, 905216, 899072, 524288}));
+    EXPECT_EQ(pins.now, 0.027688093333333365);
+  }
+}
+
+TEST(Lustre, InvalidStripingThrowsOnTheFirstPiece) {
+  sim::Engine engine;
+  auto params = no_jitter_params();
+  params.default_stripe_count = 0;
+  LustreSim fs(engine, params, StoreMode::Phantom);
+  engine.spawn([&] {
+    const int id = fs.open("unstriped");
+    const Extent empty{4096, 0};
+    EXPECT_NO_THROW(fs.write(0, id, std::span(&empty, 1), nullptr));
+    const Extent extent{0, 4096};
+    EXPECT_THROW(fs.write(0, id, std::span(&extent, 1), nullptr),
+                 std::invalid_argument);
+    EXPECT_THROW(fs.read(0, id, std::span(&extent, 1), nullptr),
+                 std::invalid_argument);
+  });
+  engine.run();
+}
+
 }  // namespace
 }  // namespace parcoll::fs

@@ -18,20 +18,28 @@ IntermediateMap two_member_map() {
   return IntermediateMap(std::move(members));
 }
 
+/// What translate appends to an empty vector.
+std::vector<fs::Extent> translated(const IntermediateMap& map,
+                                   const fs::Extent& span) {
+  std::vector<fs::Extent> physical;
+  map.translate(span, physical);
+  return physical;
+}
+
 TEST(IntermediateMap, TotalBytes) {
   EXPECT_EQ(two_member_map().total_bytes(), 60u);
 }
 
 TEST(IntermediateMap, TranslateWithinOneSegment) {
   const auto map = two_member_map();
-  const auto physical = map.translate(fs::Extent{2, 5});
+  const auto physical = translated(map, fs::Extent{2, 5});
   ASSERT_EQ(physical.size(), 1u);
   EXPECT_EQ(physical[0], (fs::Extent{2, 5}));
 }
 
 TEST(IntermediateMap, TranslateAcrossSegmentsOfOneMember) {
   const auto map = two_member_map();
-  const auto physical = map.translate(fs::Extent{5, 10});
+  const auto physical = translated(map, fs::Extent{5, 10});
   ASSERT_EQ(physical.size(), 2u);
   EXPECT_EQ(physical[0], (fs::Extent{5, 5}));    // tail of {0,10}
   EXPECT_EQ(physical[1], (fs::Extent{100, 5}));  // head of {100,20}
@@ -39,7 +47,7 @@ TEST(IntermediateMap, TranslateAcrossSegmentsOfOneMember) {
 
 TEST(IntermediateMap, TranslateAcrossMembers) {
   const auto map = two_member_map();
-  const auto physical = map.translate(fs::Extent{25, 15});
+  const auto physical = translated(map, fs::Extent{25, 15});
   // Intermediate [25,30) = member A's {100,20} tail: {115,5}.
   // Intermediate [30,40) = member B's {50,15} head: {50,10}.
   ASSERT_EQ(physical.size(), 2u);
@@ -49,17 +57,17 @@ TEST(IntermediateMap, TranslateAcrossMembers) {
 
 TEST(IntermediateMap, TranslateWholeSpace) {
   const auto map = two_member_map();
-  const auto physical = map.translate(fs::Extent{0, 60});
+  const auto physical = translated(map, fs::Extent{0, 60});
   ASSERT_EQ(physical.size(), 4u);
   EXPECT_EQ(physical[3], (fs::Extent{200, 15}));
 }
 
 TEST(IntermediateMap, EmptyExtentTranslatesToNothing) {
-  EXPECT_TRUE(two_member_map().translate(fs::Extent{10, 0}).empty());
+  EXPECT_TRUE(translated(two_member_map(), fs::Extent{10, 0}).empty());
 }
 
 TEST(IntermediateMap, OutOfRangeThrows) {
-  EXPECT_THROW(two_member_map().translate(fs::Extent{50, 20}),
+  EXPECT_THROW(translated(two_member_map(), fs::Extent{50, 20}),
                std::out_of_range);
 }
 
@@ -76,9 +84,66 @@ TEST(IntermediateMap, MembersWithNoDataAreSkipped) {
   members.push_back(MemberSegments{10, {}});  // empty member
   members.push_back(MemberSegments{10, {{40, 10}}});
   const IntermediateMap map(std::move(members));
-  const auto physical = map.translate(fs::Extent{5, 10});
+  const auto physical = translated(map, fs::Extent{5, 10});
   ASSERT_EQ(physical.size(), 2u);
   EXPECT_EQ(physical[1], (fs::Extent{40, 5}));
+}
+
+TEST(IntermediateMap, TranslateAppendsToTheCallersVector) {
+  const auto map = two_member_map();
+  std::vector<fs::Extent> physical{{7, 7}};
+  map.translate(fs::Extent{25, 15}, physical);
+  map.translate(fs::Extent{0, 3}, physical);
+  ASSERT_EQ(physical.size(), 4u);
+  EXPECT_EQ(physical[0], (fs::Extent{7, 7}));
+  EXPECT_EQ(physical[1], (fs::Extent{115, 5}));
+  EXPECT_EQ(physical[2], (fs::Extent{50, 10}));
+  EXPECT_EQ(physical[3], (fs::Extent{0, 3}));
+  EXPECT_EQ(map.count(fs::Extent{25, 15}), 2u);
+  EXPECT_EQ(map.count(fs::Extent{0, 60}), 4u);
+  EXPECT_EQ(map.count(fs::Extent{10, 0}), 0u);
+}
+
+TEST(IntermediateMap, UncoveredRangeThrowsAndAppendsNothing) {
+  const auto map = two_member_map();
+  std::vector<fs::Extent> physical{{7, 7}};
+  EXPECT_THROW(map.translate(fs::Extent{50, 20}, physical), std::out_of_range);
+  EXPECT_THROW(map.translate(fs::Extent{60, 1}, physical), std::out_of_range);
+  ASSERT_EQ(physical.size(), 1u);
+  EXPECT_EQ(physical[0], (fs::Extent{7, 7}));
+  // A space that starts past 0 does not cover what lies before it.
+  std::vector<MemberSegments> members;
+  members.push_back(MemberSegments{100, {{0, 10}}});
+  const IntermediateMap shifted(members);
+  EXPECT_THROW(shifted.translate(fs::Extent{95, 10}, physical),
+               std::out_of_range);
+  EXPECT_EQ(translated(shifted, fs::Extent{102, 8}),
+            (std::vector<fs::Extent>{{2, 8}}));
+}
+
+TEST(IntermediateMap, ContributionsBuildTheSameMapAsMemberSegments) {
+  // Three members as an allgather hands them over: the second brings no
+  // data, and a zero-length extent carries no bytes.
+  const std::vector<fs::Extent> a{{0, 10}, {100, 20}};
+  const std::vector<fs::Extent> b;
+  const std::vector<fs::Extent> c{{50, 15}, {70, 0}, {200, 15}};
+  const std::span<const std::byte> contributions[] = {
+      mpi::detail::bytes_of(a), mpi::detail::bytes_of(b),
+      mpi::detail::bytes_of(c)};
+  const IntermediateMap map{mpi::CollContribs(contributions)};
+  EXPECT_EQ(map.total_bytes(), 60u);
+  EXPECT_EQ(map.inter_start(0), 0u);
+  EXPECT_EQ(map.inter_start(1), 30u);
+  EXPECT_EQ(map.inter_start(2), 30u);
+  const auto reference = two_member_map();
+  for (std::uint64_t lo = 0; lo < 60; ++lo) {
+    for (std::uint64_t hi = lo; hi <= 60; ++hi) {
+      const fs::Extent span{lo, hi - lo};
+      const auto physical = translated(map, span);
+      EXPECT_EQ(physical, translated(reference, span));
+      EXPECT_EQ(physical.size(), map.count(span));
+    }
+  }
 }
 
 TEST(IntermediateTarget, WriteLandsAtPhysicalOffsets) {

@@ -1,4 +1,4 @@
-// Segment algebra, FlatType stream mapping, and pack/unpack round trips.
+// Segment algebra, FlatType lookup, and pack/unpack round trips.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -58,24 +58,6 @@ TEST(FlatType, PrefixAndLookup) {
   EXPECT_EQ(flat.segment_at(4), 1u);
   EXPECT_EQ(flat.segment_at(11), 2u);
   EXPECT_THROW(static_cast<void>(flat.segment_at(12)), std::out_of_range);
-}
-
-TEST(FlatType, StreamRangeMidSegment) {
-  const Datatype type = Datatype::vec(2, 1, 4, Datatype::bytes(8));
-  const FlatType flat = FlatType::from(type);
-  // Stream [4, 12): second half of segment 0, first half of segment 1.
-  const auto segs = flat.stream_range(4, 12);
-  ASSERT_EQ(segs.size(), 2u);
-  EXPECT_EQ(segs[0], (Segment{4, 4}));
-  EXPECT_EQ(segs[1], (Segment{32, 4}));
-}
-
-TEST(FlatType, StreamRangeWholeAndEmpty) {
-  const Datatype type = Datatype::bytes(10);
-  const FlatType flat = FlatType::from(type);
-  EXPECT_EQ(flat.stream_range(0, 10).size(), 1u);
-  EXPECT_TRUE(flat.stream_range(3, 3).empty());
-  EXPECT_THROW(flat.stream_range(0, 11), std::out_of_range);
 }
 
 TEST(Pack, ContiguousRoundTrip) {

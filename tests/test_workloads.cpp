@@ -180,6 +180,26 @@ TEST(BtIO, FiletypesPartitionTheCube) {
   }
 }
 
+TEST(BtIO, FiletypeSegmentsAscendOnClassGrids) {
+  // The rows come out in file order, unsorted, as a file view needs them.
+  for (const int grid : {64, 102, 162}) {
+    for (const int nranks : {4, 16, 64, 256}) {
+      BtIOConfig config;
+      config.grid = grid;
+      for (int rank = 0; rank < nranks; ++rank) {
+        const auto type = config.filetype(rank, nranks);
+        const auto& segs = type.segments();
+        for (std::size_t i = 1; i < segs.size(); ++i) {
+          ASSERT_LT(segs[i - 1].end(), segs[i].disp)
+              << "grid " << grid << " P " << nranks << " rank " << rank;
+        }
+        EXPECT_TRUE(type.monotone());
+        EXPECT_EQ(type.size(), config.rank_bytes(rank, nranks));
+      }
+    }
+  }
+}
+
 TEST(BtIO, ScatteredAcrossWholeStep) {
   // Diagonal multipartitioning: every rank's range spans most of the cube,
   // so no clean FA split exists (the paper's pattern c).
